@@ -8,8 +8,9 @@ Two modes:
   reported outcome, not a failure.
 * CRITICAL_SEARCH descends the merit function (summed squared residuals
   of the critical-pair equations, multipliers eliminated by least
-  squares), which is bounded below by 0 and vanishes exactly at critical
-  pairs.
+  squares) composed with the retraction, along its exact gradient from
+  one hand-written reverse-mode sweep.  The merit is bounded below by 0
+  and vanishes exactly at critical pairs.
 
 Both use fixed-step descent with backtracking halving (factor 0.5, up to
 30 halvings).  Restarts are independent: restart k uses seed ``seed + k``
@@ -36,7 +37,6 @@ MAX_ITERS = "MAX_ITERS"
 DIVERGED = "DIVERGED"
 DEGENERATE_RETRACTION = "DEGENERATE_RETRACTION"
 
-_FD_STEP = 1e-6
 _BACKTRACK_LIMIT = 30
 _RERANDOMIZE_BUDGET = 3
 
@@ -171,11 +171,19 @@ def merit(pair: FramePair):
     f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
     if np.any(f_norms2 == 0) or not np.all(np.sum(np.abs(gv) ** 2, axis=1) > 0):
         raise ZeroVectorError("merit needs nonzero f_m and g_m")
-    s, t = structure._partial_sums(pair)
-    c = np.sum(s * fv.conj(), axis=1) / f_norms2
+    *_, rf, rg = _merit_terms(fv, gv)
+    return float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2))
+
+
+def _merit_terms(fv, gv):
+    """(C, s, c, r_f, r_g) of the merit on raw (N, d) arrays with nonzero
+    rows: cross Gram, partial sums s, least-squares multipliers c and the
+    residuals r_f = s - c f, r_g = t - conj(c) g."""
+    cg, s, t = structure._partial_sums(fv, gv)
+    c = np.sum(s * fv.conj(), axis=1) / np.sum(np.abs(fv) ** 2, axis=1)
     rf = s - c[:, None] * fv
     rg = t - c.conj()[:, None] * gv
-    return float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2))
+    return cg, s, c, rf, rg
 
 
 def _fp_scalar(pair):
@@ -183,9 +191,8 @@ def _fp_scalar(pair):
     return complex(np.sum(c * c.T))
 
 
-def _objective_value(pair, objective):
-    v = _fp_scalar(pair)
-    return v.real if objective == REAL_PART else v.imag
+def _objective_part(fp, objective):
+    return fp.real if objective == REAL_PART else fp.imag
 
 
 def _retract_with_recovery(pair, spec, rng):
@@ -208,31 +215,53 @@ def _retract_with_recovery(pair, spec, rng):
             pair = FramePair(pair.f, FrameSequence(pair.field, gv))
 
 
-def _merit_gradient_fd(pair, spec, rng, h=_FD_STEP):
-    """Central finite differences of merit(retract(.)) in real coordinates."""
-    is_real = pair.field is Field.REAL
-    comps = (1.0,) if is_real else (1.0, 1j)
-    fv, gv = pair.f.vectors, pair.g.vectors
-    gf = np.zeros_like(fv)
-    gg = np.zeros_like(gv)
+def _merit_and_gradient(fv, gv, alpha, is_real):
+    """merit(retract(F, G)) and its gradient on raw (N, d) arrays.
 
-    def value(f_arr, g_arr):
-        p = FramePair(FrameSequence(pair.field, f_arr), FrameSequence(pair.field, g_arr))
-        return merit(_retract_with_recovery(p, spec, rng))
+    The gradient is in the fp_gradient encoding (derivative with respect
+    to the real component plus i times that with respect to the imaginary
+    component; real part only over R).  It is one hand-written
+    reverse-mode sweep: each ``x_bar`` below is dL/dRe x + i dL/dIm x for
+    the intermediate x, so a product y = a * b sends y_bar * conj(b) to
+    a_bar and y = conj(x) sends conj(y_bar) to x_bar.  Memory is
+    O(N^2 + N d).  The caller guarantees <f_m, g_m> != 0.
+    """
+    if is_real:
+        alpha = alpha.real  # retraction over R keeps only the real part of the rescaling
+    # forward: the retraction, then the terms of `merit`
+    ip = np.sum(fv * gv.conj(), axis=1)
+    q = alpha / ip
+    gr = gv * q.conj()[:, None]
+    cg, s, c, rf, rg = _merit_terms(fv, gr)
+    value = float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2))
+    f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
+    c0 = cg.copy()
+    np.fill_diagonal(c0, 0.0)  # s = C0 F and t = C0^H G_r: sums over n != m only
 
-    for which, (arr, grad) in enumerate(((fv, gf), (gv, gg))):
-        for idx in np.ndindex(arr.shape):
-            for comp in comps:
-                plus = arr.copy()
-                plus[idx] += comp * h
-                minus = arr.copy()
-                minus[idx] -= comp * h
-                if which == 0:
-                    dv = (value(plus, gv) - value(minus, gv)) / (2 * h)
-                else:
-                    dv = (value(fv, plus) - value(fv, minus)) / (2 * h)
-                grad[idx] += dv * comp
-    return gf, gg
+    # backward; c = num / |f|^2 with num_m = sum_k s_m[k] conj(f_m[k])
+    rf_bar, rg_bar = 2.0 * rf, 2.0 * rg
+    c_bar = -np.sum(rf_bar * fv.conj(), axis=1) - np.sum(rg_bar.conj() * gr, axis=1)
+    f_bar = -c.conj()[:, None] * rf_bar
+    gr_bar = -c[:, None] * rg_bar
+    num_bar = c_bar / f_norms2
+    norms2_bar = -np.real(c_bar * c.conj()) / f_norms2
+    s_bar = rf_bar + num_bar[:, None] * fv
+    f_bar += num_bar.conj()[:, None] * s + 2.0 * norms2_bar[:, None] * fv
+    gr_bar += c0 @ rg_bar
+    # adjoint of C off its diagonal; the merit does not depend on diag(C)
+    c0_bar = s_bar @ fv.conj().T + gr @ rg_bar.conj().T
+    np.fill_diagonal(c0_bar, 0.0)
+    f_bar += c0.conj().T @ s_bar + c0_bar @ gr
+    gr_bar += c0_bar.conj().T @ fv
+    g_bar = gr_bar * q[:, None]
+    q_bar = np.sum(gr_bar.conj() * gv, axis=1)  # through gr = gv * conj(q)
+    ip_bar = -q_bar * (q / ip).conj()
+    f_bar += ip_bar[:, None] * gv
+    g_bar += ip_bar.conj()[:, None] * fv
+    if is_real:
+        f_bar = f_bar.real.astype(np.complex128)
+        g_bar = g_bar.real.astype(np.complex128)
+    return value, f_bar, g_bar
 
 
 def _step(pair, gf, gg, step):
@@ -276,23 +305,22 @@ def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
     obj_hist = []
     merit_hist = []
     objective = cfg.objective
+    is_real = pair.field is Field.REAL
     m0 = merit(pair)
-    o0 = _objective_value(pair, objective)
+    fp0 = _fp_scalar(pair)
+    o0 = _objective_part(fp0, objective)
 
     for _ in range(cfg.max_iters):
         obj_hist.append(o0)
         merit_hist.append(m0)
 
-        if abs(_fp_scalar(pair)) > cfg.divergence_bound:
+        if abs(fp0) > cfg.divergence_bound:
             return _finish(pair, spec, DIVERGED, obj_hist, merit_hist, seed)
 
         if cfg.mode == CRITICAL_SEARCH:
             if m0 <= cfg.merit_tol:
                 return _finish(pair, spec, CONVERGED, obj_hist, merit_hist, seed)
-            try:
-                gf, gg = _merit_gradient_fd(pair, spec, rng)
-            except DegeneratePairingError:
-                return _finish_degenerate(pair, spec, seed, obj_hist, merit_hist)
+            _, gf, gg = _merit_and_gradient(pair.f.vectors, pair.g.vectors, spec.alpha, is_real)
             improved = False
             step = cfg.step_size
             for _ in range(_BACKTRACK_LIMIT):
@@ -303,12 +331,13 @@ def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
                 m1 = merit(trial)
                 if m1 < m0:
                     pair, m0 = trial, m1
-                    o0 = _objective_value(pair, objective)
+                    fp0 = _fp_scalar(pair)
+                    o0 = _objective_part(fp0, objective)
                     improved = True
                     break
                 step *= 0.5
             if not improved:
-                # stalled at the finite-difference noise floor
+                # no step along the exact gradient lowers the merit: round-off floor
                 status = CONVERGED if m0 <= cfg.merit_tol else MAX_ITERS
                 return _finish(pair, spec, status, obj_hist, merit_hist, seed)
         else:  # POTENTIAL_DESCENT
@@ -324,9 +353,10 @@ def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
                     trial = _retract_with_recovery(_step(pair, pf, pg, step), spec, rng)
                 except DegeneratePairingError:
                     return _finish_degenerate(pair, spec, seed, obj_hist, merit_hist)
-                o1 = _objective_value(trial, objective)
+                fp1 = _fp_scalar(trial)
+                o1 = _objective_part(fp1, objective)
                 if o1 < o0:
-                    pair, o0 = trial, o1
+                    pair, fp0, o0 = trial, fp1, o1
                     m0 = merit(pair)
                     improved = True
                     break

@@ -47,16 +47,16 @@ class CriticalPairReport:
         return float(max(self.f_residuals.max(), self.g_residuals.max()))
 
 
-def _partial_sums(pair):
-    """Per index m: (sum_{n!=m} <f_m,g_n> f_n, sum_{n!=m} <g_m,f_n> g_n)."""
-    c = frames.cross_gram(pair)
-    fv, gv = pair.f.vectors, pair.g.vectors
+def _partial_sums(fv, gv):
+    """The cross Gram C of (N, d) arrays F, G and, per index m,
+    (sum_{n!=m} <f_m,g_n> f_n, sum_{n!=m} <g_m,f_n> g_n)."""
+    c = fv @ gv.conj().T
     diag = np.diag(c)
     # row m of (C @ F) is sum_n <f_m,g_n> f_n; remove the n = m term
     s = c @ fv - diag[:, None] * fv
     # <g_m, f_n> = conj(C[n, m])
     t = c.conj().T @ gv - diag.conj()[:, None] * gv
-    return s, t
+    return c, s, t
 
 
 def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_TOL):
@@ -77,7 +77,7 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
                 f"{name}_{zero[0] + 1} is the zero vector", index=int(zero[0])
             )
 
-    s, t = _partial_sums(pair)
+    _, s, t = _partial_sums(pair.f.vectors, pair.g.vectors)
     n = pair.n
     c = np.zeros(n, dtype=np.complex128)
     f_res = np.zeros(n)

@@ -6,13 +6,12 @@ from mixedframes import fixtures, frames, optimizer, structure
 from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
 
 
-def _fd_gradient(pair, objective, h=1e-6):
-    """Central finite differences of the chosen potential part."""
+def _fd_gradient(pair, value, h=1e-6):
+    """Central finite differences of value(FramePair) in real coordinates,
+    in the fp_gradient encoding."""
 
-    def value(fv, gv):
-        p = FramePair(FrameSequence(pair.field, fv), FrameSequence(pair.field, gv))
-        v = complex(np.sum(frames.cross_gram(p) * frames.cross_gram(p).T))
-        return v.real if objective == optimizer.REAL_PART else v.imag
+    def at(fv, gv):
+        return value(FramePair(FrameSequence(pair.field, fv), FrameSequence(pair.field, gv)))
 
     comps = (1.0,) if pair.field is Field.REAL else (1.0, 1j)
     out = []
@@ -27,9 +26,17 @@ def _fd_gradient(pair, objective, h=1e-6):
                 args_p = [pair.f.vectors, pair.g.vectors]
                 args_m = [pair.f.vectors, pair.g.vectors]
                 args_p[which], args_m[which] = plus, minus
-                grad[idx] += (value(*args_p) - value(*args_m)) / (2 * h) * comp
+                grad[idx] += (at(*args_p) - at(*args_m)) / (2 * h) * comp
         out.append(grad)
     return out
+
+
+def _potential_part(objective):
+    def value(pair):
+        v = complex(np.sum(frames.cross_gram(pair) * frames.cross_gram(pair).T))
+        return v.real if objective == optimizer.REAL_PART else v.imag
+
+    return value
 
 
 @pytest.mark.parametrize("objective", [optimizer.REAL_PART, optimizer.IMAG_PART])
@@ -41,10 +48,45 @@ def test_gradient_against_finite_differences(field, objective):
         d, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
         pair = frames.random_pair(field, d, n, 2000 + trial)
         gf, gg = optimizer.fp_gradient(pair, objective)
-        ef, eg = _fd_gradient(pair, objective)
+        ef, eg = _fd_gradient(pair, _potential_part(objective))
         scale = max(1.0, float(np.linalg.norm(ef)), float(np.linalg.norm(eg)))
         assert np.linalg.norm(gf - ef) / scale <= 1e-5
         assert np.linalg.norm(gg - eg) / scale <= 1e-5
+
+
+def test_merit_gradient_against_finite_differences(field):
+    """The reverse-mode merit gradient of CRITICAL_SEARCH is the gradient
+    of merit(retract_to_constraint(.)), for random nonuniform complex alpha."""
+    rng = np.random.default_rng(64)
+    is_real = field is Field.REAL
+    for trial in range(20):
+        d, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        alpha = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(-1.0, 1.0, n))
+        spec = ConstraintSpec(alpha)
+        pair = frames.random_pair(field, d, n, 2200 + trial)
+
+        def value(p):
+            return optimizer.merit(frames.retract_to_constraint(p, spec))
+
+        m, gf, gg = optimizer._merit_and_gradient(
+            pair.f.vectors, pair.g.vectors, spec.alpha, is_real
+        )
+        assert m == pytest.approx(value(pair), rel=1e-12, abs=1e-14)
+        ef, eg = _fd_gradient(pair, value)
+        scale = max(1.0, float(np.linalg.norm(ef)), float(np.linalg.norm(eg)))
+        assert np.linalg.norm(gf - ef) / scale <= 1e-5
+        assert np.linalg.norm(gg - eg) / scale <= 1e-5
+        if is_real:
+            assert not np.any(gf.imag) and not np.any(gg.imag)
+
+
+def test_merit_gradient_vanishes_at_critical_fixtures():
+    for name in ("FX-ONB2", "FX-MB", "FX-MIX", "FX-IMAG"):
+        pair, spec = fixtures.fixture(name)
+        _, gf, gg = optimizer._merit_and_gradient(
+            pair.f.vectors, pair.g.vectors, spec.alpha, pair.field is Field.REAL
+        )
+        assert np.sqrt(np.vdot(gf, gf).real + np.vdot(gg, gg).real) <= 1e-10, name
 
 
 def test_gradient_rejects_unknown_objective():
@@ -138,6 +180,17 @@ def test_restart_ranking_prefers_dual():
     res = optimizer.search(spec, Field.REAL, 2, cfg)
     assert res.status == optimizer.CONVERGED
     assert res.dual_deviation <= 1e-6
+
+
+def test_critical_search_large_size():
+    """One iteration at (d, N) = (64, 192) costs a few merit evaluations and
+    O(N^2 + N d) memory, not one merit evaluation per real coordinate."""
+    spec = ConstraintSpec(np.ones(192))
+    cfg = optimizer.OptimizerConfig(mode=optimizer.CRITICAL_SEARCH, seed=1, max_iters=2)
+    res = optimizer.search(spec, Field.REAL, 64, cfg)
+    assert res.status == optimizer.MAX_ITERS
+    assert len(res.merit_history) == 3
+    assert all(b < a for a, b in zip(res.merit_history, res.merit_history[1:]))
 
 
 def test_potential_descent_diverges_d2():
