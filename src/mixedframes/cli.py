@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import fixtures, frames, optimizer, potential, structure
+from . import fixtures, frames, linalg, optimizer, potential, structure
 from .errors import (
     ConstraintViolationError,
     DegeneratePairingError,
@@ -397,7 +397,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--alpha")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--cluster-tol", type=float, default=structure.DEFAULT_CLUSTER_TOL)
+    p.add_argument("--cluster-tol", type=float, default=linalg.DEFAULT_CLUSTER_TOL)
 
     p = sub.add_parser("corollary", help="dual-pair existence conditions")
     p.add_argument("input", nargs="?")

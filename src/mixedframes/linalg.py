@@ -23,9 +23,9 @@ from .errors import (
     ZeroVectorError,
 )
 
-# LAPACK's QR eigenvalue iteration budget is roughly 30 sweeps per
-# eigenvalue; we cap the admitted order instead of the iteration count.
-MAX_EIG_ORDER = 64
+#: Relative radius of eigenvalue clustering: values within
+#: tol * (1 + spectral radius) of each other fall into one cluster.
+DEFAULT_CLUSTER_TOL = 1e-6
 
 
 def inner(x, y):
@@ -126,7 +126,7 @@ def _sort_spectrum(values, vectors):
 
 
 def eig_general(a, tol=1e-9):
-    """Full eigendecomposition of a general square matrix of order <= 64.
+    """Full eigendecomposition of a general square matrix.
 
     Real input matrices get a post-hoc symmetrization pass so their
     spectra come out in exact conjugate pairs.  Raises
@@ -134,11 +134,8 @@ def eig_general(a, tol=1e-9):
     exceeds ``tol * (1 + ||A||_F)`` or the QR iteration fails to converge.
     """
     a = as_matrix(a, "matrix")
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"eig_general needs a square matrix, got {a.shape}")
-    if n > MAX_EIG_ORDER:
-        raise DimensionMismatchError(f"matrix order {n} exceeds supported maximum {MAX_EIG_ORDER}")
 
     is_real = not np.any(a.imag)
     try:
@@ -158,10 +155,8 @@ def eig_general(a, tol=1e-9):
 
     values, vectors = _sort_spectrum(values, vectors)
 
-    residual = 0.0
-    for k in range(n):
-        r = float(np.linalg.norm(a @ vectors[:, k] - values[k] * vectors[:, k]))
-        residual = max(residual, r)
+    # column k of A V - V diag(values) is A v_k - lambda_k v_k
+    residual = float(np.linalg.norm(a @ vectors - vectors * values, axis=0).max())
     residual /= 1.0 + norm_a
     if residual > tol:
         raise NumericalFailureError(
@@ -174,41 +169,46 @@ def eig_general(a, tol=1e-9):
 def orthonormal_span_basis(vectors, rank_tol=1e-12):
     """Orthonormal basis of span(vectors) by pivoted modified Gram-Schmidt.
 
-    A vector whose residual after projection onto the selected basis is
-    <= rank_tol * max(1, ||v||) counts as dependent.  Returns
+    ``vectors`` is an iterable of vectors or a 2-D array with one vector
+    per row.  A vector whose residual after projection onto the selected
+    basis is <= rank_tol * max(1, ||v||) counts as dependent.  Returns
     ``(basis, rank)`` where ``basis`` has shape (rank, dim).
-    """
-    vecs = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
-    if not vecs:
-        return np.zeros((0, 0), dtype=np.complex128), 0
-    dim = vecs[0].size
-    for v in vecs:
-        if v.size != dim:
-            raise DimensionMismatchError("all vectors must share one dimension")
-        ensure_finite(v, "span vector")
 
-    residuals = [v.copy() for v in vecs]
-    thresholds = [rank_tol * max(1.0, float(np.linalg.norm(v))) for v in vecs]
-    alive = list(range(len(vecs)))
-    basis = []
-    while alive:
-        pick = max(alive, key=lambda i: np.linalg.norm(residuals[i]))
-        r = residuals[pick]
-        if np.linalg.norm(r) <= thresholds[pick]:
+    The residuals of all vectors are the rows of one matrix: each step
+    pivots on the first row of largest norm among those not yet chosen
+    and removes the new direction from every row by one rank-1 update
+    (Golub & Van Loan, Matrix Computations, section 5.2).
+    """
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        rows = vectors.astype(np.complex128)
+    else:
+        vecs = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
+        if len({v.size for v in vecs}) > 1:
+            raise DimensionMismatchError("all vectors must share one dimension")
+        rows = np.array(vecs, dtype=np.complex128)
+    if rows.shape[0] == 0:
+        return np.zeros((0, 0), dtype=np.complex128), 0
+    ensure_finite(rows, "span vector")
+
+    n, dim = rows.shape
+    flat = rows.view(np.float64)  # squared row norms in one pass each step
+    thresholds = rank_tol * np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", flat, flat)))
+    live = np.ones(n, dtype=bool)
+    basis = np.zeros((min(n, dim), dim), dtype=np.complex128)
+    rank = 0
+    while rank < basis.shape[0]:
+        norms2 = np.where(live, np.einsum("ij,ij->i", flat, flat), -1.0)
+        pick = int(np.argmax(norms2))  # the first maximum
+        if np.sqrt(norms2[pick]) <= thresholds[pick]:
             break
         # second projection pass guards against loss of orthogonality
-        for q in basis:
-            r = r - np.vdot(q, r) * q
-        q = r / np.linalg.norm(r)
-        basis.append(q)
-        alive.remove(pick)
-        for i in alive:
-            residuals[i] = residuals[i] - np.vdot(q, residuals[i]) * q
-        if len(basis) == dim:
-            break
-    if basis:
-        return np.array(basis), len(basis)
-    return np.zeros((0, dim), dtype=np.complex128), 0
+        q = rows[pick] - (basis[:rank].conj() @ rows[pick]) @ basis[:rank]
+        q /= np.linalg.norm(q)
+        basis[rank] = q
+        live[pick] = False
+        rows -= (rows @ q.conj())[:, None] * q
+        rank += 1
+    return basis[:rank].copy(), rank
 
 
 def lstsq_scalar(target, direction):
@@ -229,25 +229,24 @@ def lstsq_scalar(target, direction):
 def cluster_complex(values, radius):
     """Single-linkage clustering of complex numbers at the given radius.
 
-    Returns a list of index lists.  Two values land in one cluster iff
-    they are connected by a chain of steps each of length <= radius.
+    Returns a list of index lists, ordered by smallest index, members
+    ascending.  Two values land in one cluster iff they are connected by
+    a chain of steps each of length <= radius: the clusters are the
+    connected components of the graph |values_i - values_j| <= radius.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    n = values.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= radius:
-                parent[find(i)] = find(j)
-
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda idx: min(idx))
+    values = np.asarray(values, dtype=np.complex128).ravel()
+    adjacent = np.abs(values[:, None] - values[None, :]) <= radius
+    unassigned = np.ones(values.size, dtype=bool)
+    groups = []
+    for i in range(values.size):
+        if not unassigned[i]:
+            continue
+        member = np.zeros(values.size, dtype=bool)
+        member[i] = True
+        frontier = member
+        while frontier.any():
+            frontier = adjacent[frontier].any(axis=0) & ~member
+            member |= frontier
+        unassigned &= ~member
+        groups.append(np.flatnonzero(member).tolist())
+    return groups

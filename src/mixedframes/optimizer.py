@@ -143,19 +143,23 @@ def project_to_tangent(pair: FramePair, gf, gg):
     """Project a gradient onto the tangent space of S(alpha).
 
     The constraint gradients of distinct indices touch disjoint blocks
-    and the two directions of one index are orthogonal in the real inner
-    product, so the projection is a per-index subtraction.
+    and the two directions of one index (see ``constraint_gradients``)
+    are orthogonal in the real inner product, so both coefficients of
+    every index come from the unmodified rows in one pass.  An index with
+    f_m = g_m = 0 has no constraint direction and is left unchanged.
     """
+    fv, gv = pair.f.vectors, pair.g.vectors
     gf = np.array(gf, dtype=np.complex128)
     gg = np.array(gg, dtype=np.complex128)
-    for m in range(pair.n):
-        for vf, vg in constraint_gradients(pair, m):
-            nn = np.vdot(vf, vf).real + np.vdot(vg, vg).real
-            if nn == 0.0:
-                continue
-            coef = (np.vdot(vf, gf[m]).real + np.vdot(vg, gg[m]).real) / nn
-            gf[m] = gf[m] - coef * vf
-            gg[m] = gg[m] - coef * vg
+    nn = np.sum(np.abs(fv) ** 2, axis=1) + np.sum(np.abs(gv) ** 2, axis=1)
+    # <gf_m, g_m> + conj(<gg_m, f_m>): its real part is the real inner
+    # product with (g_m, f_m), its imaginary part that with (i g_m, -i f_m)
+    ip = np.sum(gf * gv.conj(), axis=1) + np.sum(gg.conj() * fv, axis=1)
+    if pair.field is Field.REAL:
+        ip = ip.real
+    coef = np.divide(ip, nn, out=np.zeros_like(ip), where=nn != 0.0)
+    gf -= coef[:, None] * gv
+    gg -= coef.conj()[:, None] * fv
     if pair.field is Field.REAL:
         gf = gf.real.astype(np.complex128)
         gg = gg.real.astype(np.complex128)
@@ -171,19 +175,8 @@ def merit(pair: FramePair):
     f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
     if np.any(f_norms2 == 0) or not np.all(np.sum(np.abs(gv) ** 2, axis=1) > 0):
         raise ZeroVectorError("merit needs nonzero f_m and g_m")
-    *_, rf, rg = _merit_terms(fv, gv)
+    *_, rf, rg = structure._merit_terms(fv, gv)
     return float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2))
-
-
-def _merit_terms(fv, gv):
-    """(C, s, c, r_f, r_g) of the merit on raw (N, d) arrays with nonzero
-    rows: cross Gram, partial sums s, least-squares multipliers c and the
-    residuals r_f = s - c f, r_g = t - conj(c) g."""
-    cg, s, t = structure._partial_sums(fv, gv)
-    c = np.sum(s * fv.conj(), axis=1) / np.sum(np.abs(fv) ** 2, axis=1)
-    rf = s - c[:, None] * fv
-    rg = t - c.conj()[:, None] * gv
-    return cg, s, c, rf, rg
 
 
 def _fp_scalar(pair):
@@ -232,7 +225,7 @@ def _merit_and_gradient(fv, gv, alpha, is_real):
     ip = np.sum(fv * gv.conj(), axis=1)
     q = alpha / ip
     gr = gv * q.conj()[:, None]
-    cg, s, c, rf, rg = _merit_terms(fv, gr)
+    cg, s, c, rf, rg = structure._merit_terms(fv, gr)
     value = float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2))
     f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
     c0 = cg.copy()

@@ -19,8 +19,6 @@ from .errors import NumericalFailureError
 from .frames import ConstraintSpec, Field, FramePair, FrameSequence
 
 DEFAULT_CLASS_TOL = 1e-8
-#: Radius factor for deciding that the spectrum collapses to one eigenvalue.
-DEFAULT_CLUSTER_TOL = 1e-6
 
 ALL_REAL = "ALL_REAL"
 ALL_IMAGINARY = "ALL_IMAGINARY"
@@ -130,7 +128,7 @@ def bound_report(pair: FramePair, spec: ConstraintSpec, class_tol=DEFAULT_CLASS_
             residual=decomp_gap,
         )
 
-    radius = DEFAULT_CLUSTER_TOL * (1.0 + eig.spectral_radius)
+    radius = linalg.DEFAULT_CLUSTER_TOL * (1.0 + eig.spectral_radius)
     single_cluster = len(linalg.cluster_complex(values, radius)) == 1
 
     if spectrum_class == ALL_REAL and fp.real < bound.real - 1e-9:

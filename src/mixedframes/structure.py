@@ -29,7 +29,6 @@ from .errors import (
 from .frames import ConstraintSpec, FramePair
 
 DEFAULT_CRITICAL_TOL = 1e-8
-DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -59,8 +58,29 @@ def _partial_sums(fv, gv):
     return c, s, t
 
 
+def _merit_terms(fv, gv):
+    """(C, s, c, r_f, r_g) of the critical-pair equations on raw (N, d)
+    arrays with nonzero rows: cross Gram, partial sums s, least-squares
+    multipliers c and the residuals r_f = s - c f, r_g = t - conj(c) g.
+    The one residual kernel behind ``critical_report`` and the
+    optimizer's merit."""
+    cg, s, t = _partial_sums(fv, gv)
+    c = np.sum(s * fv.conj(), axis=1) / np.sum(np.abs(fv) ** 2, axis=1)
+    rf = s - c[:, None] * fv
+    rg = t - c.conj()[:, None] * gv
+    return cg, s, c, rf, rg
+
+
+def _scaled_rank_tol(rank_tol, *blocks):
+    """rank_tol * max(1, largest row norm of the given (k, d) blocks): the
+    span-rank cut of ``linalg.orthonormal_span_basis`` at the vectors'
+    scale."""
+    return rank_tol * max(1.0, *(float(np.linalg.norm(b, axis=1).max()) for b in blocks))
+
+
 def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_TOL):
-    """Fit c_m by least squares against f_m and measure both residuals.
+    """Fit c_m by least squares against f_m and measure both residuals,
+    all indices at once through ``_merit_terms``.
 
     The g-side residual is taken against conj(c_m), never against an
     independently fitted constant: the Lagrange analysis forces conjugate
@@ -77,15 +97,10 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
                 f"{name}_{zero[0] + 1} is the zero vector", index=int(zero[0])
             )
 
-    _, s, t = _partial_sums(pair.f.vectors, pair.g.vectors)
-    n = pair.n
-    c = np.zeros(n, dtype=np.complex128)
-    f_res = np.zeros(n)
-    g_res = np.zeros(n)
-    for m in range(n):
-        c[m] = linalg.lstsq_scalar(s[m], pair.f.vectors[m])
-        f_res[m] = np.linalg.norm(s[m] - c[m] * pair.f.vectors[m])
-        g_res[m] = np.linalg.norm(t[m] - np.conj(c[m]) * pair.g.vectors[m])
+    _, s, c, rf, rg = _merit_terms(pair.f.vectors, pair.g.vectors)
+    linalg.ensure_finite(s, "partial sums")
+    f_res = np.linalg.norm(rf, axis=1)
+    g_res = np.linalg.norm(rg, axis=1)
 
     mixed_norm = linalg.frobenius_norm(frames.mixed_operator(pair))
     is_critical = max(f_res.max(), g_res.max()) <= tol * (1.0 + mixed_norm)
@@ -121,7 +136,7 @@ class EigenClassification:
     report: CriticalPairReport = field(repr=False, default=None)
 
 
-def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=DEFAULT_CLUSTER_TOL,
+def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_CLUSTER_TOL,
              critical_tol=DEFAULT_CRITICAL_TOL):
     report = critical_report(pair, spec, tol=critical_tol)
     if not report.is_critical:
@@ -135,9 +150,9 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=DEFAULT_CLUSTER_
     spectral_radius = float(np.max(np.abs(lam))) if lam.size else 0.0
     radius = cluster_tol * (1.0 + spectral_radius)
     clusters = linalg.cluster_complex(lam, radius)
+    distances = np.abs(lam[:, None] - lam[None, :])
     for idx in clusters:
-        vals = lam[idx]
-        diameter = max(abs(a - b) for a in vals for b in vals)
+        diameter = float(distances[np.ix_(idx, idx)].max())
         if diameter > radius:
             raise ClusterAmbiguityError(
                 f"eigenvalue cluster {sorted(i + 1 for i in idx)} has diameter "
@@ -158,15 +173,12 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=DEFAULT_CLUSTER_
     f_res = np.linalg.norm(pair.f.vectors @ tu.T - lam[:, None] * pair.f.vectors, axis=1)
     g_res = np.linalg.norm(pair.g.vectors @ ut.T - lam.conj()[:, None] * pair.g.vectors, axis=1)
 
-    rank_tol = DEFAULT_RANK_TOL * max(
-        1.0, float(np.linalg.norm(pair.f.vectors, axis=1).max()),
-        float(np.linalg.norm(pair.g.vectors, axis=1).max()),
-    )
+    rank_tol = _scaled_rank_tol(DEFAULT_RANK_TOL, pair.f.vectors, pair.g.vectors)
     right = []
     left = []
     for idx in clusters:
-        rb, _ = linalg.orthonormal_span_basis(list(pair.f.vectors[idx]), rank_tol)
-        lb, _ = linalg.orthonormal_span_basis(list(pair.g.vectors[idx]), rank_tol)
+        rb, _ = linalg.orthonormal_span_basis(pair.f.vectors[idx], rank_tol)
+        lb, _ = linalg.orthonormal_span_basis(pair.g.vectors[idx], rank_tol)
         right.append(rb)
         left.append(lb)
 
@@ -222,21 +234,14 @@ def check_a_generalized_dual(pair: FramePair, idx, a, rank_tol=DEFAULT_RANK_TOL)
         raise ValueError("index set must be nonempty")
     fv = pair.f.vectors[idx]
     gv = pair.g.vectors[idx]
-    rank_tol = rank_tol * max(
-        1.0,
-        float(np.linalg.norm(fv, axis=1).max()),
-        float(np.linalg.norm(gv, axis=1).max()),
-    )
-    f_basis, _ = linalg.orthonormal_span_basis(list(fv), rank_tol)
-    g_basis, _ = linalg.orthonormal_span_basis(list(gv), rank_tol)
-    residual = 0.0
-    for b in f_basis:
-        image = (gv.conj() @ b) @ fv  # sum_m <b, g_m> f_m
-        residual = max(residual, float(np.linalg.norm(image - a * b)))
-    for b in g_basis:
-        image = (fv.conj() @ b) @ gv  # sum_m <b, f_m> g_m
-        residual = max(residual, float(np.linalg.norm(image - np.conj(a) * b)))
-    return residual
+    rank_tol = _scaled_rank_tol(rank_tol, fv, gv)
+    f_basis, _ = linalg.orthonormal_span_basis(fv, rank_tol)
+    g_basis, _ = linalg.orthonormal_span_basis(gv, rank_tol)
+    # row j of (B G^H) F is sum_m <b_j, g_m> f_m for the basis row b_j
+    f_images = (f_basis @ gv.conj().T) @ fv - a * f_basis
+    g_images = (g_basis @ fv.conj().T) @ gv - np.conj(a) * g_basis
+    return float(max(np.linalg.norm(f_images, axis=1).max(initial=0.0),
+                     np.linalg.norm(g_images, axis=1).max(initial=0.0)))
 
 
 def principal_sqrt(z):
@@ -274,7 +279,7 @@ class DecompositionReport:
     classification: EigenClassification = field(repr=False, default=None)
 
 
-def decompose(pair: FramePair, spec: ConstraintSpec, cluster_tol=DEFAULT_CLUSTER_TOL,
+def decompose(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_CLUSTER_TOL,
               critical_tol=DEFAULT_CRITICAL_TOL):
     """Split a critical pair into the minimal-modulus eigenvalue group and
     its generalized-biorthogonal complement.
@@ -291,10 +296,8 @@ def decompose(pair: FramePair, spec: ConstraintSpec, cluster_tol=DEFAULT_CLUSTER
     complement = sorted(set(range(pair.n)) - set(group))
     lam_group = cls.distinct_eigenvalues[j_min]
 
-    rank_tol = DEFAULT_RANK_TOL * max(
-        1.0, float(np.linalg.norm(pair.f.vectors, axis=1).max())
-    )
-    _, dim_span = linalg.orthonormal_span_basis(list(pair.f.vectors[group]), rank_tol)
+    rank_tol = _scaled_rank_tol(DEFAULT_RANK_TOL, pair.f.vectors)
+    _, dim_span = linalg.orthonormal_span_basis(pair.f.vectors[group], rank_tol)
     a = complex(np.sum(spec.alpha[group])) / dim_span
 
     bio_res = check_generalized_biorthogonal(pair, spec, complement)

@@ -221,3 +221,18 @@ def test_real_alpha_guard(capsys):
         "--seed", "0", "--alpha", "1+1j",
     )
     assert code == 2
+
+
+def test_potential_large_d(capsys, tmp_path):
+    """d = 80 is past the former order cap of 64 and evaluates normally."""
+    pair = frames.random_pair(frames.Field.COMPLEX, 80, 96, 5)
+    scale = 1.0 / np.sqrt(80)
+    pair = frames.FramePair(frames.FrameSequence(pair.field, pair.f.vectors * scale),
+                            frames.FrameSequence(pair.field, pair.g.vectors * scale))
+    path = tmp_path / "d80.json"
+    path.write_text(frames.document_to_json(frames.pair_to_document(pair)))
+    code, out = run(capsys, "potential", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "ok"
+    assert report["outputs"]["discrepancy"] <= 1e-9

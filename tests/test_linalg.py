@@ -84,9 +84,14 @@ def test_eig_real_matrix_conjugate_pairs():
             remaining.remove(match)
 
 
-def test_eig_rejects_oversized():
-    with pytest.raises(DimensionMismatchError):
-        linalg.eig_general(np.eye(linalg.MAX_EIG_ORDER + 1))
+def test_eig_large_order():
+    """No order limit: LAPACK handles d > 64 with a small backward residual."""
+    rng = np.random.default_rng(96)
+    real = rng.standard_normal((96, 96))
+    for a in (real, real + 1j * rng.standard_normal((96, 96))):
+        eig = linalg.eig_general(a)
+        assert eig.values.shape == (96,)
+        assert eig.backward_residual <= 1e-9
 
 
 def test_eig_known_spectrum():
@@ -118,6 +123,17 @@ def test_orthonormal_span_basis_edge_cases():
     assert rank == 0 and basis.shape == (0, 0)
     basis, rank = linalg.orthonormal_span_basis([np.zeros(3)])
     assert rank == 0 and basis.shape == (0, 3)
+
+
+def test_orthonormal_span_basis_threshold():
+    """The rank cut is rank_tol * max(1, ||v||): a residual of twice the
+    cut is a new direction, half of it is not, at every scale."""
+    e1, e2 = np.eye(2)
+    for scale in (1e-6, 1.0, 1e6):
+        cut = 1e-12 * max(1.0, scale)
+        for factor, rank in ((2.0, 2), (0.5, 1)):
+            vectors = [scale * e1, scale * e1 + factor * cut * e2]
+            assert linalg.orthonormal_span_basis(vectors, rank_tol=1e-12)[1] == rank
 
 
 def test_lstsq_scalar():

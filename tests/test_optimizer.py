@@ -112,6 +112,51 @@ def test_tangent_projection_kills_constraint_directions(field):
                 assert abs(ip) <= 1e-10 * (1 + np.linalg.norm(vf) + np.linalg.norm(vg))
 
 
+def _project_sequentially(pair, gf, gg):
+    """Reference projection: one constraint direction after the other,
+    each coefficient taken from the rows the previous one left."""
+    gf, gg = np.array(gf, dtype=np.complex128), np.array(gg, dtype=np.complex128)
+    for m in range(pair.n):
+        for vf, vg in optimizer.constraint_gradients(pair, m):
+            nn = np.vdot(vf, vf).real + np.vdot(vg, vg).real
+            if nn == 0.0:
+                continue
+            coef = (np.vdot(vf, gf[m]).real + np.vdot(vg, gg[m]).real) / nn
+            gf[m] -= coef * vf
+            gg[m] -= coef * vg
+    if pair.field is Field.REAL:
+        gf, gg = gf.real.astype(np.complex128), gg.real.astype(np.complex128)
+    return gf, gg
+
+
+def test_tangent_projection_matches_sequential_reference(field):
+    rng = np.random.default_rng(63)
+    for trial in range(10):
+        pair = frames.random_pair(field, 4, 6, 2300 + trial)
+        gf = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        gg = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        pf, pg = optimizer.project_to_tangent(pair, gf, gg)
+        rf, rg = _project_sequentially(pair, gf, gg)
+        scale = 1.0 + np.linalg.norm(gf) + np.linalg.norm(gg)
+        assert np.abs(pf - rf).max() <= 1e-12 * scale
+        assert np.abs(pg - rg).max() <= 1e-12 * scale
+
+
+def test_tangent_projection_skips_zero_index(field):
+    """An index with f_m = g_m = 0 has no constraint direction: its rows of
+    the gradient pass through unchanged, the others are still projected."""
+    pair = frames.random_pair(field, 3, 4, 2200)
+    fv, gv = pair.f.vectors.copy(), pair.g.vectors.copy()
+    fv[1] = gv[1] = 0.0
+    pair = frames.FramePair(frames.FrameSequence(field, fv), frames.FrameSequence(field, gv))
+    gf, gg = optimizer.fp_gradient(frames.random_pair(field, 3, 4, 2201))
+    pf, pg = optimizer.project_to_tangent(pair, gf, gg)
+    assert np.array_equal(pf[1], gf[1]) and np.array_equal(pg[1], gg[1])
+    assert np.all(np.isfinite(pf)) and np.all(np.isfinite(pg))
+    vf, vg = optimizer.constraint_gradients(pair, 0)[0]
+    assert abs(np.vdot(vf, pf[0]).real + np.vdot(vg, pg[0]).real) <= 1e-10
+
+
 def test_projected_gradient_vanishes_at_mb():
     """FX-MB is a constrained critical point of the restricted potential."""
     pair, _ = fixtures.fixture("FX-MB")
