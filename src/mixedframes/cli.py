@@ -324,8 +324,6 @@ def cmd_corollary(args):
 def cmd_optimize(args):
     alpha = _parse_alpha(args.alpha)
     field_ = frames.Field(args.field)
-    if field_ is frames.Field.REAL and np.any(alpha.imag):
-        raise MixedFramesError("REAL-field alpha must be real")
     spec = frames.ConstraintSpec(alpha)
     mode = optimizer.CRITICAL_SEARCH if args.mode == "critical" else optimizer.POTENTIAL_DESCENT
     objective = optimizer.REAL_PART if args.objective == "real" else optimizer.IMAG_PART

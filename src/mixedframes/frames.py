@@ -138,16 +138,6 @@ def analysis(seq: FrameSequence, f):
     return seq.vectors.conj() @ v
 
 
-def synthesis_matrix(seq: FrameSequence):
-    """d x N matrix of T: columns are the frame vectors."""
-    return seq.vectors.T.copy()
-
-
-def analysis_matrix(seq: FrameSequence):
-    """N x d matrix of T*: rows are the conjugated frame vectors."""
-    return seq.vectors.conj().copy()
-
-
 def mixed_operator(pair: FramePair, side="TU*"):
     """The d x d mixed operator: TU* = sum_m f_m g_m^*, UT* its adjoint."""
     tu = pair.f.vectors.T @ pair.g.vectors.conj()
@@ -211,38 +201,48 @@ def random_pair(field: Field, d, n, seed):
     return FramePair(FrameSequence(field, fv), FrameSequence(field, gv))
 
 
-def default_retraction_eps(pair: FramePair):
-    """Degeneracy threshold 1e-10 * ||f_m|| * ||g_m||, per index."""
-    fn = np.linalg.norm(pair.f.vectors, axis=1)
-    gn = np.linalg.norm(pair.g.vectors, axis=1)
-    return 1e-10 * fn * gn
+#: Degeneracy cut of the retraction: a pairing with |<f_m, g_m>| below
+#: this times ||f_m|| ||g_m|| is too close to orthogonal to rescale.
+_DEGENERACY_CUT = 1e-10
 
 
-def retract_to_constraint(pair: FramePair, spec: ConstraintSpec, eps=None):
-    """Rescale each g_m by conj(alpha_m / <f_m, g_m>) so the pair lies in
-    S(alpha) exactly (to round-off).  F is untouched.
+def _retraction(fv, gv, alpha, is_real):
+    """The retraction onto S(alpha) on raw (N, d) arrays, with no other
+    input check.
 
-    Raises DegeneratePairingError when some |<f_m, g_m>| falls below eps;
-    the caller is expected to re-randomize that g_m and retry.
+    Returns ip_m = <f_m, g_m>, q = alpha / ip (Re alpha over R) and G
+    with each row g_m rescaled to conj(q_m) g_m, projected to its real
+    part over R.  Raises DegeneratePairingError at the first index with
+    |ip_m| < 1e-10 ||f_m|| ||g_m||.
     """
-    if spec.n != pair.n:
-        raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")
-    spec.require_nonzero()
-    ip = diagonal_products(pair)
-    if eps is None:
-        eps = default_retraction_eps(pair)
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), ip.shape)
-    bad = np.flatnonzero(np.abs(ip) < eps)
+    ip = np.sum(fv * gv.conj(), axis=1)
+    cut = _DEGENERACY_CUT * np.linalg.norm(fv, axis=1) * np.linalg.norm(gv, axis=1)
+    bad = np.flatnonzero(np.abs(ip) < cut)
     if bad.size:
         raise DegeneratePairingError(
             f"|<f_{bad[0] + 1}, g_{bad[0] + 1}>| = {abs(ip[bad[0]]):.3e} is below the "
             "degeneracy threshold; re-randomize g and retry",
             index=int(bad[0]),
         )
-    scale = np.conj(spec.alpha / ip)
-    gv = pair.g.vectors * scale[:, None]
-    if pair.field is Field.REAL:
-        gv = gv.real.astype(np.complex128)
+    q = (alpha.real if is_real else alpha) / ip
+    gr = gv * q.conj()[:, None]
+    if is_real:
+        gr = gr.real.astype(np.complex128)
+    return ip, q, gr
+
+
+def retract_to_constraint(pair: FramePair, spec: ConstraintSpec):
+    """Rescale each g_m by conj(alpha_m / <f_m, g_m>) so the pair lies in
+    S(alpha) exactly (to round-off).  F is untouched.
+
+    Raises DegeneratePairingError when some |<f_m, g_m>| falls below
+    1e-10 ||f_m|| ||g_m||; the caller is expected to re-randomize that
+    g_m and retry.
+    """
+    if spec.n != pair.n:
+        raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")
+    spec.require_nonzero()
+    _, _, gv = _retraction(pair.f.vectors, pair.g.vectors, spec.alpha, pair.field is Field.REAL)
     return FramePair(pair.f, FrameSequence(pair.field, gv))
 
 

@@ -28,14 +28,9 @@ from .errors import (
 DEFAULT_CLUSTER_TOL = 1e-6
 
 
-def inner(x, y):
-    """<x, y> = sum x_k conj(y_k), linear in the first argument."""
-    return complex(np.vdot(np.asarray(y), np.asarray(x)))
-
-
 def ensure_finite(a, what="array"):
     a = np.asarray(a)
-    if not np.all(np.isfinite(a.view(np.float64) if a.dtype == np.complex128 else a)):
+    if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{what} contains NaN or Inf entries")
     return a
 
@@ -47,21 +42,6 @@ def as_matrix(a, what="matrix"):
         raise DimensionMismatchError(f"{what} must be 2-D with positive shape, got {m.shape}")
     ensure_finite(m, what)
     return m
-
-
-def matmul(a, b):
-    a = as_matrix(a, "left factor")
-    b = as_matrix(b, "right factor")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"inner dimensions disagree: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
-def adjoint(a):
-    """Conjugate transpose."""
-    return as_matrix(a, "matrix").conj().T.copy()
 
 
 def trace(a):

@@ -24,8 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames, structure
-from .errors import DegeneratePairingError, MixedFramesError, ZeroVectorError
+from .errors import (
+    DegeneratePairingError,
+    DimensionMismatchError,
+    MixedFramesError,
+    ZeroVectorError,
+)
 from .frames import ConstraintSpec, Field, FramePair, FrameSequence
+from .linalg import ensure_finite
 
 POTENTIAL_DESCENT = "POTENTIAL_DESCENT"
 CRITICAL_SEARCH = "CRITICAL_SEARCH"
@@ -107,8 +113,11 @@ def fp_gradient(pair: FramePair, objective=REAL_PART):
     identically zero.  The directional derivative along a perturbation
     (df, dg) in the same encoding is Re(sum conj(grad) * d).
     """
-    fv, gv = pair.f.vectors, pair.g.vectors
-    c = frames.cross_gram(pair)
+    return _fp_gradient(pair.f.vectors, pair.g.vectors, objective, pair.field is Field.REAL)
+
+
+def _fp_gradient(fv, gv, objective, is_real):
+    c = fv @ gv.conj().T
     # holomorphic derivative w.r.t. f_m[k]:    2 sum_n conj(g_n[k]) C[n, m]
     # anti-holomorphic derivative (conj g):    2 sum_n f_n[k] C[m, n]
     df = 2.0 * (c.T @ gv.conj())  # row m = derivative for f_m
@@ -119,48 +128,39 @@ def fp_gradient(pair: FramePair, objective=REAL_PART):
         gf, gg = 1j * df.conj(), -1j * dg_bar
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    if pair.field is Field.REAL:
+    if is_real:
         gf = gf.real.astype(np.complex128)
         gg = gg.real.astype(np.complex128)
     return gf, gg
 
 
-def constraint_gradients(pair: FramePair, m):
-    """Real-coordinate gradients of Re<f_m, g_m> and Im<f_m, g_m>.
-
-    Each is a (df_m, dg_m) direction in the fp_gradient encoding; only
-    the block of index m is nonzero.  Over R the imaginary-part
-    constraint is vacuous and only the first direction is returned.
-    """
-    fm, gm = pair.f.vectors[m], pair.g.vectors[m]
-    dirs = [(gm, fm)]
-    if pair.field is Field.COMPLEX:
-        dirs.append((1j * gm, -1j * fm))
-    return dirs
-
-
 def project_to_tangent(pair: FramePair, gf, gg):
     """Project a gradient onto the tangent space of S(alpha).
 
-    The constraint gradients of distinct indices touch disjoint blocks
-    and the two directions of one index (see ``constraint_gradients``)
-    are orthogonal in the real inner product, so both coefficients of
-    every index come from the unmodified rows in one pass.  An index with
-    f_m = g_m = 0 has no constraint direction and is left unchanged.
+    The constraint directions of index m are the gradients of
+    Re<f_m, g_m> and Im<f_m, g_m> in real coordinates: (g_m, f_m) and
+    (i g_m, -i f_m) in the fp_gradient encoding, only the first over R.
+    Those of distinct indices touch disjoint blocks and the two of one
+    index are orthogonal in the real inner product, so both coefficients
+    of every index come from the unmodified rows in one pass.  An index
+    with f_m = g_m = 0 has no constraint direction and is left unchanged.
     """
-    fv, gv = pair.f.vectors, pair.g.vectors
+    return _project_to_tangent(pair.f.vectors, pair.g.vectors, gf, gg, pair.field is Field.REAL)
+
+
+def _project_to_tangent(fv, gv, gf, gg, is_real):
     gf = np.array(gf, dtype=np.complex128)
     gg = np.array(gg, dtype=np.complex128)
     nn = np.sum(np.abs(fv) ** 2, axis=1) + np.sum(np.abs(gv) ** 2, axis=1)
     # <gf_m, g_m> + conj(<gg_m, f_m>): its real part is the real inner
     # product with (g_m, f_m), its imaginary part that with (i g_m, -i f_m)
     ip = np.sum(gf * gv.conj(), axis=1) + np.sum(gg.conj() * fv, axis=1)
-    if pair.field is Field.REAL:
+    if is_real:
         ip = ip.real
     coef = np.divide(ip, nn, out=np.zeros_like(ip), where=nn != 0.0)
     gf -= coef[:, None] * gv
     gg -= coef.conj()[:, None] * fv
-    if pair.field is Field.REAL:
+    if is_real:
         gf = gf.real.astype(np.complex128)
         gg = gg.real.astype(np.complex128)
     return gf, gg
@@ -175,12 +175,19 @@ def merit(pair: FramePair):
     f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
     if np.any(f_norms2 == 0) or not np.all(np.sum(np.abs(gv) ** 2, axis=1) > 0):
         raise ZeroVectorError("merit needs nonzero f_m and g_m")
-    *_, rf, rg = structure._merit_terms(fv, gv)
-    return float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2))
+    return _merit_with_terms(fv, gv)[0]
 
 
-def _fp_scalar(pair):
-    c = frames.cross_gram(pair)
+def _merit_with_terms(fv, gv):
+    """``merit`` on raw (N, d) arrays with nonzero rows, and the terms
+    (C, s, c, r_f, r_g) of ``structure._merit_terms`` it came from."""
+    terms = structure._merit_terms(fv, gv)
+    rf, rg = terms[3:]
+    return float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2)), terms
+
+
+def _fp_of_gram(c):
+    """FP = sum_{m,n} <f_m, g_n> <f_n, g_m> from the cross Gram C."""
     return complex(np.sum(c * c.T))
 
 
@@ -188,24 +195,25 @@ def _objective_part(fp, objective):
     return fp.real if objective == REAL_PART else fp.imag
 
 
-def _retract_with_recovery(pair, spec, rng):
-    """Retract; on a degenerate pairing re-randomize the offending g_m
-    (up to the per-index budget) before giving up."""
+def _retract_with_recovery(fv, gv, alpha, is_real, rng):
+    """G retracted by the kernel ``frames._retraction``; on a degenerate
+    pairing re-randomize the offending g_m (up to the per-index budget)
+    before giving up."""
     attempts = {}
     while True:
         try:
-            return frames.retract_to_constraint(pair, spec)
+            return frames._retraction(fv, gv, alpha, is_real)[2]
         except DegeneratePairingError as exc:
             m = exc.index
             attempts[m] = attempts.get(m, 0) + 1
             if attempts[m] > _RERANDOMIZE_BUDGET:
                 raise
-            gv = pair.g.vectors.copy()
-            if pair.field is Field.REAL:
-                gv[m] = rng.standard_normal(pair.d)
+            gv = gv.copy()
+            d = gv.shape[1]
+            if is_real:
+                gv[m] = rng.standard_normal(d)
             else:
-                gv[m] = rng.standard_normal(pair.d) + 1j * rng.standard_normal(pair.d)
-            pair = FramePair(pair.f, FrameSequence(pair.field, gv))
+                gv[m] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
 
 def _merit_and_gradient(fv, gv, alpha, is_real):
@@ -217,16 +225,12 @@ def _merit_and_gradient(fv, gv, alpha, is_real):
     reverse-mode sweep: each ``x_bar`` below is dL/dRe x + i dL/dIm x for
     the intermediate x, so a product y = a * b sends y_bar * conj(b) to
     a_bar and y = conj(x) sends conj(y_bar) to x_bar.  Memory is
-    O(N^2 + N d).  The caller guarantees <f_m, g_m> != 0.
+    O(N^2 + N d).  The forward retraction is ``frames._retraction`` and
+    raises DegeneratePairingError where it does.
     """
-    if is_real:
-        alpha = alpha.real  # retraction over R keeps only the real part of the rescaling
     # forward: the retraction, then the terms of `merit`
-    ip = np.sum(fv * gv.conj(), axis=1)
-    q = alpha / ip
-    gr = gv * q.conj()[:, None]
-    cg, s, c, rf, rg = structure._merit_terms(fv, gr)
-    value = float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2))
+    ip, q, gr = frames._retraction(fv, gv, alpha, is_real)
+    value, (cg, s, c, rf, rg) = _merit_with_terms(fv, gr)
     f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
     c0 = cg.copy()
     np.fill_diagonal(c0, 0.0)  # s = C0 F and t = C0^H G_r: sums over n != m only
@@ -257,26 +261,23 @@ def _merit_and_gradient(fv, gv, alpha, is_real):
     return value, f_bar, g_bar
 
 
-def _step(pair, gf, gg, step):
-    fv = pair.f.vectors - step * gf
-    gv = pair.g.vectors - step * gg
-    if pair.field is Field.REAL:
-        fv = fv.real.astype(np.complex128)
-        gv = gv.real.astype(np.complex128)
-    return FramePair(FrameSequence(pair.field, fv), FrameSequence(pair.field, gv))
-
-
-def _finish(pair, spec, status, obj_hist, merit_hist, seed):
-    try:
-        report = structure.critical_report(pair, spec, tol=structure.DEFAULT_CRITICAL_TOL)
-    except MixedFramesError:
-        report = None  # e.g. round-off pushed a diverged iterate off the constraint
+def _finish(fv, gv, field_, spec, status, seed, obj_hist, merit_hist):
+    """The search result, with the one FramePair the run returns built
+    (and validated) from the final arrays."""
+    pair = FramePair(FrameSequence(field_, fv), FrameSequence(field_, gv))
+    report, residual = None, float("inf")
+    if status != DEGENERATE_RETRACTION:
+        try:
+            report = structure.critical_report(pair, spec, tol=structure.DEFAULT_CRITICAL_TOL)
+        except MixedFramesError:
+            pass  # e.g. round-off pushed a diverged iterate off the constraint
+        residual = float(frames.constraint_residual(pair, spec).max())
     _, deviation = frames.is_dual_pair(pair)
     return SearchResult(
         final_pair=pair,
         objective_history=obj_hist,
         merit_history=merit_hist,
-        constraint_residual_final=float(frames.constraint_residual(pair, spec).max()),
+        constraint_residual_final=residual,
         critical_report_final=report,
         status=status,
         restart_seed=seed,
@@ -284,98 +285,87 @@ def _finish(pair, spec, status, obj_hist, merit_hist, seed):
     )
 
 
+def _accepted(fv, gv, m0, o0, critical, objective):
+    """The mode's acceptance test on a retracted trial: its (merit, FP)
+    when it lowers the merit (CRITICAL_SEARCH) or the objective
+    (POTENTIAL_DESCENT), else None."""
+    if critical:
+        m1, (cg, *_) = _merit_with_terms(fv, gv)
+        return (m1, _fp_of_gram(cg)) if m1 < m0 else None
+    fp1 = _fp_of_gram(fv @ gv.conj().T)
+    if _objective_part(fp1, objective) < o0:
+        return _merit_with_terms(fv, gv)[0], fp1
+    return None
+
+
 def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
+    """One restart on raw (N, d) arrays: past the start, only ``_finish``
+    builds a FramePair."""
     rng = np.random.default_rng(seed)
     if initial_pair is None:
-        pair = frames.random_pair(field_, d, spec.n, seed)
-    else:
-        pair = initial_pair
-    try:
-        pair = _retract_with_recovery(pair, spec, rng)
-    except DegeneratePairingError:
-        return _finish_degenerate(pair, spec, seed)
-
+        initial_pair = frames.random_pair(field_, d, spec.n, seed)
+    is_real = field_ is Field.REAL
+    critical = cfg.mode == CRITICAL_SEARCH
+    fv, gv = initial_pair.f.vectors, initial_pair.g.vectors
     obj_hist = []
     merit_hist = []
-    objective = cfg.objective
-    is_real = pair.field is Field.REAL
-    m0 = merit(pair)
-    fp0 = _fp_scalar(pair)
-    o0 = _objective_part(fp0, objective)
+
+    def finish(status):
+        return _finish(fv, gv, field_, spec, status, seed, obj_hist, merit_hist)
+
+    try:
+        gv = _retract_with_recovery(fv, gv, spec.alpha, is_real, rng)
+    except DegeneratePairingError:
+        return finish(DEGENERATE_RETRACTION)
+    ensure_finite(gv, "frame vectors")  # a zero f_m or g_m has no finite rescaling
+    m0, (cg, *_) = _merit_with_terms(fv, gv)
+    fp0 = _fp_of_gram(cg)
+    o0 = _objective_part(fp0, cfg.objective)
 
     for _ in range(cfg.max_iters):
         obj_hist.append(o0)
         merit_hist.append(m0)
 
         if abs(fp0) > cfg.divergence_bound:
-            return _finish(pair, spec, DIVERGED, obj_hist, merit_hist, seed)
-
-        if cfg.mode == CRITICAL_SEARCH:
+            return finish(DIVERGED)
+        if critical:
             if m0 <= cfg.merit_tol:
-                return _finish(pair, spec, CONVERGED, obj_hist, merit_hist, seed)
-            _, gf, gg = _merit_and_gradient(pair.f.vectors, pair.g.vectors, spec.alpha, is_real)
-            improved = False
-            step = cfg.step_size
-            for _ in range(_BACKTRACK_LIMIT):
-                try:
-                    trial = _retract_with_recovery(_step(pair, gf, gg, step), spec, rng)
-                except DegeneratePairingError:
-                    return _finish_degenerate(pair, spec, seed, obj_hist, merit_hist)
-                m1 = merit(trial)
-                if m1 < m0:
-                    pair, m0 = trial, m1
-                    fp0 = _fp_scalar(pair)
-                    o0 = _objective_part(fp0, objective)
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                # no step along the exact gradient lowers the merit: round-off floor
-                status = CONVERGED if m0 <= cfg.merit_tol else MAX_ITERS
-                return _finish(pair, spec, status, obj_hist, merit_hist, seed)
-        else:  # POTENTIAL_DESCENT
-            gf, gg = fp_gradient(pair, objective)
-            pf, pg = project_to_tangent(pair, gf, gg)
-            gnorm = float(np.sqrt(np.vdot(pf, pf).real + np.vdot(pg, pg).real))
-            if gnorm <= cfg.grad_tol:
-                return _finish(pair, spec, CONVERGED, obj_hist, merit_hist, seed)
-            improved = False
-            step = cfg.step_size
-            for _ in range(_BACKTRACK_LIMIT):
-                try:
-                    trial = _retract_with_recovery(_step(pair, pf, pg, step), spec, rng)
-                except DegeneratePairingError:
-                    return _finish_degenerate(pair, spec, seed, obj_hist, merit_hist)
-                fp1 = _fp_scalar(trial)
-                o1 = _objective_part(fp1, objective)
-                if o1 < o0:
-                    pair, fp0, o0 = trial, fp1, o1
-                    m0 = merit(pair)
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                return _finish(pair, spec, MAX_ITERS, obj_hist, merit_hist, seed)
+                return finish(CONVERGED)
+            try:
+                _, gf, gg = _merit_and_gradient(fv, gv, spec.alpha, is_real)
+            except DegeneratePairingError:
+                return finish(DEGENERATE_RETRACTION)
+        else:
+            gf, gg = _fp_gradient(fv, gv, cfg.objective, is_real)
+            gf, gg = _project_to_tangent(fv, gv, gf, gg, is_real)
+            if np.sqrt(np.vdot(gf, gf).real + np.vdot(gg, gg).real) <= cfg.grad_tol:
+                return finish(CONVERGED)
+
+        step = cfg.step_size
+        for _ in range(_BACKTRACK_LIMIT):
+            f1 = fv - step * gf
+            g1 = gv - step * gg
+            if is_real:
+                f1 = f1.real.astype(np.complex128)
+                g1 = g1.real.astype(np.complex128)
+            try:
+                g1 = _retract_with_recovery(f1, g1, spec.alpha, is_real, rng)
+            except DegeneratePairingError:
+                return finish(DEGENERATE_RETRACTION)
+            accepted = _accepted(f1, g1, m0, o0, critical, cfg.objective)
+            if accepted is not None:
+                fv, gv, (m0, fp0) = f1, g1, accepted
+                o0 = _objective_part(fp0, cfg.objective)
+                break
+            step *= 0.5
+        else:
+            # no step lowers the merit or objective: a round-off floor (the
+            # merit of CRITICAL_SEARCH is above merit_tol here)
+            return finish(MAX_ITERS)
 
     obj_hist.append(o0)
     merit_hist.append(m0)
-    if cfg.mode == CRITICAL_SEARCH and m0 <= cfg.merit_tol:
-        return _finish(pair, spec, CONVERGED, obj_hist, merit_hist, seed)
-    return _finish(pair, spec, MAX_ITERS, obj_hist, merit_hist, seed)
-
-
-def _finish_degenerate(pair, spec, seed, obj_hist=None, merit_hist=None):
-    _, deviation = frames.is_dual_pair(pair)
-    return SearchResult(
-        final_pair=pair,
-        objective_history=obj_hist or [],
-        merit_history=merit_hist or [],
-        constraint_residual_final=float("inf"),
-        critical_report_final=None,
-        status=DEGENERATE_RETRACTION,
-        restart_seed=seed,
-        dual_deviation=deviation,
-    )
+    return finish(CONVERGED if critical and m0 <= cfg.merit_tol else MAX_ITERS)
 
 
 _STATUS_RANK = {CONVERGED: 0, MAX_ITERS: 1, DIVERGED: 2, DEGENERATE_RETRACTION: 3}
@@ -396,8 +386,21 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
     Restart k draws its starting pair from seed ``cfg.seed + k``; an
     explicitly supplied ``initial_pair`` is used for the base restart
     only.  Results are ranked by (status, duality deviation, merit).
+
+    The inputs are checked here, once: alpha must be nonzero, and real
+    over R (MixedFramesError), and ``initial_pair`` must have the field,
+    d and N of the search (DimensionMismatchError).
     """
     spec.require_nonzero()
+    if field_ is Field.REAL and np.any(spec.alpha.imag):
+        raise MixedFramesError("REAL-field alpha must be real")
+    if initial_pair is not None and (
+        (initial_pair.field, initial_pair.d, initial_pair.n) != (field_, d, spec.n)
+    ):
+        raise DimensionMismatchError(
+            f"initial_pair is a {initial_pair.field.value} pair with d = {initial_pair.d}, "
+            f"N = {initial_pair.n}; the search is over {field_.value} with d = {d}, N = {spec.n}"
+        )
     results = []
     for k in range(cfg.restarts + 1):
         start = initial_pair if k == 0 else None

@@ -210,6 +210,10 @@ def test_optimize_zero_alpha_exits_2(capsys):
     assert run(capsys, "optimize", "--alpha", "1,0", "--field", "R", "--d", "2")[0] == 2
 
 
+def test_optimize_nonreal_alpha_over_r_exits_2(capsys):
+    assert run(capsys, "optimize", "--alpha", "1+1j,1,1", "--field", "R", "--d", "2")[0] == 2
+
+
 def test_optimize_bad_flag_exits_2(capsys):
     assert run(capsys, "optimize", "--alpha", "1", "--field", "R", "--d", "1",
                "--mode", "sideways")[0] == 2

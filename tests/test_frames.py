@@ -23,6 +23,9 @@ def test_sequence_validation():
         FrameSequence(Field.REAL, np.array([[1.0 + 1j, 0.0]]))
     seq = FrameSequence(Field.COMPLEX, np.array([[1.0 + 1j, 0.0]]))
     assert seq.d == 2 and seq.n == 1
+    # a strided (transposed) complex view is valid input
+    seq_t = FrameSequence(Field.COMPLEX, (np.arange(6) + 1j).reshape(2, 3).T)
+    assert seq_t.d == 2 and seq_t.n == 3
     with pytest.raises(ValueError):
         seq.vectors[0, 0] = 0.0  # storage is write-locked
 
@@ -53,9 +56,9 @@ def test_synthesis_analysis_adjointness(field):
 
 def test_operator_matrices_consistent():
     pair = frames.random_pair(Field.COMPLEX, 3, 5, 42)
-    t = frames.synthesis_matrix(pair.f)
-    u_star = frames.analysis_matrix(pair.g)
-    assert np.allclose(t @ u_star, frames.mixed_operator(pair, "TU*"))
+    # TU* = sum_m f_m g_m^*, one outer product per index
+    tu = sum(np.outer(f, g.conj()) for f, g in zip(pair.f.vectors, pair.g.vectors))
+    assert np.allclose(tu, frames.mixed_operator(pair, "TU*"))
     assert np.allclose(
         frames.mixed_operator(pair, "UT*"), frames.mixed_operator(pair, "TU*").conj().T
     )

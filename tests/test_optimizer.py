@@ -3,6 +3,7 @@ import pytest
 
 from conftest import retracted_random
 from mixedframes import fixtures, frames, optimizer, structure
+from mixedframes.errors import DimensionMismatchError, MixedFramesError, NonFiniteError
 from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
 
 
@@ -95,6 +96,20 @@ def test_gradient_rejects_unknown_objective():
         optimizer.fp_gradient(pair, "MODULUS")
 
 
+def _constraint_gradients(pair, m):
+    """Real-coordinate gradients of Re<f_m, g_m> and Im<f_m, g_m>.
+
+    Each is a (df_m, dg_m) direction in the fp_gradient encoding; only
+    the block of index m is nonzero.  Over R the imaginary-part
+    constraint is vacuous and only the first direction is returned.
+    """
+    fm, gm = pair.f.vectors[m], pair.g.vectors[m]
+    dirs = [(gm, fm)]
+    if pair.field is Field.COMPLEX:
+        dirs.append((1j * gm, -1j * fm))
+    return dirs
+
+
 def test_tangent_projection_kills_constraint_directions(field):
     rng = np.random.default_rng(62)
     for trial in range(10):
@@ -107,7 +122,7 @@ def test_tangent_projection_kills_constraint_directions(field):
         )
         pf, pg = optimizer.project_to_tangent(pair, gf, gg)
         for m in range(pair.n):
-            for vf, vg in optimizer.constraint_gradients(pair, m):
+            for vf, vg in _constraint_gradients(pair, m):
                 ip = np.vdot(vf, pf[m]).real + np.vdot(vg, pg[m]).real
                 assert abs(ip) <= 1e-10 * (1 + np.linalg.norm(vf) + np.linalg.norm(vg))
 
@@ -117,7 +132,7 @@ def _project_sequentially(pair, gf, gg):
     each coefficient taken from the rows the previous one left."""
     gf, gg = np.array(gf, dtype=np.complex128), np.array(gg, dtype=np.complex128)
     for m in range(pair.n):
-        for vf, vg in optimizer.constraint_gradients(pair, m):
+        for vf, vg in _constraint_gradients(pair, m):
             nn = np.vdot(vf, vf).real + np.vdot(vg, vg).real
             if nn == 0.0:
                 continue
@@ -153,7 +168,7 @@ def test_tangent_projection_skips_zero_index(field):
     pf, pg = optimizer.project_to_tangent(pair, gf, gg)
     assert np.array_equal(pf[1], gf[1]) and np.array_equal(pg[1], gg[1])
     assert np.all(np.isfinite(pf)) and np.all(np.isfinite(pg))
-    vf, vg = optimizer.constraint_gradients(pair, 0)[0]
+    vf, vg = _constraint_gradients(pair, 0)[0]
     assert abs(np.vdot(vf, pf[0]).real + np.vdot(vg, pg[0]).real) <= 1e-10
 
 
@@ -216,6 +231,61 @@ def test_search_initial_pair_used_on_base_restart():
     # already critical: merit 0 at iteration 0
     assert res.status == optimizer.CONVERGED
     assert len(res.merit_history) == 1
+
+
+def test_search_rejects_mismatched_initial_pair():
+    """An initial pair over another field, or of another d or N, is refused
+    instead of being searched as a different problem on restart 0."""
+    spec = ConstraintSpec(np.full(4, 0.5))
+    cfg = optimizer.OptimizerConfig(seed=3, restarts=2, max_iters=5)
+    for field_, d, n in ((Field.COMPLEX, 4, 4), (Field.COMPLEX, 2, 4), (Field.REAL, 3, 4),
+                         (Field.REAL, 2, 5)):
+        start = frames.random_pair(field_, d, n, 0)
+        with pytest.raises(DimensionMismatchError):
+            optimizer.search(spec, Field.REAL, 2, cfg, initial_pair=start)
+
+
+def test_search_rejects_nonreal_alpha_over_r():
+    """Over R a complex alpha is refused, not searched as S(Re alpha)."""
+    spec = ConstraintSpec(np.array([1 + 1j, 1, 1]))
+    cfg = optimizer.OptimizerConfig(seed=7, max_iters=5)
+    with pytest.raises(MixedFramesError, match="must be real"):
+        optimizer.search(spec, Field.REAL, 2, cfg)
+    res = optimizer.search(spec, Field.COMPLEX, 2, cfg)
+    assert res.constraint_residual_final <= 1e-10
+
+
+def test_search_rejects_zero_vector_start():
+    """A zero f_m in the initial pair has no finite rescaling onto S(alpha)."""
+    f = FrameSequence(Field.REAL, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    g = FrameSequence(Field.REAL, np.array([[1.0, 0.0], [1.0, 1.0]]))
+    spec, cfg = ConstraintSpec(np.ones(2)), optimizer.OptimizerConfig(max_iters=5)
+    with pytest.raises(NonFiniteError), np.errstate(divide="ignore", invalid="ignore"):
+        optimizer.search(spec, Field.REAL, 2, cfg, initial_pair=FramePair(f, g))
+
+
+def test_search_loop_builds_no_frame_sequences(monkeypatch):
+    """The search loop runs on raw arrays: a CRITICAL_SEARCH on criterion
+    9's problem constructs as many FrameSequences in 50 iterations as in 5
+    (the random start and the returned pair)."""
+    original = FrameSequence.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(FrameSequence, "__post_init__", counting)
+    spec = ConstraintSpec(np.full(4, 0.5))
+    counts = []
+    for max_iters in (5, 50):
+        built.clear()
+        cfg = optimizer.OptimizerConfig(seed=3, max_iters=max_iters)
+        res = optimizer.search(spec, Field.REAL, 2, cfg)
+        assert res.status == optimizer.MAX_ITERS
+        assert len(res.merit_history) == max_iters + 1
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_restart_ranking_prefers_dual():
