@@ -201,8 +201,6 @@ def cmd_gen(args):
         alpha = None
         if args.alpha is not None:
             alpha = _parse_alpha(args.alpha)
-            if field_ is frames.Field.REAL and np.any(alpha.imag):
-                raise MixedFramesError("REAL-field alpha must be real")
             pair = frames.retract_to_constraint(pair, frames.ConstraintSpec(alpha))
         doc = frames.pair_to_document(pair, alpha)
         digest = _digest_obj(

@@ -22,6 +22,7 @@ from .errors import (
     MixedFramesError,
     NonFiniteError,
     ZeroAlphaError,
+    ZeroVectorError,
 )
 from .linalg import ensure_finite
 
@@ -91,6 +92,16 @@ class FramePair:
     def swapped(self):
         return FramePair(f=self.g, g=self.f)
 
+    def require_nonzero(self):
+        """Rescaling and the critical-pair equations need f_m != 0 and
+        g_m != 0 for every m; the first zero vector (f before g) is named."""
+        for name, seq in (("f", self.f), ("g", self.g)):
+            zero = np.flatnonzero(np.linalg.norm(seq.vectors, axis=1) == 0)
+            if zero.size:
+                raise ZeroVectorError(
+                    f"{name}_{zero[0] + 1} is the zero vector", index=int(zero[0])
+                )
+
 
 @dataclass(frozen=True)
 class ConstraintSpec:
@@ -118,6 +129,11 @@ class ConstraintSpec:
                 f"alpha_{zeros[0] + 1} = 0 but a nonzero prescribed product is required",
                 index=int(zeros[0]),
             )
+
+    def require_field(self, field):
+        """S(alpha) over R needs a real alpha."""
+        if field is Field.REAL and np.any(self.alpha.imag):
+            raise MixedFramesError("REAL-field alpha must be real")
 
 
 def synthesis(seq: FrameSequence, coeffs):
@@ -235,13 +251,17 @@ def retract_to_constraint(pair: FramePair, spec: ConstraintSpec):
     """Rescale each g_m by conj(alpha_m / <f_m, g_m>) so the pair lies in
     S(alpha) exactly (to round-off).  F is untouched.
 
-    Raises DegeneratePairingError when some |<f_m, g_m>| falls below
+    Raises ZeroAlphaError for a zero alpha_m, MixedFramesError for a
+    non-real alpha over R, ZeroVectorError for a zero f_m or g_m, and
+    DegeneratePairingError when some |<f_m, g_m>| falls below
     1e-10 ||f_m|| ||g_m||; the caller is expected to re-randomize that
     g_m and retry.
     """
     if spec.n != pair.n:
         raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")
     spec.require_nonzero()
+    spec.require_field(pair.field)
+    pair.require_nonzero()
     _, _, gv = _retraction(pair.f.vectors, pair.g.vectors, spec.alpha, pair.field is Field.REAL)
     return FramePair(pair.f, FrameSequence(pair.field, gv))
 

@@ -13,8 +13,13 @@ Two modes:
   and vanishes exactly at critical pairs.
 
 Both use fixed-step descent with backtracking halving (factor 0.5, up to
-30 halvings).  Restarts are independent: restart k uses seed ``seed + k``
-and the reported result never depends on execution order.
+30 halvings).  A descent trial is priced from the d x d mixed operator,
+FP = Tr((TU*)^2), in O(N d^2); the residual kernel
+``structure._merit_terms`` runs once per iterate (on every trial of
+CRITICAL_SEARCH, whose acceptance test is the merit), and ``search``
+reports on the last iterate's kernel output instead of running it again.
+Restarts are independent: restart k uses seed ``seed + k`` and the
+reported result never depends on execution order.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .errors import (
     DegeneratePairingError,
     DimensionMismatchError,
     MixedFramesError,
-    ZeroVectorError,
 )
 from .frames import ConstraintSpec, Field, FramePair, FrameSequence
 from .linalg import ensure_finite
@@ -170,12 +174,8 @@ def merit(pair: FramePair):
     """Summed squared residual of the critical-pair equations, with the
     multiplier of each index eliminated by the same least-squares rule
     the checker uses.  Zero exactly at critical pairs."""
-    fv = pair.f.vectors
-    gv = pair.g.vectors
-    f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
-    if np.any(f_norms2 == 0) or not np.all(np.sum(np.abs(gv) ** 2, axis=1) > 0):
-        raise ZeroVectorError("merit needs nonzero f_m and g_m")
-    return _merit_with_terms(fv, gv)[0]
+    pair.require_nonzero()
+    return _merit_with_terms(pair.f.vectors, pair.g.vectors)[0]
 
 
 def _merit_with_terms(fv, gv):
@@ -186,9 +186,11 @@ def _merit_with_terms(fv, gv):
     return float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2)), terms
 
 
-def _fp_of_gram(c):
-    """FP = sum_{m,n} <f_m, g_n> <f_n, g_m> from the cross Gram C."""
-    return complex(np.sum(c * c.T))
+def _fp_of_gram(x):
+    """FP = Tr(X^2) = sum(X * X^T) for X the N x N cross Gram C, whose
+    entries give sum_{m,n} <f_m, g_n> <f_n, g_m>, or the d x d mixed
+    operator TU* (the trace identity Tr(C^2) = Tr((TU*)^2))."""
+    return complex(np.sum(x * x.T))
 
 
 def _objective_part(fp, objective):
@@ -261,14 +263,15 @@ def _merit_and_gradient(fv, gv, alpha, is_real):
     return value, f_bar, g_bar
 
 
-def _finish(fv, gv, field_, spec, status, seed, obj_hist, merit_hist):
+def _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist):
     """The search result, with the one FramePair the run returns built
-    (and validated) from the final arrays."""
+    (and validated) from the final arrays and its critical report taken
+    from their kernel output ``terms``."""
     pair = FramePair(FrameSequence(field_, fv), FrameSequence(field_, gv))
     report, residual = None, float("inf")
     if status != DEGENERATE_RETRACTION:
         try:
-            report = structure.critical_report(pair, spec, tol=structure.DEFAULT_CRITICAL_TOL)
+            report = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms)
         except MixedFramesError:
             pass  # e.g. round-off pushed a diverged iterate off the constraint
         residual = float(frames.constraint_residual(pair, spec).max())
@@ -286,15 +289,17 @@ def _finish(fv, gv, field_, spec, status, seed, obj_hist, merit_hist):
 
 
 def _accepted(fv, gv, m0, o0, critical, objective):
-    """The mode's acceptance test on a retracted trial: its (merit, FP)
-    when it lowers the merit (CRITICAL_SEARCH) or the objective
-    (POTENTIAL_DESCENT), else None."""
+    """The mode's acceptance test on a retracted trial: its (merit, FP,
+    kernel terms) when it lowers the merit (CRITICAL_SEARCH) or the
+    objective (POTENTIAL_DESCENT), else None.  A descent trial is priced
+    from TU* in O(N d^2); the kernel runs only on the accepted one."""
     if critical:
-        m1, (cg, *_) = _merit_with_terms(fv, gv)
-        return (m1, _fp_of_gram(cg)) if m1 < m0 else None
-    fp1 = _fp_of_gram(fv @ gv.conj().T)
+        m1, terms = _merit_with_terms(fv, gv)
+        return (m1, _fp_of_gram(terms[0]), terms) if m1 < m0 else None
+    fp1 = _fp_of_gram(fv.T @ gv.conj())
     if _objective_part(fp1, objective) < o0:
-        return _merit_with_terms(fv, gv)[0], fp1
+        m1, terms = _merit_with_terms(fv, gv)
+        return m1, fp1, terms
     return None
 
 
@@ -307,19 +312,20 @@ def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
     is_real = field_ is Field.REAL
     critical = cfg.mode == CRITICAL_SEARCH
     fv, gv = initial_pair.f.vectors, initial_pair.g.vectors
+    terms = None
     obj_hist = []
     merit_hist = []
 
     def finish(status):
-        return _finish(fv, gv, field_, spec, status, seed, obj_hist, merit_hist)
+        return _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist)
 
     try:
         gv = _retract_with_recovery(fv, gv, spec.alpha, is_real, rng)
     except DegeneratePairingError:
         return finish(DEGENERATE_RETRACTION)
-    ensure_finite(gv, "frame vectors")  # a zero f_m or g_m has no finite rescaling
-    m0, (cg, *_) = _merit_with_terms(fv, gv)
-    fp0 = _fp_of_gram(cg)
+    ensure_finite(gv, "frame vectors")  # the rescaling of a tiny pairing can overflow
+    m0, terms = _merit_with_terms(fv, gv)
+    fp0 = _fp_of_gram(terms[0])
     o0 = _objective_part(fp0, cfg.objective)
 
     for _ in range(cfg.max_iters):
@@ -354,7 +360,7 @@ def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
                 return finish(DEGENERATE_RETRACTION)
             accepted = _accepted(f1, g1, m0, o0, critical, cfg.objective)
             if accepted is not None:
-                fv, gv, (m0, fp0) = f1, g1, accepted
+                fv, gv, (m0, fp0, terms) = f1, g1, accepted
                 o0 = _objective_part(fp0, cfg.objective)
                 break
             step *= 0.5
@@ -389,18 +395,19 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
 
     The inputs are checked here, once: alpha must be nonzero, and real
     over R (MixedFramesError), and ``initial_pair`` must have the field,
-    d and N of the search (DimensionMismatchError).
+    d and N of the search (DimensionMismatchError) and no zero f_m or g_m
+    (ZeroVectorError).
     """
     spec.require_nonzero()
-    if field_ is Field.REAL and np.any(spec.alpha.imag):
-        raise MixedFramesError("REAL-field alpha must be real")
-    if initial_pair is not None and (
-        (initial_pair.field, initial_pair.d, initial_pair.n) != (field_, d, spec.n)
-    ):
-        raise DimensionMismatchError(
-            f"initial_pair is a {initial_pair.field.value} pair with d = {initial_pair.d}, "
-            f"N = {initial_pair.n}; the search is over {field_.value} with d = {d}, N = {spec.n}"
-        )
+    spec.require_field(field_)
+    if initial_pair is not None:
+        if (initial_pair.field, initial_pair.d, initial_pair.n) != (field_, d, spec.n):
+            raise DimensionMismatchError(
+                f"initial_pair is a {initial_pair.field.value} pair with d = {initial_pair.d}, "
+                f"N = {initial_pair.n}; the search is over {field_.value} with d = {d}, "
+                f"N = {spec.n}"
+            )
+        initial_pair.require_nonzero()
     results = []
     for k in range(cfg.restarts + 1):
         start = initial_pair if k == 0 else None

@@ -24,7 +24,6 @@ from .errors import (
     NotCriticalError,
     NumericalFailureError,
     ZeroAlphaError,
-    ZeroVectorError,
 )
 from .frames import ConstraintSpec, FramePair
 
@@ -87,17 +86,18 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
     multipliers, and fitting the g side separately would mask a
     violation of that coupling.
     """
-    frames.require_membership(pair, spec)
-    f_norms = np.linalg.norm(pair.f.vectors, axis=1)
-    g_norms = np.linalg.norm(pair.g.vectors, axis=1)
-    for name, norms in (("f", f_norms), ("g", g_norms)):
-        zero = np.flatnonzero(norms == 0)
-        if zero.size:
-            raise ZeroVectorError(
-                f"{name}_{zero[0] + 1} is the zero vector", index=int(zero[0])
-            )
+    return _critical_report(pair, spec, tol)
 
-    _, s, c, rf, rg = _merit_terms(pair.f.vectors, pair.g.vectors)
+
+def _critical_report(pair, spec, tol, terms=None):
+    """``critical_report``, from the ``_merit_terms`` output ``terms`` of
+    the pair's own arrays when the caller already holds it (the search's
+    last iterate), else from a fresh kernel pass."""
+    frames.require_membership(pair, spec)
+    pair.require_nonzero()
+    if terms is None:
+        terms = _merit_terms(pair.f.vectors, pair.g.vectors)
+    _, s, c, rf, rg = terms
     linalg.ensure_finite(s, "partial sums")
     f_res = np.linalg.norm(rf, axis=1)
     g_res = np.linalg.norm(rg, axis=1)

@@ -10,6 +10,7 @@ from mixedframes.errors import (
     MixedFramesError,
     NonFiniteError,
     ZeroAlphaError,
+    ZeroVectorError,
 )
 from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
 
@@ -121,6 +122,29 @@ def test_retraction_degenerate():
     with pytest.raises(DegeneratePairingError) as info:
         frames.retract_to_constraint(FramePair(f, g), ConstraintSpec(np.array([1.0])))
     assert info.value.index == 0
+
+
+@pytest.mark.parametrize("side,index", [("f", 1), ("g", 0)])
+def test_retraction_names_zero_vector(side, index):
+    """A zero f_m or g_m has no rescaling: the index is named before the
+    kernel divides by <f_m, g_m> = 0."""
+    fv = np.array([[1.0, 0.0], [1.0, 1.0]])
+    gv = np.array([[1.0, 2.0], [0.5, 1.0]])
+    (fv if side == "f" else gv)[index] = 0.0
+    pair = FramePair(FrameSequence(Field.REAL, fv), FrameSequence(Field.REAL, gv))
+    with pytest.raises(ZeroVectorError) as info, np.errstate(all="raise"):
+        frames.retract_to_constraint(pair, ConstraintSpec(np.ones(2)))
+    assert info.value.index == index
+    assert str(info.value).startswith(f"{side}_{index + 1} ")
+
+
+def test_retraction_rejects_nonreal_alpha_over_r():
+    """Over R a complex alpha is refused, not retracted onto S(Re alpha)."""
+    spec = ConstraintSpec(np.array([1 + 1j, 1.0]))
+    with pytest.raises(MixedFramesError, match="must be real"):
+        frames.retract_to_constraint(frames.random_pair(Field.REAL, 2, 2, 0), spec)
+    pair = frames.retract_to_constraint(frames.random_pair(Field.COMPLEX, 2, 2, 0), spec)
+    assert frames.constraint_residual(pair, spec).max() <= 1e-12
 
 
 def test_zero_alpha_rejected():

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import retracted_random
 from mixedframes import fixtures, frames, optimizer, structure
-from mixedframes.errors import DimensionMismatchError, MixedFramesError, NonFiniteError
+from mixedframes.errors import DimensionMismatchError, MixedFramesError, ZeroVectorError
 from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
 
 
@@ -57,13 +57,14 @@ def test_gradient_against_finite_differences(field, objective):
 
 def test_merit_gradient_against_finite_differences(field):
     """The reverse-mode merit gradient of CRITICAL_SEARCH is the gradient
-    of merit(retract_to_constraint(.)), for random nonuniform complex alpha."""
+    of merit(retract_to_constraint(.)), for random nonuniform alpha (its
+    real part over R)."""
     rng = np.random.default_rng(64)
     is_real = field is Field.REAL
     for trial in range(20):
         d, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
         alpha = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(-1.0, 1.0, n))
-        spec = ConstraintSpec(alpha)
+        spec = ConstraintSpec(alpha.real if is_real else alpha)
         pair = frames.random_pair(field, d, n, 2200 + trial)
 
         def value(p):
@@ -256,12 +257,14 @@ def test_search_rejects_nonreal_alpha_over_r():
 
 
 def test_search_rejects_zero_vector_start():
-    """A zero f_m in the initial pair has no finite rescaling onto S(alpha)."""
+    """A zero f_m in the initial pair has no rescaling onto S(alpha): it is
+    named before the retraction divides by <f_m, g_m> = 0."""
     f = FrameSequence(Field.REAL, np.array([[0.0, 0.0], [1.0, 0.0]]))
     g = FrameSequence(Field.REAL, np.array([[1.0, 0.0], [1.0, 1.0]]))
     spec, cfg = ConstraintSpec(np.ones(2)), optimizer.OptimizerConfig(max_iters=5)
-    with pytest.raises(NonFiniteError), np.errstate(divide="ignore", invalid="ignore"):
+    with pytest.raises(ZeroVectorError) as info, np.errstate(all="raise"):
         optimizer.search(spec, Field.REAL, 2, cfg, initial_pair=FramePair(f, g))
+    assert info.value.index == 0
 
 
 def test_search_loop_builds_no_frame_sequences(monkeypatch):
@@ -286,6 +289,59 @@ def test_search_loop_builds_no_frame_sequences(monkeypatch):
         assert len(res.merit_history) == max_iters + 1
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+# (mode, field, d, alpha, seed, max_iters, divergence_bound, status): criterion
+# 9's problem and test_critical_search_converges' for CRITICAL_SEARCH,
+# criterion 10's for POTENTIAL_DESCENT
+REPORT_CASES = [
+    (optimizer.CRITICAL_SEARCH, Field.REAL, 2, np.full(4, 0.5), 3, 5, 1e9, optimizer.MAX_ITERS),
+    (optimizer.CRITICAL_SEARCH, Field.REAL, 2, np.ones(3), 7, 5000, 1e9, optimizer.CONVERGED),
+    (optimizer.POTENTIAL_DESCENT, Field.COMPLEX, 2, np.ones(2), 0, 5, 1e6, optimizer.MAX_ITERS),
+    (optimizer.POTENTIAL_DESCENT, Field.COMPLEX, 2, np.ones(2), 0, 5000, 1e6, optimizer.DIVERGED),
+    (optimizer.POTENTIAL_DESCENT, Field.COMPLEX, 1, np.ones(2), 0, 5000, 1e6, optimizer.CONVERGED),
+]
+
+
+@pytest.mark.parametrize("mode,field_,d,alpha,seed,max_iters,bound,status", REPORT_CASES,
+                         ids=[f"{c[0]}-{c[-1]}" for c in REPORT_CASES])
+def test_search_report_equals_critical_report(mode, field_, d, alpha, seed, max_iters, bound,
+                                              status):
+    """The report a search takes from its last iterate's kernel output is
+    the report critical_report computes afresh on the returned pair."""
+    spec = ConstraintSpec(alpha)
+    cfg = optimizer.OptimizerConfig(mode=mode, seed=seed, max_iters=max_iters,
+                                    divergence_bound=bound)
+    res = optimizer.search(spec, field_, d, cfg)
+    assert res.status == status
+    want = structure.critical_report(res.final_pair, spec, tol=structure.DEFAULT_CRITICAL_TOL)
+    got = res.critical_report_final
+    for name in ("c", "f_residuals", "g_residuals", "is_critical", "tol", "mixed_norm"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_descent_runs_kernel_once_per_iterate(monkeypatch):
+    """A descent prices its trials from TU*: the residual kernel runs once
+    on the start and once per accepted iterate, and the finish reuses the
+    last output instead of running it again."""
+    calls = []
+    original = structure._merit_terms
+
+    def counting(fv, gv):
+        calls.append(fv.shape)
+        return original(fv, gv)
+
+    monkeypatch.setattr(structure, "_merit_terms", counting)
+    spec = ConstraintSpec(np.ones(2))
+    for k in (1, 5):
+        calls.clear()
+        cfg = optimizer.OptimizerConfig(mode=optimizer.POTENTIAL_DESCENT, seed=0, max_iters=k,
+                                        divergence_bound=1e6)
+        res = optimizer.search(spec, Field.COMPLEX, 2, cfg)
+        assert res.status == optimizer.MAX_ITERS
+        assert len(res.merit_history) == k + 1
+        assert len(calls) == 1 + k
+        assert res.critical_report_final is not None
 
 
 def test_restart_ranking_prefers_dual():

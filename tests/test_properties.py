@@ -1,5 +1,6 @@
 """Property tests of the verification kernels against plain reference
-implementations, plus a recorded CRITICAL_SEARCH trajectory.
+implementations, plus recorded CRITICAL_SEARCH and POTENTIAL_DESCENT
+trajectories.
 
 Hypothesis runs derandomized with a fixed number of examples, so every
 run draws the same cases and the suite stays fast.
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import retracted_random
-from mixedframes import linalg, optimizer, structure
+from mixedframes import linalg, optimizer, potential, structure
 from mixedframes.frames import ConstraintSpec, Field
 
 FIELDS = st.sampled_from([Field.REAL, Field.COMPLEX])
@@ -121,3 +122,51 @@ def test_critical_search_merit_history_recorded():
     res = optimizer.search(ConstraintSpec(np.full(4, 0.5)), Field.REAL, 2, cfg)
     assert res.status == optimizer.MAX_ITERS
     assert res.merit_history == CRITERION_9_MERIT_HISTORY
+
+
+@fixed(60)
+@given(FIELDS, st.integers(1, 8), st.integers(0, 3), st.integers(0, 10_000))
+def test_descent_trial_potential_matches_direct_form(field, d, extra, seed):
+    """The FP a descent trial is priced at, Tr((TU*)^2) from the d x d mixed
+    operator, is the direct double sum over the cross Gram."""
+    n = d + extra * d
+    pair, _ = retracted_random(field, d, n, seed)
+    # an infinite current objective accepts every trial
+    _, fp, _ = optimizer._accepted(pair.f.vectors, pair.g.vectors, np.inf, np.inf, False,
+                                   optimizer.REAL_PART)
+    want = potential.fp_direct(pair).value
+    assert abs(fp - want) <= 1e-12 * (1.0 + abs(want))
+
+
+# merit_history and objective_history of a POTENTIAL_DESCENT over C on the
+# imaginary part, alpha = ones(48), d = 16, seed 11, 20 iterations, as
+# recorded while descent trials were still priced from the N x N cross
+# Gram; the merit must be reproduced bit for bit, the objective (now taken
+# from TU*) to round-off.
+DESCENT_MERIT_HISTORY = [
+    317665.12534846604, 7508103.129234564, 3318448138.1035013, 5340368566.794404,
+    36147878522.604126, 1094178253036.4258, 1864568007869.926, 4424380082235.846,
+    6891074113004.127, 10855744599356.738, 15378467286703.855, 24670701889415.812,
+    45916485065182.53, 47735727435834.664, 47004630614435.52, 46278938494816.734,
+    45562795054517.164, 44860078815420.56, 44174389067077.5, 43509038446729.51,
+    40091848139719.266,
+]
+DESCENT_OBJECTIVE_HISTORY = [
+    93.70990939557775, -1204.6715510392653, -166548.2962090174, -1368569.966118968,
+    -4909503.8430350805, -15490534.050789222, -30232522.996655174, -59384412.85630861,
+    -83494639.40250057, -97426545.20109913, -110573375.77885121, -121538519.97254935,
+    -127826978.65340701, -137188668.18560782, -140886254.3803513, -144594811.05088073,
+    -148320670.9925149, -152070201.4083345, -155849772.98942888, -159665733.5869081,
+    -159672471.43723977,
+]
+
+
+def test_potential_descent_history_recorded():
+    cfg = optimizer.OptimizerConfig(mode=optimizer.POTENTIAL_DESCENT,
+                                    objective=optimizer.IMAG_PART, seed=11, max_iters=20)
+    res = optimizer.search(ConstraintSpec(np.ones(48)), Field.COMPLEX, 16, cfg)
+    assert res.status == optimizer.MAX_ITERS
+    assert len(res.objective_history) == len(DESCENT_OBJECTIVE_HISTORY)
+    assert res.merit_history == DESCENT_MERIT_HISTORY
+    for got, want in zip(res.objective_history, DESCENT_OBJECTIVE_HISTORY):
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
