@@ -33,7 +33,7 @@ class Field(enum.Enum):
 
 
 def _validate_vectors(vectors, field):
-    v = np.asarray(vectors, dtype=np.complex128)
+    v = np.array(vectors, dtype=np.complex128)  # a copy: the caller's array stays theirs
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise DimensionMismatchError(f"vectors must form an (N, d) array, got shape {v.shape}")
     ensure_finite(v, "frame vectors")
@@ -64,7 +64,8 @@ class FrameSequence:
 
 @dataclass(frozen=True)
 class FramePair:
-    """Two same-shaped frame sequences (F, G)."""
+    """Two same-shaped frame sequences (F, G).  A pair never changes, so
+    what is derived from it is computed once and kept, read-only."""
 
     f: FrameSequence
     g: FrameSequence
@@ -76,6 +77,18 @@ class FramePair:
             raise DimensionMismatchError(
                 f"F and G shapes differ: {self.f.vectors.shape} vs {self.g.vectors.shape}"
             )
+        object.__setattr__(self, "_memo", {})
+
+    def _derived(self, key, build):
+        """``build()`` on the first request for ``key``, its arrays (the
+        value or a tuple's items) made read-only; the stored value after."""
+        if key not in self._memo:
+            value = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            self._memo[key] = value
+        return self._memo[key]
 
     @property
     def field(self):
@@ -110,7 +123,7 @@ class ConstraintSpec:
     alpha: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=np.complex128).ravel()
+        a = np.array(self.alpha, dtype=np.complex128).ravel()
         if a.size < 1:
             raise DimensionMismatchError("alpha must be nonempty")
         ensure_finite(a, "alpha")
@@ -155,23 +168,20 @@ def analysis(seq: FrameSequence, f):
 
 
 def mixed_operator(pair: FramePair, side="TU*"):
-    """The d x d mixed operator: TU* = sum_m f_m g_m^*, UT* its adjoint."""
-    tu = pair.f.vectors.T @ pair.g.vectors.conj()
+    """The d x d mixed operator: TU* = sum_m f_m g_m^*, UT* its adjoint.
+    Computed once per pair and side; the result is read-only."""
+    tu = pair._derived("TU*", lambda: pair.f.vectors.T @ pair.g.vectors.conj())
     if side == "TU*":
         return tu
     if side == "UT*":
-        return tu.conj().T.copy()
+        return pair._derived("UT*", lambda: tu.conj().T.copy())
     raise ValueError(f"side must be 'TU*' or 'UT*', got {side!r}")
 
 
 def cross_gram(pair: FramePair):
-    """N x N matrix with entry (m, n) = <f_m, g_n>."""
-    return pair.f.vectors @ pair.g.vectors.conj().T
-
-
-def diagonal_products(pair: FramePair):
-    """The N values <f_m, g_m>."""
-    return np.sum(pair.f.vectors * pair.g.vectors.conj(), axis=1)
+    """N x N matrix with entry (m, n) = <f_m, g_n>.  Computed once per
+    pair; the result is read-only."""
+    return pair._derived("C", lambda: pair.f.vectors @ pair.g.vectors.conj().T)
 
 
 def is_dual_pair(pair: FramePair, tol=1e-10):
@@ -184,7 +194,7 @@ def constraint_residual(pair: FramePair, spec: ConstraintSpec):
     """Entrywise |<f_m, g_m> - alpha_m|."""
     if spec.n != pair.n:
         raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")
-    return np.abs(diagonal_products(pair) - spec.alpha)
+    return np.abs(np.sum(pair.f.vectors * pair.g.vectors.conj(), axis=1) - spec.alpha)
 
 
 def require_membership(pair: FramePair, spec: ConstraintSpec, tol=1e-8):

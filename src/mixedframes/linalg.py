@@ -63,15 +63,29 @@ class EigenResult:
     descending real part, then descending imaginary part.  ``vectors``
     holds the matching unit-norm right eigenvectors as columns.
     ``backward_residual`` is max_k ||A v_k - lambda_k v_k|| / (1 + ||A||_F).
+    Both arrays are read-only.
     """
 
     values: np.ndarray
-    vectors: np.ndarray | None
+    vectors: np.ndarray
     backward_residual: float
+
+    def __post_init__(self):
+        for a in (self.values, self.vectors):
+            a.setflags(write=False)
 
     @property
     def spectral_radius(self):
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+
+    def within(self, tol):
+        """This result, or NumericalFailureError (carrying the residual)
+        when the backward residual exceeds ``tol``."""
+        if self.backward_residual > tol:
+            raise NumericalFailureError(f"eigendecomposition residual {self.backward_residual:.3e}"
+                                        f" exceeds tolerance {tol:.3e}",
+                                        residual=self.backward_residual)
+        return self
 
 
 def _pair_conjugates(values, pair_tol):
@@ -138,12 +152,7 @@ def eig_general(a, tol=1e-9):
     # column k of A V - V diag(values) is A v_k - lambda_k v_k
     residual = float(np.linalg.norm(a @ vectors - vectors * values, axis=0).max())
     residual /= 1.0 + norm_a
-    if residual > tol:
-        raise NumericalFailureError(
-            f"eigendecomposition residual {residual:.3e} exceeds tolerance {tol:.3e}",
-            residual=residual,
-        )
-    return EigenResult(values=values, vectors=vectors, backward_residual=residual)
+    return EigenResult(values=values, vectors=vectors, backward_residual=residual).within(tol)
 
 
 def orthonormal_span_basis(vectors, rank_tol=1e-12):

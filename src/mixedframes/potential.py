@@ -45,11 +45,18 @@ def fp_direct(pair: FramePair):
     return PotentialValue(value=value, method="DIRECT")
 
 
+def _spectrum(pair: FramePair, tol=1e-9):
+    """The eigendecomposition of TU*, solved once per pair, checked at
+    each caller's own ``tol`` as ``linalg.eig_general`` would check it."""
+    eig = pair._derived("eig", lambda: linalg.eig_general(frames.mixed_operator(pair), np.inf))
+    return eig.within(tol)
+
+
 def fp_trace(pair: FramePair, tol=1e-9):
     """Tr((TU*)^2), cross-checked against the squared eigenvalue sum."""
     op = frames.mixed_operator(pair)
     value = linalg.trace(op @ op)
-    eig = linalg.eig_general(op, tol=tol)
+    eig = _spectrum(pair, tol)
     by_spectrum = complex(np.sum(eig.values**2))
     gap = abs(value - by_spectrum)
     if gap > tol * (1.0 + abs(value)):
@@ -109,8 +116,7 @@ class BoundReport:
 
 def bound_report(pair: FramePair, spec: ConstraintSpec, class_tol=DEFAULT_CLASS_TOL):
     frames.require_membership(pair, spec)
-    op = frames.mixed_operator(pair)
-    eig = linalg.eig_general(op)
+    eig = _spectrum(pair)
     values = eig.values
 
     spectrum_class = classify_spectrum(values, class_tol)

@@ -45,10 +45,11 @@ class CriticalPairReport:
         return float(max(self.f_residuals.max(), self.g_residuals.max()))
 
 
-def _partial_sums(fv, gv):
-    """The cross Gram C of (N, d) arrays F, G and, per index m,
-    (sum_{n!=m} <f_m,g_n> f_n, sum_{n!=m} <g_m,f_n> g_n)."""
-    c = fv @ gv.conj().T
+def _partial_sums(fv, gv, c=None):
+    """The cross Gram C of (N, d) arrays F, G (unless given) and, per
+    index m, (sum_{n!=m} <f_m,g_n> f_n, sum_{n!=m} <g_m,f_n> g_n)."""
+    if c is None:
+        c = fv @ gv.conj().T
     diag = np.diag(c)
     # row m of (C @ F) is sum_n <f_m,g_n> f_n; remove the n = m term
     s = c @ fv - diag[:, None] * fv
@@ -57,13 +58,13 @@ def _partial_sums(fv, gv):
     return c, s, t
 
 
-def _merit_terms(fv, gv):
+def _merit_terms(fv, gv, cg=None):
     """(C, s, c, r_f, r_g) of the critical-pair equations on raw (N, d)
-    arrays with nonzero rows: cross Gram, partial sums s, least-squares
-    multipliers c and the residuals r_f = s - c f, r_g = t - conj(c) g.
-    The one residual kernel behind ``critical_report`` and the
-    optimizer's merit."""
-    cg, s, t = _partial_sums(fv, gv)
+    arrays with nonzero rows: cross Gram (unless given), partial sums s,
+    least-squares multipliers c and the residuals r_f = s - c f,
+    r_g = t - conj(c) g.  The one residual kernel behind
+    ``critical_report`` and the optimizer's merit."""
+    cg, s, t = _partial_sums(fv, gv, cg)
     c = np.sum(s * fv.conj(), axis=1) / np.sum(np.abs(fv) ** 2, axis=1)
     rf = s - c[:, None] * fv
     rg = t - c.conj()[:, None] * gv
@@ -92,11 +93,13 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
 def _critical_report(pair, spec, tol, terms=None):
     """``critical_report``, from the ``_merit_terms`` output ``terms`` of
     the pair's own arrays when the caller already holds it (the search's
-    last iterate), else from a fresh kernel pass."""
+    last iterate, which is not kept on the pair), else from the pair's
+    kernel pass, run once per pair."""
     frames.require_membership(pair, spec)
     pair.require_nonzero()
     if terms is None:
-        terms = _merit_terms(pair.f.vectors, pair.g.vectors)
+        fv, gv = pair.f.vectors, pair.g.vectors
+        terms = pair._derived("terms", lambda: _merit_terms(fv, gv, frames.cross_gram(pair)))
     _, s, c, rf, rg = terms
     linalg.ensure_finite(s, "partial sums")
     f_res = np.linalg.norm(rf, axis=1)
@@ -237,6 +240,12 @@ def check_a_generalized_dual(pair: FramePair, idx, a, rank_tol=DEFAULT_RANK_TOL)
     rank_tol = _scaled_rank_tol(rank_tol, fv, gv)
     f_basis, _ = linalg.orthonormal_span_basis(fv, rank_tol)
     g_basis, _ = linalg.orthonormal_span_basis(gv, rank_tol)
+    return _a_dual_residual(fv, gv, f_basis, g_basis, a)
+
+
+def _a_dual_residual(fv, gv, f_basis, g_basis, a):
+    """The A-generalized dual residual of the rows fv, gv, tested on
+    orthonormal bases of their spans (one basis vector per row)."""
     # row j of (B G^H) F is sum_m <b_j, g_m> f_m for the basis row b_j
     f_images = (f_basis @ gv.conj().T) @ fv - a * f_basis
     g_images = (g_basis @ fv.conj().T) @ gv - np.conj(a) * g_basis
@@ -296,12 +305,12 @@ def decompose(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_
     complement = sorted(set(range(pair.n)) - set(group))
     lam_group = cls.distinct_eigenvalues[j_min]
 
-    rank_tol = _scaled_rank_tol(DEFAULT_RANK_TOL, pair.f.vectors)
-    _, dim_span = linalg.orthonormal_span_basis(pair.f.vectors[group], rank_tol)
+    f_basis, g_basis = cls.right_span_bases[j_min], cls.left_span_bases[j_min]
+    dim_span = f_basis.shape[0]
     a = complex(np.sum(spec.alpha[group])) / dim_span
 
     bio_res = check_generalized_biorthogonal(pair, spec, complement)
-    dual_res = check_a_generalized_dual(pair, group, a)
+    dual_res = _a_dual_residual(pair.f.vectors[group], pair.g.vectors[group], f_basis, g_basis, a)
 
     gram = frames.cross_gram(pair)
     if complement:
@@ -360,7 +369,7 @@ def proposition_applicability(pair: FramePair, tol=1e-9):
     against the spectral radius; otherwise reports whether some
     eigenvalue has nonzero real part, imaginary part, or both.
     """
-    eig = linalg.eig_general(frames.mixed_operator(pair))
+    eig = potential._spectrum(pair)
     radius = eig.spectral_radius
     if radius == 0.0 or float(np.min(np.abs(eig.values))) <= tol * radius:
         return NOT_INJECTIVE
@@ -401,7 +410,7 @@ def corollary_check(pair: FramePair, spec: ConstraintSpec, tol=1e-8):
     """
     frames.require_membership(pair, spec)
     d = pair.d
-    eig = linalg.eig_general(frames.mixed_operator(pair))
+    eig = potential._spectrum(pair)
     all_real = bool(np.all(np.abs(eig.values.imag) <= tol * (1.0 + np.abs(eig.values))))
     fp = fp_value = potential.fp_direct(pair).value
     fp_equals_d = abs(fp - d) <= tol * (1.0 + d)

@@ -133,7 +133,7 @@ def test_criterion_05_scaled_identity():
                 frames.FrameSequence(field, fv if field is Field.COMPLEX else fv.real),
                 frames.FrameSequence(field, gv),
             )
-            spec = ConstraintSpec(frames.diagonal_products(pair))
+            spec = ConstraintSpec(np.diag(frames.cross_gram(pair)))
             is_scaled, a, _ = potential.scaled_identity_check(pair, spec)
             ok &= is_scaled
             ok &= abs(a - np.sum(spec.alpha) / d) <= 1e-10

@@ -31,6 +31,24 @@ def test_sequence_validation():
         seq.vectors[0, 0] = 0.0  # storage is write-locked
 
 
+def test_sequence_owns_its_vectors():
+    """Construction copies: the caller's array stays writable, and later
+    writes to it (or to its base) do not reach the validated vectors."""
+    a = np.eye(2, dtype=np.complex128)
+    seq = FrameSequence(Field.COMPLEX, a)
+    assert a.flags.writeable
+    a[0, 0] = np.nan
+    assert seq.vectors[0, 0] == 1.0
+    b = np.ones((3, 2), dtype=np.complex128)
+    seq = FrameSequence(Field.COMPLEX, b[:])
+    b[0, 0] = np.nan
+    assert np.all(np.isfinite(seq.vectors))
+    alpha = np.ones(3, dtype=np.complex128)
+    spec = ConstraintSpec(alpha)
+    alpha[0] = 0.0
+    assert alpha.flags.writeable and spec.alpha[0] == 1.0
+
+
 def test_pair_validation():
     f = FrameSequence(Field.REAL, np.eye(2))
     g3 = FrameSequence(Field.REAL, np.eye(3))
@@ -74,7 +92,6 @@ def test_cross_gram_entries():
         for n in range(3):
             expect = np.vdot(pair.g.vectors[n], pair.f.vectors[m])
             assert gram[m, n] == pytest.approx(expect)
-    assert np.allclose(np.diag(gram), frames.diagonal_products(pair))
 
 
 def test_is_dual_pair():
@@ -165,7 +182,7 @@ def test_require_membership_raises():
 def test_document_round_trip(field):
     for seed in range(5):
         pair = frames.random_pair(field, 3, 4, seed)
-        alpha = frames.diagonal_products(pair)
+        alpha = np.diag(frames.cross_gram(pair))
         doc = frames.pair_to_document(pair, alpha)
         text = frames.document_to_json(doc)
         doc2 = frames.document_from_json(text)

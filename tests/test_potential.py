@@ -149,7 +149,7 @@ def test_bound_decomposition_identity():
     """FP = R + iI with R, I the quadratic eigenvalue sums."""
     for seed in range(10):
         pair = frames.random_pair(Field.COMPLEX, 3, 4, seed)
-        spec = ConstraintSpec(frames.diagonal_products(pair))
+        spec = ConstraintSpec(np.diag(frames.cross_gram(pair)))
         rep = potential.bound_report(pair, spec)
         fp = potential.fp_direct(pair).value
         assert fp == pytest.approx(complex(rep.r_value, rep.i_value), rel=1e-10)
@@ -171,7 +171,7 @@ def test_scaled_identity_complex_a():
     f = FrameSequence(Field.COMPLEX, a_true * np.eye(2))
     g = FrameSequence(Field.COMPLEX, np.eye(2))
     pair = FramePair(f, g)
-    spec = ConstraintSpec(frames.diagonal_products(pair))
+    spec = ConstraintSpec(np.diag(frames.cross_gram(pair)))
     ok, a, _ = potential.scaled_identity_check(pair, spec)
     assert ok
     assert a == pytest.approx(a_true)

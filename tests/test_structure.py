@@ -54,7 +54,7 @@ def test_critical_report_rejects_zero_vector():
     f = FrameSequence(Field.REAL, np.array([[1.0], [0.0]]))
     g = FrameSequence(Field.REAL, np.array([[1.0], [1.0]]))
     pair = FramePair(f, g)
-    spec = ConstraintSpec(frames.diagonal_products(pair))
+    spec = ConstraintSpec(np.diag(frames.cross_gram(pair)))
     with pytest.raises(ZeroVectorError) as info:
         structure.critical_report(pair, spec)
     assert info.value.index == 1
