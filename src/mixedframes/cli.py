@@ -17,6 +17,7 @@ pairs; indices in reports are 1-based.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -76,7 +77,7 @@ def _load_pair(path):
     return pair, spec, _digest(raw)
 
 
-def _resolve_spec(pair, embedded, override):
+def _resolve_spec(embedded, override):
     if override is not None:
         return frames.ConstraintSpec(_parse_alpha(override))
     if embedded is not None:
@@ -239,7 +240,7 @@ def cmd_potential(args):
 
 def cmd_check(args):
     pair, embedded, digest = _load_pair(args.input)
-    spec = _resolve_spec(pair, embedded, args.alpha)
+    spec = _resolve_spec(embedded, args.alpha)
     crit = structure.critical_report(pair, spec, tol=args.tol)
     bound = potential.bound_report(pair, spec)
     is_scaled, a, residual = potential.scaled_identity_check(pair, spec)
@@ -259,7 +260,7 @@ def cmd_check(args):
 
 def cmd_decompose(args):
     pair, embedded, digest = _load_pair(args.input)
-    spec = _resolve_spec(pair, embedded, args.alpha)
+    spec = _resolve_spec(embedded, args.alpha)
     dec = structure.decompose(pair, spec, cluster_tol=args.cluster_tol)
     outputs = {
         "classification": _classification_json(dec.classification),
@@ -308,7 +309,7 @@ def cmd_corollary(args):
     if args.input is None:
         raise MixedFramesError("corollary needs an input document or --alpha-only")
     pair, embedded, digest = _load_pair(args.input)
-    spec = _resolve_spec(pair, embedded, args.alpha)
+    spec = _resolve_spec(embedded, args.alpha)
     rep = structure.corollary_check(pair, spec, tol=args.tol)
     ok = rep.verdict == structure.CONDITIONS_MET
     _emit(
@@ -337,7 +338,7 @@ def cmd_optimize(args):
         restarts=args.restarts,
     )
     digest = _digest_obj({"alpha": args.alpha, "field": args.field, "d": args.d,
-                          "config": cfg.to_dict()})
+                          "config": dataclasses.asdict(cfg)})
     result = optimizer.search(spec, field_, args.d, cfg)
 
     outputs = {"search": _search_json(result),

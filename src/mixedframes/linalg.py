@@ -88,42 +88,11 @@ class EigenResult:
         return self
 
 
-def _pair_conjugates(values, pair_tol):
-    """Force the spectrum of a real matrix into exact conjugate pairs.
-
-    Positive-imaginary eigenvalues are greedily matched with their nearest
-    conjugate partner; each matched pair is replaced by (avg, conj(avg)).
-    """
-    values = values.copy()
-    pos = [i for i, v in enumerate(values) if v.imag > pair_tol]
-    neg = [i for i, v in enumerate(values) if v.imag < -pair_tol]
-    for i in pos:
-        if not neg:
-            break
-        j = min(neg, key=lambda k: abs(values[k] - np.conj(values[i])))
-        neg.remove(j)
-        avg = 0.5 * (values[i] + np.conj(values[j]))
-        values[i] = avg
-        values[j] = np.conj(avg)
-    # anything left with tiny imaginary part is a real eigenvalue
-    small = np.abs(values.imag) <= pair_tol
-    values[small] = values[small].real
-    return values
-
-
-def _sort_spectrum(values, vectors):
-    order = np.lexsort((-values.imag, -values.real))
-    values = values[order]
-    if vectors is not None:
-        vectors = vectors[:, order]
-    return values, vectors
-
-
 def eig_general(a, tol=1e-9):
     """Full eigendecomposition of a general square matrix.
 
-    Real input matrices get a post-hoc symmetrization pass so their
-    spectra come out in exact conjugate pairs.  Raises
+    A real input matrix is solved in real arithmetic (LAPACK ``geev``),
+    which returns its nonreal eigenvalues in exact conjugate pairs.  Raises
     NumericalFailureError (carrying the residual) if the backward residual
     exceeds ``tol * (1 + ||A||_F)`` or the QR iteration fails to converge.
     """
@@ -131,27 +100,18 @@ def eig_general(a, tol=1e-9):
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"eig_general needs a square matrix, got {a.shape}")
 
-    is_real = not np.any(a.imag)
     try:
-        if is_real:
-            values, vectors = np.linalg.eig(a.real)
-        else:
-            values, vectors = np.linalg.eig(a)
+        values, vectors = np.linalg.eig(a if np.any(a.imag) else a.real)
     except np.linalg.LinAlgError as exc:  # QR iteration did not converge
         raise NumericalFailureError(f"eigensolver failed to converge: {exc}", residual=np.inf) from exc
 
     values = np.asarray(values, dtype=np.complex128)
-    vectors = np.asarray(vectors, dtype=np.complex128)
-
-    norm_a = frobenius_norm(a)
-    if is_real:
-        values = _pair_conjugates(values, pair_tol=0.0)
-
-    values, vectors = _sort_spectrum(values, vectors)
+    order = np.lexsort((-values.imag, -values.real))
+    values, vectors = values[order], np.asarray(vectors, dtype=np.complex128)[:, order]
 
     # column k of A V - V diag(values) is A v_k - lambda_k v_k
     residual = float(np.linalg.norm(a @ vectors - vectors * values, axis=0).max())
-    residual /= 1.0 + norm_a
+    residual /= 1.0 + frobenius_norm(a)
     return EigenResult(values=values, vectors=vectors, backward_residual=residual).within(tol)
 
 

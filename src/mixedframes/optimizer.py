@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import frames, structure
+from . import frames, potential, structure
 from .errors import (
     DegeneratePairingError,
     DimensionMismatchError,
@@ -77,23 +77,6 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
-
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "objective": self.objective,
-            "step_size": self.step_size,
-            "max_iters": self.max_iters,
-            "grad_tol": self.grad_tol,
-            "merit_tol": self.merit_tol,
-            "divergence_bound": self.divergence_bound,
-            "seed": self.seed,
-            "restarts": self.restarts,
-        }
-
-    @classmethod
-    def from_dict(cls, obj):
-        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -184,13 +167,6 @@ def _merit_with_terms(fv, gv):
     terms = structure._merit_terms(fv, gv)
     rf, rg = terms[3:]
     return float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2)), terms
-
-
-def _fp_of_gram(x):
-    """FP = Tr(X^2) = sum(X * X^T) for X the N x N cross Gram C, whose
-    entries give sum_{m,n} <f_m, g_n> <f_n, g_m>, or the d x d mixed
-    operator TU* (the trace identity Tr(C^2) = Tr((TU*)^2))."""
-    return complex(np.sum(x * x.T))
 
 
 def _objective_part(fp, objective):
@@ -295,8 +271,8 @@ def _accepted(fv, gv, m0, o0, critical, objective):
     from TU* in O(N d^2); the kernel runs only on the accepted one."""
     if critical:
         m1, terms = _merit_with_terms(fv, gv)
-        return (m1, _fp_of_gram(terms[0]), terms) if m1 < m0 else None
-    fp1 = _fp_of_gram(fv.T @ gv.conj())
+        return (m1, potential._fp_of_gram(terms[0]), terms) if m1 < m0 else None
+    fp1 = potential._fp_of_gram(fv.T @ gv.conj())
     if _objective_part(fp1, objective) < o0:
         m1, terms = _merit_with_terms(fv, gv)
         return m1, fp1, terms
@@ -325,7 +301,7 @@ def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
         return finish(DEGENERATE_RETRACTION)
     ensure_finite(gv, "frame vectors")  # the rescaling of a tiny pairing can overflow
     m0, terms = _merit_with_terms(fv, gv)
-    fp0 = _fp_of_gram(terms[0])
+    fp0 = potential._fp_of_gram(terms[0])
     o0 = _objective_part(fp0, cfg.objective)
 
     for _ in range(cfg.max_iters):

@@ -36,10 +36,16 @@ class PotentialValue:
     method: str  # "DIRECT" or "TRACE"
 
 
+def _fp_of_gram(x):
+    """FP = Tr(X^2) = sum(X * X^T) for X the N x N cross Gram C, whose
+    entries give sum_{m,n} <f_m, g_n> <f_n, g_m>, or the d x d mixed
+    operator TU* (the trace identity Tr(C^2) = Tr((TU*)^2))."""
+    return complex(np.sum(x * x.T))
+
+
 def fp_direct(pair: FramePair):
-    """Literal double sum over the cross Gram matrix."""
-    c = frames.cross_gram(pair)
-    value = complex(np.sum(c * c.T))
+    """Literal double sum over the cross Gram matrix, summed once per pair."""
+    value = pair._derived("FP", lambda: _fp_of_gram(frames.cross_gram(pair)))
     if pair.field is Field.REAL:
         value = complex(value.real)
     return PotentialValue(value=value, method="DIRECT")

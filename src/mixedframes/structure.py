@@ -71,13 +71,6 @@ def _merit_terms(fv, gv, cg=None):
     return cg, s, c, rf, rg
 
 
-def _scaled_rank_tol(rank_tol, *blocks):
-    """rank_tol * max(1, largest row norm of the given (k, d) blocks): the
-    span-rank cut of ``linalg.orthonormal_span_basis`` at the vectors'
-    scale."""
-    return rank_tol * max(1.0, *(float(np.linalg.norm(b, axis=1).max()) for b in blocks))
-
-
 def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_TOL):
     """Fit c_m by least squares against f_m and measure both residuals,
     all indices at once through ``_merit_terms``.
@@ -122,9 +115,8 @@ class EigenClassification:
     """Index groups of a critical pair by eigenvalue cluster.
 
     ``distinct_eigenvalues[j]`` is the cluster mean; ``index_sets[j]`` the
-    member indices (0-based).  ``right_span_bases[j]`` and
-    ``left_span_bases[j]`` are orthonormal bases of span{f_m} and
-    span{g_m} over the cluster.
+    member indices (0-based).  Span bases are not built here: only the
+    group ``decompose`` reports needs them.
     """
 
     distinct_eigenvalues: list
@@ -133,8 +125,6 @@ class EigenClassification:
     per_index_eigenvalues: np.ndarray  # alpha_m + c_m
     f_eigen_residuals: np.ndarray
     g_eigen_residuals: np.ndarray
-    right_span_bases: list
-    left_span_bases: list
     cluster_radius: float
     report: CriticalPairReport = field(repr=False, default=None)
 
@@ -176,15 +166,6 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
     f_res = np.linalg.norm(pair.f.vectors @ tu.T - lam[:, None] * pair.f.vectors, axis=1)
     g_res = np.linalg.norm(pair.g.vectors @ ut.T - lam.conj()[:, None] * pair.g.vectors, axis=1)
 
-    rank_tol = _scaled_rank_tol(DEFAULT_RANK_TOL, pair.f.vectors, pair.g.vectors)
-    right = []
-    left = []
-    for idx in clusters:
-        rb, _ = linalg.orthonormal_span_basis(pair.f.vectors[idx], rank_tol)
-        lb, _ = linalg.orthonormal_span_basis(pair.g.vectors[idx], rank_tol)
-        right.append(rb)
-        left.append(lb)
-
     return EigenClassification(
         distinct_eigenvalues=means,
         index_sets=clusters,
@@ -192,8 +173,6 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
         per_index_eigenvalues=lam,
         f_eigen_residuals=f_res,
         g_eigen_residuals=g_res,
-        right_span_bases=right,
-        left_span_bases=left,
         cluster_radius=radius,
         report=report,
     )
@@ -235,12 +214,19 @@ def check_a_generalized_dual(pair: FramePair, idx, a, rank_tol=DEFAULT_RANK_TOL)
     idx = sorted(idx)
     if not idx:
         raise ValueError("index set must be nonempty")
-    fv = pair.f.vectors[idx]
-    gv = pair.g.vectors[idx]
-    rank_tol = _scaled_rank_tol(rank_tol, fv, gv)
+    return _a_dual_residual(*_span_bases(pair, idx, rank_tol), a)
+
+
+def _span_bases(pair, idx, rank_tol):
+    """(F_I, G_I, basis of span F_I, basis of span G_I) for the rows I =
+    idx, the bases by ``linalg.orthonormal_span_basis`` at the rank cut
+    rank_tol * max(1, largest row norm in F_I or G_I)."""
+    fv, gv = pair.f.vectors[idx], pair.g.vectors[idx]
+    rank_tol *= max(1.0, float(np.linalg.norm(fv, axis=1).max()),
+                    float(np.linalg.norm(gv, axis=1).max()))
     f_basis, _ = linalg.orthonormal_span_basis(fv, rank_tol)
     g_basis, _ = linalg.orthonormal_span_basis(gv, rank_tol)
-    return _a_dual_residual(fv, gv, f_basis, g_basis, a)
+    return fv, gv, f_basis, g_basis
 
 
 def _a_dual_residual(fv, gv, f_basis, g_basis, a):
@@ -305,12 +291,12 @@ def decompose(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_
     complement = sorted(set(range(pair.n)) - set(group))
     lam_group = cls.distinct_eigenvalues[j_min]
 
-    f_basis, g_basis = cls.right_span_bases[j_min], cls.left_span_bases[j_min]
+    fv, gv, f_basis, g_basis = _span_bases(pair, group, DEFAULT_RANK_TOL)
     dim_span = f_basis.shape[0]
     a = complex(np.sum(spec.alpha[group])) / dim_span
 
     bio_res = check_generalized_biorthogonal(pair, spec, complement)
-    dual_res = _a_dual_residual(pair.f.vectors[group], pair.g.vectors[group], f_basis, g_basis, a)
+    dual_res = _a_dual_residual(fv, gv, f_basis, g_basis, a)
 
     gram = frames.cross_gram(pair)
     if complement:

@@ -38,12 +38,35 @@ def test_eig_sorted_and_accurate():
         assert np.trace(a) == pytest.approx(np.sum(res.values))
 
 
+def _real_test_matrices(rng):
+    """Real matrices of orders up to 40: random, repeated complex pairs
+    (2x2 rotation blocks under an orthogonal similarity), skew-symmetric
+    (purely imaginary spectra) and integer-valued."""
+    for _ in range(25):
+        n = int(rng.integers(2, 9))
+        yield rng.standard_normal((n, n))
+    for n in range(2, 41):
+        yield rng.standard_normal((n, n))
+        k = n // 2
+        theta = rng.uniform(0.1, 3.0, size=max(k // 2, 1))
+        blocks = np.zeros((n, n))
+        for i in range(k):  # each angle twice: repeated conjugate pairs
+            t = theta[i % len(theta)]
+            c, s = np.cos(t), np.sin(t)
+            blocks[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[c, -s], [s, c]]
+        if n % 2:
+            blocks[-1, -1] = 1.0
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        yield q @ blocks @ q.T
+        b = rng.standard_normal((n, n))
+        yield b - b.T
+        yield rng.integers(-3, 4, size=(n, n)).astype(float)
+
+
 def test_eig_real_matrix_conjugate_pairs():
     """Spectra of real matrices must come out in exact conjugate pairs."""
     rng = np.random.default_rng(11)
-    for trial in range(25):
-        n = int(rng.integers(2, 9))
-        a = rng.standard_normal((n, n))
+    for a in _real_test_matrices(rng):
         values = linalg.eig_general(a).values
         remaining = list(values)
         while remaining:

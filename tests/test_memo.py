@@ -1,10 +1,10 @@
 """Quantities derived from a pair are computed once and kept on the pair.
 
-The cross Gram, TU*, the spectrum of TU* and the critical-pair kernel
-are stored on first request.  These tests pin what that must not change:
-every check still runs at its caller's tolerance, stored arrays cannot be
-written, results do not depend on call order, and the pipeline solves
-each quantity exactly once.
+The cross Gram, TU*, the spectrum of TU*, the direct FP sum and the
+critical-pair kernel are stored on first request.  These tests pin what
+that must not change: every check still runs at its caller's tolerance,
+stored arrays cannot be written, results do not depend on call order,
+and the pipeline solves each quantity exactly once.
 """
 
 import dataclasses
@@ -132,12 +132,15 @@ def counts(monkeypatch):
     return seen
 
 
+def critical_case(case):
+    if case == "FX-MIX":
+        return fixtures.fixture(case)
+    return two_block_pair(Field.REAL if case.endswith("R") else Field.COMPLEX)
+
+
 @pytest.mark.parametrize("case", ["FX-MIX", "two-block-R", "two-block-C"])
 def test_pipeline_solves_each_quantity_once(case, counts):
-    if case == "FX-MIX":
-        pair, spec = fixtures.fixture(case)
-    else:
-        pair, spec = two_block_pair(Field.REAL if case.endswith("R") else Field.COMPLEX)
+    pair, spec = critical_case(case)
     potential.fp_direct(pair)
     potential.fp_trace(pair)
     potential.bound_report(pair, spec)
@@ -145,10 +148,17 @@ def test_pipeline_solves_each_quantity_once(case, counts):
     assert structure.critical_report(pair, spec).is_critical
     dec = structure.decompose(pair, spec)
     structure.corollary_check(pair, spec)
-    clusters = len(dec.classification.index_sets)
-    assert clusters == 2
-    assert counts == {"eig_general": 1, "_merit_terms": 1,
-                      "orthonormal_span_basis": 2 * clusters}
+    assert len(dec.classification.index_sets) == 2
+    # span bases only for group I: one of span{f_m}_I, one of span{g_m}_I
+    assert counts == {"eig_general": 1, "_merit_terms": 1, "orthonormal_span_basis": 2}
+
+
+@pytest.mark.parametrize("case", ["FX-MIX", "two-block-R", "two-block-C"])
+def test_decompose_dual_residual_is_check_a_generalized_dual(case):
+    """decompose and check_a_generalized_dual share one rank cut."""
+    pair, spec = critical_case(case)
+    dec = structure.decompose(pair, spec)
+    assert structure.check_a_generalized_dual(pair, dec.group, dec.a) == dec.dual_frame_residual
 
 
 def test_cli_check_solves_spectrum_once(counts, tmp_path, capsys):

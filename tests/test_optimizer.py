@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,7 +201,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         optimizer.OptimizerConfig(restarts=-1)
     cfg = optimizer.OptimizerConfig(seed=5, restarts=2)
-    assert optimizer.OptimizerConfig.from_dict(cfg.to_dict()) == cfg
+    assert optimizer.OptimizerConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 def test_critical_search_converges():

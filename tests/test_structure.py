@@ -92,7 +92,7 @@ def test_classify_mix():
     assert cls.index_sets == [[0], [1, 2, 3]]
     assert list(cls.assigned) == [0, 1, 1, 1]
     # span of the Mercedes-Benz group fills a 2-plane
-    assert cls.right_span_bases[1].shape == (2, 3)
+    assert structure.decompose(pair, spec).dim_span == 2
 
 
 def test_classify_rejects_non_critical():
