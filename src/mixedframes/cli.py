@@ -26,13 +26,10 @@ import numpy as np
 
 from . import fixtures, frames, linalg, optimizer, potential, structure
 from .errors import (
-    ConstraintViolationError,
     DegeneratePairingError,
     MixedFramesError,
     NotCriticalError,
     NumericalFailureError,
-    ZeroAlphaError,
-    ZeroVectorError,
 )
 
 EXIT_OK = 0
@@ -130,7 +127,7 @@ def _classification_json(cls: structure.EigenClassification):
     return {
         "distinct_eigenvalues": [_c(z) for z in cls.distinct_eigenvalues],
         "index_sets": [_ones_based(idx) for idx in cls.index_sets],
-        "assigned": [int(j) + 1 for j in cls.assigned],
+        "assigned": _ones_based(cls.assigned),
         "per_index_eigenvalues": [_c(z) for z in cls.per_index_eigenvalues],
         "f_eigen_residuals": [float(x) for x in cls.f_eigen_residuals],
         "g_eigen_residuals": [float(x) for x in cls.g_eigen_residuals],
@@ -452,7 +449,7 @@ def main(argv=None):
     except (NumericalFailureError, DegeneratePairingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConstraintViolationError, ZeroAlphaError, ZeroVectorError, MixedFramesError) as exc:
+    except MixedFramesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ValueError, KeyError) as exc:

@@ -51,10 +51,6 @@ def trace(a):
     return complex(np.trace(a))
 
 
-def frobenius_norm(a):
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 @dataclass(frozen=True)
 class EigenResult:
     """Spectrum of a general (non-Hermitian) matrix.
@@ -111,53 +107,28 @@ def eig_general(a, tol=1e-9):
 
     # column k of A V - V diag(values) is A v_k - lambda_k v_k
     residual = float(np.linalg.norm(a @ vectors - vectors * values, axis=0).max())
-    residual /= 1.0 + frobenius_norm(a)
+    residual /= 1.0 + float(np.linalg.norm(a))
     return EigenResult(values=values, vectors=vectors, backward_residual=residual).within(tol)
 
 
-def orthonormal_span_basis(vectors, rank_tol=1e-12):
-    """Orthonormal basis of span(vectors) by pivoted modified Gram-Schmidt.
+def orthonormal_span_basis(rows, rank_tol=1e-12):
+    """Orthonormal basis of the span of the rows of a 2-D array, from one SVD.
 
-    ``vectors`` is an iterable of vectors or a 2-D array with one vector
-    per row.  A vector whose residual after projection onto the selected
-    basis is <= rank_tol * max(1, ||v||) counts as dependent.  Returns
-    ``(basis, rank)`` where ``basis`` has shape (rank, dim).
-
-    The residuals of all vectors are the rows of one matrix: each step
-    pivots on the first row of largest norm among those not yet chosen
-    and removes the new direction from every row by one rank-1 update
-    (Golub & Van Loan, Matrix Computations, section 5.2).
+    The numerical rank counts the singular values above
+    rank_tol * max(1, largest row norm), and the basis is the matching
+    leading right singular vectors (Golub & Van Loan, Matrix Computations,
+    4th ed., sections 2.4 and 5.4.1).  Real rows are decomposed in real
+    arithmetic.  Returns ``(basis, rank)`` where ``basis`` has shape
+    (rank, dim).  A failed SVD raises NumericalFailureError.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        rows = vectors.astype(np.complex128)
-    else:
-        vecs = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
-        if len({v.size for v in vecs}) > 1:
-            raise DimensionMismatchError("all vectors must share one dimension")
-        rows = np.array(vecs, dtype=np.complex128)
-    if rows.shape[0] == 0:
-        return np.zeros((0, 0), dtype=np.complex128), 0
-    ensure_finite(rows, "span vector")
-
-    n, dim = rows.shape
-    flat = rows.view(np.float64)  # squared row norms in one pass each step
-    thresholds = rank_tol * np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", flat, flat)))
-    live = np.ones(n, dtype=bool)
-    basis = np.zeros((min(n, dim), dim), dtype=np.complex128)
-    rank = 0
-    while rank < basis.shape[0]:
-        norms2 = np.where(live, np.einsum("ij,ij->i", flat, flat), -1.0)
-        pick = int(np.argmax(norms2))  # the first maximum
-        if np.sqrt(norms2[pick]) <= thresholds[pick]:
-            break
-        # second projection pass guards against loss of orthogonality
-        q = rows[pick] - (basis[:rank].conj() @ rows[pick]) @ basis[:rank]
-        q /= np.linalg.norm(q)
-        basis[rank] = q
-        live[pick] = False
-        rows -= (rows @ q.conj())[:, None] * q
-        rank += 1
-    return basis[:rank].copy(), rank
+    rows = ensure_finite(np.asarray(rows, dtype=np.complex128), "span vector")
+    try:
+        _, sigma, vh = np.linalg.svd(rows if np.any(rows.imag) else rows.real, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"span basis SVD failed: {exc}", residual=np.inf) from exc
+    cut = rank_tol * max(1.0, np.linalg.norm(rows, axis=1).max(initial=0.0))
+    rank = int(np.count_nonzero(sigma > cut))
+    return vh[:rank].astype(np.complex128), rank
 
 
 def lstsq_scalar(target, direction):

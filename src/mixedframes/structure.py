@@ -45,26 +45,19 @@ class CriticalPairReport:
         return float(max(self.f_residuals.max(), self.g_residuals.max()))
 
 
-def _partial_sums(fv, gv, c=None):
-    """The cross Gram C of (N, d) arrays F, G (unless given) and, per
-    index m, (sum_{n!=m} <f_m,g_n> f_n, sum_{n!=m} <g_m,f_n> g_n)."""
-    if c is None:
-        c = fv @ gv.conj().T
-    diag = np.diag(c)
-    # row m of (C @ F) is sum_n <f_m,g_n> f_n; remove the n = m term
-    s = c @ fv - diag[:, None] * fv
-    # <g_m, f_n> = conj(C[n, m])
-    t = c.conj().T @ gv - diag.conj()[:, None] * gv
-    return c, s, t
-
-
 def _merit_terms(fv, gv, cg=None):
     """(C, s, c, r_f, r_g) of the critical-pair equations on raw (N, d)
     arrays with nonzero rows: cross Gram (unless given), partial sums s,
     least-squares multipliers c and the residuals r_f = s - c f,
     r_g = t - conj(c) g.  The one residual kernel behind
     ``critical_report`` and the optimizer's merit."""
-    cg, s, t = _partial_sums(fv, gv, cg)
+    if cg is None:
+        cg = fv @ gv.conj().T
+    diag = np.diag(cg)
+    # row m of (C @ F) is sum_n <f_m,g_n> f_n; remove the n = m term
+    s = cg @ fv - diag[:, None] * fv
+    # <g_m, f_n> = conj(C[n, m])
+    t = cg.conj().T @ gv - diag.conj()[:, None] * gv
     c = np.sum(s * fv.conj(), axis=1) / np.sum(np.abs(fv) ** 2, axis=1)
     rf = s - c[:, None] * fv
     rg = t - c.conj()[:, None] * gv
@@ -98,7 +91,7 @@ def _critical_report(pair, spec, tol, terms=None):
     f_res = np.linalg.norm(rf, axis=1)
     g_res = np.linalg.norm(rg, axis=1)
 
-    mixed_norm = linalg.frobenius_norm(frames.mixed_operator(pair))
+    mixed_norm = float(np.linalg.norm(frames.mixed_operator(pair)))
     is_critical = max(f_res.max(), g_res.max()) <= tol * (1.0 + mixed_norm)
     return CriticalPairReport(
         c=c,
@@ -219,11 +212,9 @@ def check_a_generalized_dual(pair: FramePair, idx, a, rank_tol=DEFAULT_RANK_TOL)
 
 def _span_bases(pair, idx, rank_tol):
     """(F_I, G_I, basis of span F_I, basis of span G_I) for the rows I =
-    idx, the bases by ``linalg.orthonormal_span_basis`` at the rank cut
-    rank_tol * max(1, largest row norm in F_I or G_I)."""
+    idx, each basis from ``linalg.orthonormal_span_basis`` at rank_tol,
+    which scales the cut by max(1, largest row norm) of its own rows."""
     fv, gv = pair.f.vectors[idx], pair.g.vectors[idx]
-    rank_tol *= max(1.0, float(np.linalg.norm(fv, axis=1).max()),
-                    float(np.linalg.norm(gv, axis=1).max()))
     f_basis, _ = linalg.orthonormal_span_basis(fv, rank_tol)
     g_basis, _ = linalg.orthonormal_span_basis(gv, rank_tol)
     return fv, gv, f_basis, g_basis

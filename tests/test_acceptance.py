@@ -82,7 +82,7 @@ def test_criterion_03_trace_identity():
         pair, spec = retracted_random(field, d, n, 30_000 + trial, alpha)
         op = frames.mixed_operator(pair)
         gap = abs(linalg.trace(op) - np.sum(spec.alpha))
-        ok &= gap <= 1e-12 * (1 + linalg.frobenius_norm(op))
+        ok &= gap <= 1e-12 * (1 + float(np.linalg.norm(op)))
     verdict(3, ok)
 
 

@@ -114,21 +114,28 @@ def test_orthonormal_span_basis_rank():
 
 
 def test_orthonormal_span_basis_edge_cases():
-    basis, rank = linalg.orthonormal_span_basis([])
-    assert rank == 0 and basis.shape == (0, 0)
+    basis, rank = linalg.orthonormal_span_basis(np.zeros((0, 3)))
+    assert rank == 0 and basis.shape == (0, 3)
     basis, rank = linalg.orthonormal_span_basis([np.zeros(3)])
     assert rank == 0 and basis.shape == (0, 3)
 
 
 def test_orthonormal_span_basis_threshold():
-    """The rank cut is rank_tol * max(1, ||v||): a residual of twice the
-    cut is a new direction, half of it is not, at every scale."""
+    """The rank cut is rank_tol * max(1, largest row norm): a direction of
+    twice the cut is new, one of half of it is not, at every scale."""
     e1, e2 = np.eye(2)
     for scale in (1e-6, 1.0, 1e6):
         cut = 1e-12 * max(1.0, scale)
         for factor, rank in ((2.0, 2), (0.5, 1)):
             vectors = [scale * e1, scale * e1 + factor * cut * e2]
             assert linalg.orthonormal_span_basis(vectors, rank_tol=1e-12)[1] == rank
+    # beside a row of norm 1e6 the cut is 1e-12 * 1e6 for a far shorter
+    # orthogonal row too, not its own 1e-12, in either row order
+    cut = 1e-12 * 1e6
+    for factor, rank in ((2.0, 2), (0.5, 1)):
+        rows = np.array([1e6 * e1, factor * cut * e2])
+        for order in (rows, rows[::-1]):
+            assert linalg.orthonormal_span_basis(order, rank_tol=1e-12)[1] == rank
 
 
 def test_lstsq_scalar():

@@ -155,10 +155,17 @@ def test_pipeline_solves_each_quantity_once(case, counts):
 
 @pytest.mark.parametrize("case", ["FX-MIX", "two-block-R", "two-block-C"])
 def test_decompose_dual_residual_is_check_a_generalized_dual(case):
-    """decompose and check_a_generalized_dual share one rank cut."""
+    """decompose and check_a_generalized_dual share one rank cut.  It is
+    scaled once, by the rows each span basis is built from, so F -> sF,
+    G -> tG, alpha -> st·alpha keeps group I and dim span."""
     pair, spec = critical_case(case)
-    dec = structure.decompose(pair, spec)
-    assert structure.check_a_generalized_dual(pair, dec.group, dec.a) == dec.dual_frame_residual
+    ref = structure.decompose(pair, spec)
+    for s, t in ((1.0, 1.0), (1e-4, 1.0), (1.0, 1e4), (1e4, 1e-4)):
+        scaled = FramePair(FrameSequence(pair.field, s * pair.f.vectors),
+                           FrameSequence(pair.field, t * pair.g.vectors))
+        dec = structure.decompose(scaled, ConstraintSpec(s * t * spec.alpha))
+        assert (dec.group, dec.dim_span) == (ref.group, ref.dim_span)
+        assert structure.check_a_generalized_dual(scaled, dec.group, dec.a) == dec.dual_frame_residual
 
 
 def test_cli_check_solves_spectrum_once(counts, tmp_path, capsys):

@@ -84,7 +84,7 @@ def test_trace_identity():
         pair, spec = retracted_random(field, d, n, 900 + trial, alpha)
         op = frames.mixed_operator(pair)
         gap = abs(linalg.trace(op) - np.sum(spec.alpha))
-        assert gap <= 1e-12 * (1 + linalg.frobenius_norm(op))
+        assert gap <= 1e-12 * (1 + float(np.linalg.norm(op)))
 
 
 def test_classify_eigenvalue():
