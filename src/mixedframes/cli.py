@@ -37,6 +37,14 @@ EXIT_FAILED_CHECK = 1
 EXIT_BAD_INPUT = 2
 EXIT_NUMERICAL = 3
 
+# Report status -> exit code, the one place a verdict becomes a code.
+_STATUS_EXIT = {
+    **dict.fromkeys(["ok", "critical", optimizer.CONVERGED], EXIT_OK),
+    **dict.fromkeys(["discrepancy", "not_critical", "residuals_exceed_tol", "failed",
+                     optimizer.MAX_ITERS, optimizer.DIVERGED], EXIT_FAILED_CHECK),
+    optimizer.DEGENERATE_RETRACTION: EXIT_NUMERICAL,
+}
+
 
 def _c(z):
     """Scalar encoding used in reports."""
@@ -82,20 +90,23 @@ def _resolve_spec(embedded, override):
     raise MixedFramesError("no alpha available: pass --alpha or embed it in the document")
 
 
-def _emit(report, summary):
+def _positive_float(text):
+    """argparse type of every tolerance and bound: a number above 0, not NaN."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _emit(command, digest, tolerances, outputs, status, summary):
+    """Write the report to stdout and the summary to stderr; return the
+    status's exit code."""
+    report = {"command": command, "inputs_digest": digest, "tolerances": tolerances,
+              "outputs": outputs, "status": status}
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     print(summary, file=sys.stderr)
-
-
-def _report(command, digest, tolerances, outputs, status):
-    return {
-        "command": command,
-        "inputs_digest": digest,
-        "tolerances": tolerances,
-        "outputs": outputs,
-        "status": status,
-    }
+    return _STATUS_EXIT[status]
 
 
 def _critical_json(rep: structure.CriticalPairReport):
@@ -227,12 +238,10 @@ def cmd_potential(args):
         "discrepancy": discrepancy,
         "bf_potential": potential.bf_potential(pair.f) if same else None,
     }
-    ok = discrepancy <= args.tol
-    _emit(
-        _report("potential", digest, {"tol": args.tol}, outputs, "ok" if ok else "discrepancy"),
-        f"fp_direct = {direct.value}, fp_trace = {traced.value}, discrepancy = {discrepancy:.3e}",
-    )
-    return EXIT_OK if ok else EXIT_FAILED_CHECK
+    return _emit("potential", digest, {"tol": args.tol}, outputs,
+                 "ok" if discrepancy <= args.tol else "discrepancy",
+                 f"fp_direct = {direct.value}, fp_trace = {traced.value}, "
+                 f"discrepancy = {discrepancy:.3e}")
 
 
 def cmd_check(args):
@@ -246,13 +255,9 @@ def cmd_check(args):
         "bound": _bound_json(bound),
         "scaled_identity": {"is_scaled_identity": is_scaled, "A": _c(a), "residual": residual},
     }
-    tols = {"tol": args.tol}
-    status = "critical" if crit.is_critical else "not_critical"
-    _emit(
-        _report("check", digest, tols, outputs, status),
-        f"is_critical = {crit.is_critical}, max residual = {crit.max_residual:.3e}",
-    )
-    return EXIT_OK if crit.is_critical else EXIT_FAILED_CHECK
+    return _emit("check", digest, {"tol": args.tol}, outputs,
+                 "critical" if crit.is_critical else "not_critical",
+                 f"is_critical = {crit.is_critical}, max residual = {crit.max_residual:.3e}")
 
 
 def cmd_decompose(args):
@@ -270,13 +275,9 @@ def cmd_decompose(args):
         dec.a_eigenvalue_gap,
         *[g.biorthogonality_residual for g in dec.normalized_groups],
     )
-    ok = worst <= args.tol
-    tols = {"tol": args.tol, "cluster_tol": args.cluster_tol}
-    _emit(
-        _report("decompose", digest, tols, outputs, "ok" if ok else "residuals_exceed_tol"),
-        f"I = {_ones_based(dec.group)}, A = {dec.a}, worst residual = {worst:.3e}",
-    )
-    return EXIT_OK if ok else EXIT_FAILED_CHECK
+    return _emit("decompose", digest, {"tol": args.tol, "cluster_tol": args.cluster_tol},
+                 outputs, "ok" if worst <= args.tol else "residuals_exceed_tol",
+                 f"I = {_ones_based(dec.group)}, A = {dec.a}, worst residual = {worst:.3e}")
 
 
 def cmd_corollary(args):
@@ -285,36 +286,28 @@ def cmd_corollary(args):
             raise MixedFramesError("--alpha-only mode requires --d and --N")
         # alpha-only mode does the sum arithmetic only; N is taken at its
         # word and not cross-checked against the list length
-        alpha = _parse_alpha(args.alpha_only)
-        total = complex(np.sum(alpha))
-        sum_eq = abs(total - args.d) <= args.tol * (1 + args.d)
+        total, sum_eq, re_ge_d = structure._alpha_sum_conditions(
+            _parse_alpha(args.alpha_only), args.d, args.tol)
         outputs = {
             "alpha_sum": _c(total),
             "alpha_sum_equals_d": sum_eq,
-            "re_alpha_sum_ge_d": total.real >= args.d - args.tol,
+            "re_alpha_sum_ge_d": re_ge_d,
             "n_exceeds_d": args.n > args.d,
             "dual_pair_exists": sum_eq if args.n > args.d else None,
         }
         digest = _digest_obj({"alpha_only": args.alpha_only, "d": args.d, "N": args.n})
-        ok = bool(args.n > args.d and sum_eq)
-        _emit(
-            _report("corollary", digest, {"tol": args.tol}, outputs, "ok" if ok else "failed"),
-            f"sum alpha = {total}, equals d: {sum_eq}",
-        )
-        return EXIT_OK if ok else EXIT_FAILED_CHECK
+        return _emit("corollary", digest, {"tol": args.tol}, outputs,
+                     "ok" if args.n > args.d and sum_eq else "failed",
+                     f"sum alpha = {total}, equals d: {sum_eq}")
 
     if args.input is None:
         raise MixedFramesError("corollary needs an input document or --alpha-only")
     pair, embedded, digest = _load_pair(args.input)
     spec = _resolve_spec(embedded, args.alpha)
     rep = structure.corollary_check(pair, spec, tol=args.tol)
-    ok = rep.verdict == structure.CONDITIONS_MET
-    _emit(
-        _report("corollary", digest, {"tol": args.tol}, _corollary_json(rep),
-                "ok" if ok else "failed"),
-        f"verdict = {rep.verdict}, dual = {rep.is_dual_pair}",
-    )
-    return EXIT_OK if ok else EXIT_FAILED_CHECK
+    return _emit("corollary", digest, {"tol": args.tol}, _corollary_json(rep),
+                 "ok" if rep.verdict == structure.CONDITIONS_MET else "failed",
+                 f"verdict = {rep.verdict}, dual = {rep.is_dual_pair}")
 
 
 def cmd_optimize(args):
@@ -326,10 +319,7 @@ def cmd_optimize(args):
     cfg = optimizer.OptimizerConfig(
         mode=mode,
         objective=objective,
-        step_size=args.step,
         max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        merit_tol=args.merit_tol,
         divergence_bound=args.divergence_bound,
         seed=args.seed,
         restarts=args.restarts,
@@ -344,18 +334,11 @@ def cmd_optimize(args):
         with open(args.output, "w") as fh:
             fh.write(frames.document_to_json(outputs["final_pair"]))
 
-    tols = {"grad_tol": cfg.grad_tol, "merit_tol": cfg.merit_tol,
-            "divergence_bound": cfg.divergence_bound, "step": cfg.step_size}
-    _emit(
-        _report("optimize", digest, tols, outputs, result.status),
-        f"status = {result.status}, merit = {outputs['search']['final_merit']}, "
-        f"dual deviation = {result.dual_deviation:.3e}",
-    )
-    if result.status == optimizer.CONVERGED:
-        return EXIT_OK
-    if result.status == optimizer.DEGENERATE_RETRACTION:
-        return EXIT_NUMERICAL
-    return EXIT_FAILED_CHECK
+    tols = {"grad_tol": optimizer.GRAD_TOL, "merit_tol": optimizer.MERIT_TOL,
+            "divergence_bound": cfg.divergence_bound, "step": optimizer.STEP_SIZE}
+    return _emit("optimize", digest, tols, outputs, result.status,
+                 f"status = {result.status}, merit = {outputs['search']['final_merit']}, "
+                 f"dual deviation = {result.dual_deviation:.3e}")
 
 
 def build_parser():
@@ -380,18 +363,18 @@ def build_parser():
 
     p = sub.add_parser("potential", help="evaluate both potential forms")
     p.add_argument("input")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=linalg.DEFAULT_EIG_TOL)
 
     p = sub.add_parser("check", help="critical-pair, bound, and scaled-identity checks")
     p.add_argument("input")
     p.add_argument("--alpha")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=structure.DEFAULT_CRITICAL_TOL)
 
     p = sub.add_parser("decompose", help="eigenvalue classification and decomposition")
     p.add_argument("input")
     p.add_argument("--alpha")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--cluster-tol", type=float, default=linalg.DEFAULT_CLUSTER_TOL)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
+    p.add_argument("--cluster-tol", type=_positive_float, default=linalg.DEFAULT_CLUSTER_TOL)
 
     p = sub.add_parser("corollary", help="dual-pair existence conditions")
     p.add_argument("input", nargs="?")
@@ -399,21 +382,19 @@ def build_parser():
     p.add_argument("--alpha-only", help="check only the sum-alpha arithmetic")
     p.add_argument("--d", type=int)
     p.add_argument("--N", dest="n", type=int)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
 
     p = sub.add_parser("optimize", help="search S(alpha) for critical/dual pairs")
     p.add_argument("--alpha", required=True)
     p.add_argument("--field", required=True, choices=["R", "C"])
     p.add_argument("--d", type=int, required=True)
+    defaults = optimizer.OptimizerConfig()
     p.add_argument("--mode", choices=["critical", "potential"], default="critical")
     p.add_argument("--objective", choices=["real", "imag"], default="real")
-    p.add_argument("--step", type=float, default=0.25)
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--grad-tol", type=float, default=1e-8)
-    p.add_argument("--merit-tol", type=float, default=1e-16)
-    p.add_argument("--divergence-bound", type=float, default=1e9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=0)
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    p.add_argument("--divergence-bound", type=_positive_float, default=defaults.divergence_bound)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
     p.add_argument("--output", help="also write the final pair document here")
 
     return parser

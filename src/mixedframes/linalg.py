@@ -27,6 +27,9 @@ from .errors import (
 #: tol * (1 + spectral radius) of each other fall into one cluster.
 DEFAULT_CLUSTER_TOL = 1e-6
 
+#: Bound on an eigendecomposition's relative backward residual.
+DEFAULT_EIG_TOL = 1e-9
+
 
 def ensure_finite(a, what="array"):
     a = np.asarray(a)
@@ -42,13 +45,6 @@ def as_matrix(a, what="matrix"):
         raise DimensionMismatchError(f"{what} must be 2-D with positive shape, got {m.shape}")
     ensure_finite(m, what)
     return m
-
-
-def trace(a):
-    a = as_matrix(a, "matrix")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"trace needs a square matrix, got {a.shape}")
-    return complex(np.trace(a))
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ class EigenResult:
         return self
 
 
-def eig_general(a, tol=1e-9):
+def eig_general(a, tol=DEFAULT_EIG_TOL):
     """Full eigendecomposition of a general square matrix.
 
     A real input matrix is solved in real arithmetic (LAPACK ``geev``),

@@ -47,6 +47,9 @@ MAX_ITERS = "MAX_ITERS"
 DIVERGED = "DIVERGED"
 DEGENERATE_RETRACTION = "DEGENERATE_RETRACTION"
 
+STEP_SIZE = 0.25  # first trial step of every backtracking search
+GRAD_TOL = 1e-8  # POTENTIAL_DESCENT converges at or below this tangent gradient norm
+MERIT_TOL = 1e-16  # CRITICAL_SEARCH converges at or below this merit
 _BACKTRACK_LIMIT = 30
 _RERANDOMIZE_BUDGET = 3
 
@@ -55,10 +58,7 @@ _RERANDOMIZE_BUDGET = 3
 class OptimizerConfig:
     mode: str = CRITICAL_SEARCH
     objective: str = REAL_PART  # POTENTIAL_DESCENT only
-    step_size: float = 0.25
     max_iters: int = 5000
-    grad_tol: float = 1e-8
-    merit_tol: float = 1e-16
     divergence_bound: float = 1e9
     seed: int = 0
     restarts: int = 0
@@ -68,13 +68,10 @@ class OptimizerConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.objective not in (REAL_PART, IMAG_PART):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if not (0 < self.step_size <= 1):
-            raise ValueError("step_size must lie in (0, 1]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        for name in ("grad_tol", "merit_tol", "divergence_bound"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.divergence_bound > 0:  # also rejects NaN
+            raise ValueError("divergence_bound must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
 
@@ -311,7 +308,7 @@ def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
         if abs(fp0) > cfg.divergence_bound:
             return finish(DIVERGED)
         if critical:
-            if m0 <= cfg.merit_tol:
+            if m0 <= MERIT_TOL:
                 return finish(CONVERGED)
             try:
                 _, gf, gg = _merit_and_gradient(fv, gv, spec.alpha, is_real)
@@ -320,10 +317,10 @@ def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
         else:
             gf, gg = _fp_gradient(fv, gv, cfg.objective, is_real)
             gf, gg = _project_to_tangent(fv, gv, gf, gg, is_real)
-            if np.sqrt(np.vdot(gf, gf).real + np.vdot(gg, gg).real) <= cfg.grad_tol:
+            if np.sqrt(np.vdot(gf, gf).real + np.vdot(gg, gg).real) <= GRAD_TOL:
                 return finish(CONVERGED)
 
-        step = cfg.step_size
+        step = STEP_SIZE
         for _ in range(_BACKTRACK_LIMIT):
             f1 = fv - step * gf
             g1 = gv - step * gg
@@ -342,12 +339,12 @@ def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
             step *= 0.5
         else:
             # no step lowers the merit or objective: a round-off floor (the
-            # merit of CRITICAL_SEARCH is above merit_tol here)
+            # merit of CRITICAL_SEARCH is above MERIT_TOL here)
             return finish(MAX_ITERS)
 
     obj_hist.append(o0)
     merit_hist.append(m0)
-    return finish(CONVERGED if critical and m0 <= cfg.merit_tol else MAX_ITERS)
+    return finish(CONVERGED if critical and m0 <= MERIT_TOL else MAX_ITERS)
 
 
 _STATUS_RANK = {CONVERGED: 0, MAX_ITERS: 1, DIVERGED: 2, DEGENERATE_RETRACTION: 3}

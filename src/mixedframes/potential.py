@@ -51,17 +51,16 @@ def fp_direct(pair: FramePair):
     return PotentialValue(value=value, method="DIRECT")
 
 
-def _spectrum(pair: FramePair, tol=1e-9):
+def _spectrum(pair: FramePair, tol=linalg.DEFAULT_EIG_TOL):
     """The eigendecomposition of TU*, solved once per pair, checked at
     each caller's own ``tol`` as ``linalg.eig_general`` would check it."""
     eig = pair._derived("eig", lambda: linalg.eig_general(frames.mixed_operator(pair), np.inf))
     return eig.within(tol)
 
 
-def fp_trace(pair: FramePair, tol=1e-9):
+def fp_trace(pair: FramePair, tol=linalg.DEFAULT_EIG_TOL):
     """Tr((TU*)^2), cross-checked against the squared eigenvalue sum."""
-    op = frames.mixed_operator(pair)
-    value = linalg.trace(op @ op)
+    value = _fp_of_gram(frames.mixed_operator(pair))
     eig = _spectrum(pair, tol)
     by_spectrum = complex(np.sum(eig.values**2))
     gap = abs(value - by_spectrum)
@@ -83,24 +82,30 @@ def bf_potential(seq: FrameSequence):
     return float(np.sum(np.abs(gram) ** 2))
 
 
+def _real_and_imaginary(values, tol):
+    """(is_real, is_imaginary) per value: its imaginary, resp. real, part
+    is at most tol * (1 + |value|).  A value near 0 is both."""
+    values = np.asarray(values, dtype=np.complex128)
+    guard = tol * (1.0 + np.abs(values))
+    return np.abs(values.imag) <= guard, np.abs(values.real) <= guard
+
+
 def classify_eigenvalue(lam, class_tol=DEFAULT_CLASS_TOL):
     """'real', 'imaginary', or 'mixed' with absolute-plus-relative guards.
 
     Values near 0 satisfy both tests; classification prefers 'real'.
     """
-    guard = class_tol * (1.0 + abs(lam))
-    if abs(lam.imag) <= guard:
-        return "real"
-    if abs(lam.real) <= guard:
-        return "imaginary"
-    return "mixed"
+    is_real, is_imag = _real_and_imaginary(lam, class_tol)
+    return "real" if is_real else "imaginary" if is_imag else "mixed"
 
 
 def classify_spectrum(values, class_tol=DEFAULT_CLASS_TOL):
-    kinds = [classify_eigenvalue(complex(v), class_tol) for v in values]
-    if all(k == "real" for k in kinds):
+    """ALL_REAL, ALL_IMAGINARY or MIXED, each value classified as by
+    ``classify_eigenvalue``."""
+    is_real, is_imag = _real_and_imaginary(values, class_tol)
+    if is_real.all():
         return ALL_REAL
-    if all(k == "imaginary" for k in kinds):
+    if (is_imag & ~is_real).all():
         return ALL_IMAGINARY
     return MIXED
 
@@ -184,7 +189,7 @@ def scaled_identity_check(pair: FramePair, spec: ConstraintSpec, tol=1e-9):
     """
     frames.require_membership(pair, spec)
     op = frames.mixed_operator(pair)
-    a = linalg.trace(op) / pair.d
+    a = complex(np.trace(op)) / pair.d
     residual = float(np.linalg.norm(op - a * np.eye(pair.d)))
     is_scaled = residual <= tol * np.sqrt(pair.d)
     if is_scaled:

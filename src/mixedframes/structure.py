@@ -196,9 +196,11 @@ def check_generalized_biorthogonal(pair: FramePair, spec: ConstraintSpec, idx):
 def check_a_generalized_dual(pair: FramePair, idx, a, rank_tol=DEFAULT_RANK_TOL):
     """Residual of the A-generalized dual frame conditions on idx.
 
-    Tested on orthonormal bases b of span{f_m} and span{g_m} over idx:
-    max over b of ||sum_m <b, g_m> f_m - A b|| and
-    ||sum_m <b, f_m> g_m - conj(A) b||.
+    The larger of the Frobenius norms of the matrices whose rows are
+    sum_m <b, g_m> f_m - A b over an orthonormal basis b of span{f_m}, and
+    sum_m <b, f_m> g_m - conj(A) b over one of span{g_m} (m in idx).  The
+    Frobenius norm is the same for every orthonormal basis of a span, so
+    the residual depends on the spans only.
 
     ``rank_tol`` sets the span-rank cut; when verifying a numerically
     converged pair at tolerance t, pass rank_tol = t so that residual
@@ -221,13 +223,13 @@ def _span_bases(pair, idx, rank_tol):
 
 
 def _a_dual_residual(fv, gv, f_basis, g_basis, a):
-    """The A-generalized dual residual of the rows fv, gv, tested on
-    orthonormal bases of their spans (one basis vector per row)."""
+    """The A-generalized dual residual of the rows fv, gv on orthonormal
+    bases of their spans (one basis vector per row): the Frobenius norm
+    of each image matrix, which no change of basis alters."""
     # row j of (B G^H) F is sum_m <b_j, g_m> f_m for the basis row b_j
     f_images = (f_basis @ gv.conj().T) @ fv - a * f_basis
     g_images = (g_basis @ fv.conj().T) @ gv - np.conj(a) * g_basis
-    return float(max(np.linalg.norm(f_images, axis=1).max(initial=0.0),
-                     np.linalg.norm(g_images, axis=1).max(initial=0.0)))
+    return float(max(np.linalg.norm(f_images), np.linalg.norm(g_images)))
 
 
 def principal_sqrt(z):
@@ -284,6 +286,11 @@ def decompose(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_
 
     fv, gv, f_basis, g_basis = _span_bases(pair, group, DEFAULT_RANK_TOL)
     dim_span = f_basis.shape[0]
+    if dim_span == 0:
+        raise NumericalFailureError(
+            f"group I = {sorted(i + 1 for i in group)} spans no direction above the rank cut "
+            f"{DEFAULT_RANK_TOL:.0e} * max(1, largest row norm)"
+        )
     a = complex(np.sum(spec.alpha[group])) / dim_span
 
     bio_res = check_generalized_biorthogonal(pair, spec, complement)
@@ -350,8 +357,8 @@ def proposition_applicability(pair: FramePair, tol=1e-9):
     radius = eig.spectral_radius
     if radius == 0.0 or float(np.min(np.abs(eig.values))) <= tol * radius:
         return NOT_INJECTIVE
-    has_re = bool(np.any(np.abs(eig.values.real) > tol * (1.0 + np.abs(eig.values))))
-    has_im = bool(np.any(np.abs(eig.values.imag) > tol * (1.0 + np.abs(eig.values))))
+    is_real, is_imag = potential._real_and_imaginary(eig.values, tol)
+    has_re, has_im = not is_imag.all(), not is_real.all()
     if has_re and has_im:
         return BOTH_SUFFICE
     if has_re:
@@ -363,6 +370,13 @@ def proposition_applicability(pair: FramePair, tol=1e-9):
 
 CONDITIONS_MET = "CONDITIONS_MET"
 CONDITIONS_FAILED = "CONDITIONS_FAILED"
+
+
+def _alpha_sum_conditions(alpha, d, tol):
+    """(sum alpha, sum alpha = d, Re sum alpha >= d), both tests to
+    within tol: the conditions on the products alone."""
+    total = complex(np.sum(alpha))
+    return total, bool(abs(total - d) <= tol * (1.0 + d)), bool(total.real >= d - tol)
 
 
 @dataclass(frozen=True)
@@ -388,12 +402,10 @@ def corollary_check(pair: FramePair, spec: ConstraintSpec, tol=1e-8):
     frames.require_membership(pair, spec)
     d = pair.d
     eig = potential._spectrum(pair)
-    all_real = bool(np.all(np.abs(eig.values.imag) <= tol * (1.0 + np.abs(eig.values))))
+    all_real = bool(potential._real_and_imaginary(eig.values, tol)[0].all())
     fp = fp_value = potential.fp_direct(pair).value
     fp_equals_d = abs(fp - d) <= tol * (1.0 + d)
-    alpha_sum = complex(np.sum(spec.alpha))
-    re_ge_d = alpha_sum.real >= d - tol
-    sum_eq_d = abs(alpha_sum - d) <= tol * (1.0 + d)
+    _, sum_eq_d, re_ge_d = _alpha_sum_conditions(spec.alpha, d, tol)
     dual, deviation = frames.is_dual_pair(pair, tol)
     verdict = CONDITIONS_MET if (all_real and fp_equals_d and re_ge_d) else CONDITIONS_FAILED
 

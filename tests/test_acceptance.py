@@ -81,7 +81,7 @@ def test_criterion_03_trace_identity():
         alpha[np.abs(alpha) < 1e-3] = 1.0
         pair, spec = retracted_random(field, d, n, 30_000 + trial, alpha)
         op = frames.mixed_operator(pair)
-        gap = abs(linalg.trace(op) - np.sum(spec.alpha))
+        gap = abs(np.trace(op) - np.sum(spec.alpha))
         ok &= gap <= 1e-12 * (1 + float(np.linalg.norm(op)))
     verdict(3, ok)
 

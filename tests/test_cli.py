@@ -200,7 +200,7 @@ def test_optimize_trivial_converges(capsys, tmp_path):
 def test_optimize_max_iters_exits_1(capsys):
     code, out = run(
         capsys, "optimize", "--alpha", "1,1,1", "--field", "R", "--d", "2",
-        "--seed", "7", "--max-iters", "2", "--merit-tol", "1e-30",
+        "--seed", "7", "--max-iters", "2",
     )
     assert code == 1
     assert json.loads(out)["status"] == "MAX_ITERS"
@@ -240,3 +240,56 @@ def test_potential_large_d(capsys, tmp_path):
     report = json.loads(out)
     assert report["status"] == "ok"
     assert report["outputs"]["discrepancy"] <= 1e-9
+
+
+def test_decompose_group_below_rank_cut_exits_3(capsys, tmp_path):
+    """A dual pair with F scaled by 1e-11 and G by 1e11: group I has rank 0."""
+    fv, gv = 1e-11 * np.eye(2), 1e11 * np.eye(2)
+    pair = frames.FramePair(frames.FrameSequence(frames.Field.REAL, fv),
+                            frames.FrameSequence(frames.Field.REAL, gv))
+    path = tmp_path / "scaled.json"
+    path.write_text(frames.document_to_json(frames.pair_to_document(pair, np.sum(fv * gv, axis=1))))
+    code, out = run(capsys, "decompose", str(path))
+    assert code == 3
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "{doc}", "--tol"],
+    ["check", "{doc}", "--tol"],
+    ["decompose", "{doc}", "--tol"],
+    ["decompose", "{doc}", "--cluster-tol"],
+    ["corollary", "{doc}", "--tol"],
+    ["optimize", "--alpha", "1,1", "--field", "C", "--d", "2", "--divergence-bound"],
+])
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "abc"])
+def test_nan_or_nonpositive_tolerance_exits_2(capsys, tmp_path, argv, value):
+    doc = str(write_fixture(tmp_path, "FX-MB"))
+    code, out = run(capsys, *[a.format(doc=doc) for a in argv], value)
+    assert code == 2
+    assert out == ""
+
+
+def test_optimize_diverged_exits_1(capsys):
+    code, out = run(
+        capsys, "optimize", "--alpha", "1,1", "--field", "C", "--d", "2",
+        "--mode", "potential", "--divergence-bound", "1e6",
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "DIVERGED"
+    assert report["tolerances"]["divergence_bound"] == 1e6
+
+
+def test_decompose_residuals_exceed_tol_exits_1(capsys, tmp_path):
+    path = write_fixture(tmp_path, "FX-MIX")
+    code, out = run(capsys, "decompose", str(path), "--tol", "1e-300")
+    assert code == 1
+    assert json.loads(out)["status"] == "residuals_exceed_tol"
+
+
+@pytest.mark.parametrize("flag", ["--step", "--grad-tol", "--merit-tol"])
+def test_optimize_removed_flags_exit_2(capsys, flag):
+    code, out = run(capsys, "optimize", "--alpha", "1", "--field", "R", "--d", "1", flag, "0.5")
+    assert code == 2
+    assert out == ""

@@ -3,7 +3,6 @@ import pytest
 
 from mixedframes import linalg
 from mixedframes.errors import (
-    DimensionMismatchError,
     NonFiniteError,
     NumericalFailureError,
     ZeroVectorError,
@@ -15,14 +14,6 @@ def test_ensure_finite_rejects_nan_and_inf():
         linalg.ensure_finite(np.array([1.0, np.nan]))
     with pytest.raises(NonFiniteError):
         linalg.ensure_finite(np.array([1.0 + 1j * np.inf], dtype=np.complex128))
-
-
-def test_trace_and_adjoint():
-    a = np.array([[1.0, 2.0j], [3.0, 4.0]])
-    assert linalg.trace(a) == pytest.approx(5.0)
-    assert linalg.trace(a.conj().T) == pytest.approx(np.conj(linalg.trace(a)))
-    with pytest.raises(DimensionMismatchError):
-        linalg.trace(np.ones((2, 3)))
 
 
 def test_eig_sorted_and_accurate():

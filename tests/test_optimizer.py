@@ -195,7 +195,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         optimizer.OptimizerConfig(mode="WANDER")
     with pytest.raises(ValueError):
-        optimizer.OptimizerConfig(step_size=0.0)
+        optimizer.OptimizerConfig(divergence_bound=float("nan"))
     with pytest.raises(ValueError):
         optimizer.OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):
@@ -206,9 +206,7 @@ def test_config_validation():
 
 def test_critical_search_converges():
     spec = ConstraintSpec(np.ones(3))
-    cfg = optimizer.OptimizerConfig(
-        mode=optimizer.CRITICAL_SEARCH, seed=7, max_iters=5000, merit_tol=1e-16
-    )
+    cfg = optimizer.OptimizerConfig(mode=optimizer.CRITICAL_SEARCH, seed=7, max_iters=5000)
     res = optimizer.search(spec, Field.REAL, 2, cfg)
     assert res.status == optimizer.CONVERGED
     assert res.merit_history[-1] <= 1e-10

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import retracted_random
-from mixedframes import fixtures, frames, linalg, potential
+from mixedframes import fixtures, frames, potential
 from mixedframes.errors import ConstraintViolationError
 from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
 
@@ -83,7 +83,7 @@ def test_trace_identity():
         alpha[np.abs(alpha) < 1e-3] = 1.0
         pair, spec = retracted_random(field, d, n, 900 + trial, alpha)
         op = frames.mixed_operator(pair)
-        gap = abs(linalg.trace(op) - np.sum(spec.alpha))
+        gap = abs(np.trace(op) - np.sum(spec.alpha))
         assert gap <= 1e-12 * (1 + float(np.linalg.norm(op)))
 
 

@@ -125,6 +125,22 @@ def test_a_generalized_dual_per_cluster():
         structure.check_a_generalized_dual(pair, [], 1.0)
 
 
+def test_a_generalized_dual_residual_is_basis_free():
+    """The residual is the same on a unitarily rotated basis of each span."""
+    pair = frames.random_pair(Field.COMPLEX, 4, 8, 3)
+    idx = list(range(8))
+    fv, gv, f_basis, g_basis = structure._span_bases(pair, idx, structure.DEFAULT_RANK_TOL)
+    rng = np.random.default_rng(0)
+    rotations = [np.linalg.qr(rng.standard_normal((len(b), len(b)))
+                              + 1j * rng.standard_normal((len(b), len(b))))[0]
+                 for b in (f_basis, g_basis)]
+    for a in (1.0, 2.0, 0.5 - 1.5j):
+        want = structure.check_a_generalized_dual(pair, idx, a)
+        assert want == structure._a_dual_residual(fv, gv, f_basis, g_basis, a)
+        got = structure._a_dual_residual(fv, gv, rotations[0] @ f_basis, rotations[1] @ g_basis, a)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_principal_sqrt():
     assert structure.principal_sqrt(4.0) == 2.0
     assert structure.principal_sqrt(-1.0) == pytest.approx(1j)
@@ -180,6 +196,17 @@ def test_decompose_requires_nonzero_alpha():
     pair, _ = fixtures.fixture("FX-ONB2")
     with pytest.raises(ZeroAlphaError):
         structure.decompose(pair, ConstraintSpec(np.array([1.0, 0.0])))
+
+
+def test_decompose_group_below_rank_cut_is_numerical_failure():
+    """A dual pair with F scaled by 1e-11 and G by 1e11: the rows of group
+    I lie below the rank cut, so I spans nothing and A = sum alpha / dim
+    span is undefined."""
+    fv, gv = 1e-11 * np.eye(2), 1e11 * np.eye(2)
+    pair = FramePair(FrameSequence(Field.REAL, fv), FrameSequence(Field.REAL, gv))
+    spec = ConstraintSpec(np.sum(fv * gv, axis=1))
+    with pytest.raises(NumericalFailureError, match="group I = \\[1, 2\\]"):
+        structure.decompose(pair, spec)
 
 
 def test_proposition_applicability():
