@@ -13,14 +13,12 @@ from .frames import (
     Field,
     FramePair,
     FrameSequence,
-    analysis,
     constraint_residual,
     cross_gram,
     is_dual_pair,
     mixed_operator,
     random_pair,
     retract_to_constraint,
-    synthesis,
 )
 from .optimizer import OptimizerConfig, SearchResult, fp_gradient, merit, search
 from .potential import bf_potential, bound_report, fp_direct, fp_swap, fp_trace, scaled_identity_check
@@ -44,7 +42,6 @@ __all__ = [
     "FIXTURE_NAMES",
     "OptimizerConfig",
     "SearchResult",
-    "analysis",
     "bf_potential",
     "bound_report",
     "check_a_generalized_dual",
@@ -75,5 +72,4 @@ __all__ = [
     "scaled_identity_check",
     "search",
     "structure",
-    "synthesis",
 ]

@@ -382,7 +382,7 @@ def build_parser():
     p.add_argument("--alpha-only", help="check only the sum-alpha arithmetic")
     p.add_argument("--d", type=int)
     p.add_argument("--N", dest="n", type=int)
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=structure.DEFAULT_COROLLARY_TOL)
 
     p = sub.add_parser("optimize", help="search S(alpha) for critical/dual pairs")
     p.add_argument("--alpha", required=True)

@@ -9,17 +9,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .frames import ConstraintSpec, Field, FramePair, FrameSequence
 
 
 def _pair(field, f_rows, g_rows, alpha):
-    pair = FramePair(
-        FrameSequence(field, np.array(f_rows, dtype=np.complex128)),
-        FrameSequence(field, np.array(g_rows, dtype=np.complex128)),
-    )
-    return pair, ConstraintSpec(np.array(alpha, dtype=np.complex128))
+    pair = FramePair(FrameSequence(field, f_rows), FrameSequence(field, g_rows))
+    return pair, ConstraintSpec(alpha)
 
 
 def _mb_rows():

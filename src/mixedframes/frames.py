@@ -1,10 +1,12 @@
 """Frame sequences, frame pairs, and the prescribed inner-product set.
 
 A frame sequence is N vectors in a d-dimensional inner-product space over
-R or C, stored as an (N, d) complex array with one vector per row.  A
-frame pair carries the two sequences ({f_m}, {g_m}) whose synthesis
-operators T, U build the mixed operators TU* and UT*.  The constraint set
-S(alpha) collects the pairs with <f_m, g_m> = alpha_m for all m.
+R or C, stored as an (N, d) array with one vector per row.  The dtype
+follows the field, float64 over R and complex128 over C, so everything
+computed from a real pair stays real.  A frame pair carries the two
+sequences ({f_m}, {g_m}) whose synthesis operators T, U build the mixed
+operators TU* and UT*.  The constraint set S(alpha) collects the pairs
+with <f_m, g_m> = alpha_m for all m.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ def _validate_vectors(vectors, field):
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise DimensionMismatchError(f"vectors must form an (N, d) array, got shape {v.shape}")
     ensure_finite(v, "frame vectors")
-    if field is Field.REAL and np.any(v.imag):
-        raise NonFiniteError("REAL-field frame has nonzero imaginary parts")
+    if field is Field.REAL:
+        if np.any(v.imag):
+            raise NonFiniteError("REAL-field frame has nonzero imaginary parts")
+        v = v.real.copy()
     v.setflags(write=False)
     return v
 
@@ -144,27 +148,13 @@ class ConstraintSpec:
             )
 
     def require_field(self, field):
-        """S(alpha) over R needs a real alpha."""
-        if field is Field.REAL and np.any(self.alpha.imag):
+        """alpha in the dtype of a pair over ``field``; S(alpha) over R
+        needs a real alpha (MixedFramesError)."""
+        if field is Field.COMPLEX:
+            return self.alpha
+        if np.any(self.alpha.imag):
             raise MixedFramesError("REAL-field alpha must be real")
-
-
-def synthesis(seq: FrameSequence, coeffs):
-    """sum_m coeffs_m f_m."""
-    c = np.asarray(coeffs, dtype=np.complex128).ravel()
-    if c.size != seq.n:
-        raise DimensionMismatchError(f"expected {seq.n} coefficients, got {c.size}")
-    ensure_finite(c, "coefficients")
-    return c @ seq.vectors
-
-
-def analysis(seq: FrameSequence, f):
-    """m-th entry <f, f_m> under the linear-in-first-argument convention."""
-    v = np.asarray(f, dtype=np.complex128).ravel()
-    if v.size != seq.d:
-        raise DimensionMismatchError(f"expected a vector of dimension {seq.d}, got {v.size}")
-    ensure_finite(v, "input vector")
-    return seq.vectors.conj() @ v
+        return self.alpha.real
 
 
 def mixed_operator(pair: FramePair, side="TU*"):
@@ -219,8 +209,8 @@ def random_pair(field: Field, d, n, seed):
         raise DimensionMismatchError(f"need d >= 1 and N >= 1, got d={d}, N={n}")
     rng = np.random.default_rng(seed)
     if field is Field.REAL:
-        fv = rng.standard_normal((n, d)).astype(np.complex128)
-        gv = rng.standard_normal((n, d)).astype(np.complex128)
+        fv = rng.standard_normal((n, d))
+        gv = rng.standard_normal((n, d))
     else:
         fv = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         gv = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
@@ -232,14 +222,14 @@ def random_pair(field: Field, d, n, seed):
 _DEGENERACY_CUT = 1e-10
 
 
-def _retraction(fv, gv, alpha, is_real):
+def _retraction(fv, gv, alpha):
     """The retraction onto S(alpha) on raw (N, d) arrays, with no other
-    input check.
+    input check; real arrays and a real alpha (a pair over R) give real
+    results.
 
-    Returns ip_m = <f_m, g_m>, q = alpha / ip (Re alpha over R) and G
-    with each row g_m rescaled to conj(q_m) g_m, projected to its real
-    part over R.  Raises DegeneratePairingError at the first index with
-    |ip_m| < 1e-10 ||f_m|| ||g_m||.
+    Returns ip_m = <f_m, g_m>, q = alpha / ip and G with each row g_m
+    rescaled to conj(q_m) g_m.  Raises DegeneratePairingError at the
+    first index with |ip_m| < 1e-10 ||f_m|| ||g_m||.
     """
     ip = np.sum(fv * gv.conj(), axis=1)
     cut = _DEGENERACY_CUT * np.linalg.norm(fv, axis=1) * np.linalg.norm(gv, axis=1)
@@ -250,11 +240,8 @@ def _retraction(fv, gv, alpha, is_real):
             "degeneracy threshold; re-randomize g and retry",
             index=int(bad[0]),
         )
-    q = (alpha.real if is_real else alpha) / ip
-    gr = gv * q.conj()[:, None]
-    if is_real:
-        gr = gr.real.astype(np.complex128)
-    return ip, q, gr
+    q = alpha / ip
+    return ip, q, gv * q.conj()[:, None]
 
 
 def retract_to_constraint(pair: FramePair, spec: ConstraintSpec):
@@ -270,9 +257,9 @@ def retract_to_constraint(pair: FramePair, spec: ConstraintSpec):
     if spec.n != pair.n:
         raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")
     spec.require_nonzero()
-    spec.require_field(pair.field)
+    alpha = spec.require_field(pair.field)
     pair.require_nonzero()
-    _, _, gv = _retraction(pair.f.vectors, pair.g.vectors, spec.alpha, pair.field is Field.REAL)
+    _, _, gv = _retraction(pair.f.vectors, pair.g.vectors, alpha)
     return FramePair(pair.f, FrameSequence(pair.field, gv))
 
 

@@ -1,8 +1,9 @@
 """Dense double-precision linear algebra used by every other module.
 
-All matrices are 2-D ``numpy.ndarray`` objects with dtype complex128 in
-row-major element order.  The inner product convention throughout the
-package is
+All matrices are 2-D ``numpy.ndarray`` objects in row-major element
+order, float64 when they come from a real pair and complex128 otherwise
+(``frames`` sets that rule); the functions here accept either.  The
+inner product convention throughout the package is
 
     <x, y> = sum_k x_k * conj(y_k)
 

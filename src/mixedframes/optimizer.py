@@ -91,31 +91,29 @@ class SearchResult:
 def fp_gradient(pair: FramePair, objective=REAL_PART):
     """Analytic gradient of Re or Im of the potential.
 
-    Arrays of shape (N, d) whose entry encodes the derivative with
-    respect to the real component plus i times the derivative with
-    respect to the imaginary component.  Over R the imaginary parts are
-    identically zero.  The directional derivative along a perturbation
-    (df, dg) in the same encoding is Re(sum conj(grad) * d).
+    Arrays of shape (N, d), in the dtype of the pair's vectors, whose
+    entry encodes the derivative with respect to the real component plus
+    i times the derivative with respect to the imaginary component (a
+    real pair has no imaginary components).  The directional derivative
+    along a perturbation (df, dg) in the same encoding is
+    Re(sum conj(grad) * d).
     """
-    return _fp_gradient(pair.f.vectors, pair.g.vectors, objective, pair.field is Field.REAL)
+    return _fp_gradient(pair.f.vectors, pair.g.vectors, objective)
 
 
-def _fp_gradient(fv, gv, objective, is_real):
+def _fp_gradient(fv, gv, objective):
     c = fv @ gv.conj().T
     # holomorphic derivative w.r.t. f_m[k]:    2 sum_n conj(g_n[k]) C[n, m]
     # anti-holomorphic derivative (conj g):    2 sum_n f_n[k] C[m, n]
     df = 2.0 * (c.T @ gv.conj())  # row m = derivative for f_m
     dg_bar = 2.0 * (c @ fv)  # row m = derivative for conj(g_m)
     if objective == REAL_PART:
-        gf, gg = df.conj(), dg_bar
-    elif objective == IMAG_PART:
-        gf, gg = 1j * df.conj(), -1j * dg_bar
-    else:
+        return df.conj(), dg_bar
+    if objective != IMAG_PART:
         raise ValueError(f"unknown objective {objective!r}")
-    if is_real:
-        gf = gf.real.astype(np.complex128)
-        gg = gg.real.astype(np.complex128)
-    return gf, gg
+    if not np.iscomplexobj(c):  # Im FP vanishes identically on a real pair
+        return np.zeros_like(fv), np.zeros_like(gv)
+    return 1j * df.conj(), -1j * dg_bar
 
 
 def project_to_tangent(pair: FramePair, gf, gg):
@@ -128,26 +126,23 @@ def project_to_tangent(pair: FramePair, gf, gg):
     index are orthogonal in the real inner product, so both coefficients
     of every index come from the unmodified rows in one pass.  An index
     with f_m = g_m = 0 has no constraint direction and is left unchanged.
+    Over R only the real part of the gradient is a direction on the
+    real pair, so the result is real.
     """
-    return _project_to_tangent(pair.f.vectors, pair.g.vectors, gf, gg, pair.field is Field.REAL)
+    if pair.field is Field.REAL:
+        gf, gg = np.real(gf), np.real(gg)
+    return _project_to_tangent(pair.f.vectors, pair.g.vectors, gf, gg)
 
 
-def _project_to_tangent(fv, gv, gf, gg, is_real):
-    gf = np.array(gf, dtype=np.complex128)
-    gg = np.array(gg, dtype=np.complex128)
+def _project_to_tangent(fv, gv, gf, gg):
+    """``project_to_tangent`` on raw (N, d) arrays; real arrays (a pair
+    over R) have only the real-part constraint directions."""
     nn = np.sum(np.abs(fv) ** 2, axis=1) + np.sum(np.abs(gv) ** 2, axis=1)
     # <gf_m, g_m> + conj(<gg_m, f_m>): its real part is the real inner
     # product with (g_m, f_m), its imaginary part that with (i g_m, -i f_m)
     ip = np.sum(gf * gv.conj(), axis=1) + np.sum(gg.conj() * fv, axis=1)
-    if is_real:
-        ip = ip.real
     coef = np.divide(ip, nn, out=np.zeros_like(ip), where=nn != 0.0)
-    gf -= coef[:, None] * gv
-    gg -= coef.conj()[:, None] * fv
-    if is_real:
-        gf = gf.real.astype(np.complex128)
-        gg = gg.real.astype(np.complex128)
-    return gf, gg
+    return gf - coef[:, None] * gv, gg - coef.conj()[:, None] * fv
 
 
 def merit(pair: FramePair):
@@ -170,14 +165,14 @@ def _objective_part(fp, objective):
     return fp.real if objective == REAL_PART else fp.imag
 
 
-def _retract_with_recovery(fv, gv, alpha, is_real, rng):
+def _retract_with_recovery(fv, gv, alpha, rng):
     """G retracted by the kernel ``frames._retraction``; on a degenerate
     pairing re-randomize the offending g_m (up to the per-index budget)
     before giving up."""
     attempts = {}
     while True:
         try:
-            return frames._retraction(fv, gv, alpha, is_real)[2]
+            return frames._retraction(fv, gv, alpha)[2]
         except DegeneratePairingError as exc:
             m = exc.index
             attempts[m] = attempts.get(m, 0) + 1
@@ -185,18 +180,18 @@ def _retract_with_recovery(fv, gv, alpha, is_real, rng):
                 raise
             gv = gv.copy()
             d = gv.shape[1]
-            if is_real:
-                gv[m] = rng.standard_normal(d)
-            else:
+            if np.iscomplexobj(gv):
                 gv[m] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            else:
+                gv[m] = rng.standard_normal(d)
 
 
-def _merit_and_gradient(fv, gv, alpha, is_real):
+def _merit_and_gradient(fv, gv, alpha):
     """merit(retract(F, G)) and its gradient on raw (N, d) arrays.
 
     The gradient is in the fp_gradient encoding (derivative with respect
     to the real component plus i times that with respect to the imaginary
-    component; real part only over R).  It is one hand-written
+    component), real for real arrays and alpha.  It is one hand-written
     reverse-mode sweep: each ``x_bar`` below is dL/dRe x + i dL/dIm x for
     the intermediate x, so a product y = a * b sends y_bar * conj(b) to
     a_bar and y = conj(x) sends conj(y_bar) to x_bar.  Memory is
@@ -204,7 +199,7 @@ def _merit_and_gradient(fv, gv, alpha, is_real):
     raises DegeneratePairingError where it does.
     """
     # forward: the retraction, then the terms of `merit`
-    ip, q, gr = frames._retraction(fv, gv, alpha, is_real)
+    ip, q, gr = frames._retraction(fv, gv, alpha)
     value, (cg, s, c, rf, rg) = _merit_with_terms(fv, gr)
     f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
     c0 = cg.copy()
@@ -230,9 +225,6 @@ def _merit_and_gradient(fv, gv, alpha, is_real):
     ip_bar = -q_bar * (q / ip).conj()
     f_bar += ip_bar[:, None] * gv
     g_bar += ip_bar.conj()[:, None] * fv
-    if is_real:
-        f_bar = f_bar.real.astype(np.complex128)
-        g_bar = g_bar.real.astype(np.complex128)
     return value, f_bar, g_bar
 
 
@@ -276,13 +268,12 @@ def _accepted(fv, gv, m0, o0, critical, objective):
     return None
 
 
-def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
-    """One restart on raw (N, d) arrays: past the start, only ``_finish``
-    builds a FramePair."""
+def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
+    """One restart on raw (N, d) arrays, alpha in the field's dtype: past
+    the start, only ``_finish`` builds a FramePair."""
     rng = np.random.default_rng(seed)
     if initial_pair is None:
         initial_pair = frames.random_pair(field_, d, spec.n, seed)
-    is_real = field_ is Field.REAL
     critical = cfg.mode == CRITICAL_SEARCH
     fv, gv = initial_pair.f.vectors, initial_pair.g.vectors
     terms = None
@@ -293,7 +284,7 @@ def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
         return _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist)
 
     try:
-        gv = _retract_with_recovery(fv, gv, spec.alpha, is_real, rng)
+        gv = _retract_with_recovery(fv, gv, alpha, rng)
     except DegeneratePairingError:
         return finish(DEGENERATE_RETRACTION)
     ensure_finite(gv, "frame vectors")  # the rescaling of a tiny pairing can overflow
@@ -311,24 +302,20 @@ def _run_single(spec, field_, d, cfg, seed, initial_pair=None):
             if m0 <= MERIT_TOL:
                 return finish(CONVERGED)
             try:
-                _, gf, gg = _merit_and_gradient(fv, gv, spec.alpha, is_real)
+                _, gf, gg = _merit_and_gradient(fv, gv, alpha)
             except DegeneratePairingError:
                 return finish(DEGENERATE_RETRACTION)
         else:
-            gf, gg = _fp_gradient(fv, gv, cfg.objective, is_real)
-            gf, gg = _project_to_tangent(fv, gv, gf, gg, is_real)
+            gf, gg = _fp_gradient(fv, gv, cfg.objective)
+            gf, gg = _project_to_tangent(fv, gv, gf, gg)
             if np.sqrt(np.vdot(gf, gf).real + np.vdot(gg, gg).real) <= GRAD_TOL:
                 return finish(CONVERGED)
 
         step = STEP_SIZE
         for _ in range(_BACKTRACK_LIMIT):
             f1 = fv - step * gf
-            g1 = gv - step * gg
-            if is_real:
-                f1 = f1.real.astype(np.complex128)
-                g1 = g1.real.astype(np.complex128)
             try:
-                g1 = _retract_with_recovery(f1, g1, spec.alpha, is_real, rng)
+                g1 = _retract_with_recovery(f1, gv - step * gg, alpha, rng)
             except DegeneratePairingError:
                 return finish(DEGENERATE_RETRACTION)
             accepted = _accepted(f1, g1, m0, o0, critical, cfg.objective)
@@ -372,7 +359,7 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
     (ZeroVectorError).
     """
     spec.require_nonzero()
-    spec.require_field(field_)
+    alpha = spec.require_field(field_)
     if initial_pair is not None:
         if (initial_pair.field, initial_pair.d, initial_pair.n) != (field_, d, spec.n):
             raise DimensionMismatchError(
@@ -384,5 +371,5 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
     results = []
     for k in range(cfg.restarts + 1):
         start = initial_pair if k == 0 else None
-        results.append(_run_single(spec, field_, d, cfg, cfg.seed + k, initial_pair=start))
+        results.append(_run_single(spec, alpha, field_, d, cfg, cfg.seed + k, initial_pair=start))
     return min(results, key=_result_key)

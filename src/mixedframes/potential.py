@@ -16,7 +16,7 @@ import numpy as np
 
 from . import frames, linalg
 from .errors import NumericalFailureError
-from .frames import ConstraintSpec, Field, FramePair, FrameSequence
+from .frames import ConstraintSpec, FramePair, FrameSequence
 
 DEFAULT_CLASS_TOL = 1e-8
 
@@ -46,8 +46,6 @@ def _fp_of_gram(x):
 def fp_direct(pair: FramePair):
     """Literal double sum over the cross Gram matrix, summed once per pair."""
     value = pair._derived("FP", lambda: _fp_of_gram(frames.cross_gram(pair)))
-    if pair.field is Field.REAL:
-        value = complex(value.real)
     return PotentialValue(value=value, method="DIRECT")
 
 

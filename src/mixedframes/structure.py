@@ -29,6 +29,7 @@ from .frames import ConstraintSpec, FramePair
 
 DEFAULT_CRITICAL_TOL = 1e-8
 DEFAULT_RANK_TOL = 1e-10
+DEFAULT_COROLLARY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -393,7 +394,7 @@ class CorollaryReport:
     verdict: str
 
 
-def corollary_check(pair: FramePair, spec: ConstraintSpec, tol=1e-8):
+def corollary_check(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_COROLLARY_TOL):
     """Evaluate the dual-pair equivalence on a pair in S(alpha).
 
     The forward direction (a dual pair meets all three conditions) is a

@@ -10,7 +10,9 @@ else.  When a report is meant to change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-and name the changed fields in CHANGES.md.
+and name the changed fields in CHANGES.md.  A re-record keeps every
+stored float that the new run still matches, so the files change only
+where a report did.
 """
 
 import contextlib
@@ -60,6 +62,12 @@ def run_case(command, label, workdir):
     return {"exit": code, "stdout": json.loads(out.getvalue())}
 
 
+def floats_agree(got, want):
+    if math.isfinite(want):
+        return abs(got - want) <= FLOAT_TOL * (1.0 + abs(want))
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
 def assert_matches(got, want, where="$"):
     if isinstance(want, dict):
         assert isinstance(got, dict) and list(got) == list(want), f"{where}: keys differ"
@@ -71,10 +79,7 @@ def assert_matches(got, want, where="$"):
             assert_matches(g, w, f"{where}[{i}]")
     elif isinstance(want, float):
         assert isinstance(got, float), f"{where}: {got!r} is not a float"
-        if math.isfinite(want):
-            assert abs(got - want) <= FLOAT_TOL * (1.0 + abs(want)), f"{where}: {got!r} != {want!r}"
-        else:
-            assert got == want or (math.isnan(got) and math.isnan(want)), f"{where}: {got!r}"
+        assert floats_agree(got, want), f"{where}: {got!r} != {want!r}"
     else:
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
@@ -85,6 +90,27 @@ def test_golden_report(command, label, tmp_path):
     assert_matches(run_case(command, label, tmp_path), golden[label])
 
 
+def merged(got, stored):
+    """The new report ``got``, keeping each float of the stored report
+    that ``got`` matches to FLOAT_TOL; every other difference (a key, a
+    type, a length, a string, a float beyond the tolerance) takes the new
+    value."""
+    if isinstance(got, dict) and isinstance(stored, dict):
+        return {key: merged(value, stored.get(key)) for key, value in got.items()}
+    if isinstance(got, list) and isinstance(stored, list) and len(got) == len(stored):
+        return [merged(g, s) for g, s in zip(got, stored)]
+    if isinstance(got, float) and isinstance(stored, float) and floats_agree(got, stored):
+        return stored
+    return got
+
+
+def test_record_keeps_only_unchanged_floats():
+    stored = {"status": "ok", "within": [1.0, 2.0], "beyond": 3.0, "old": 1.0}
+    got = {"status": "ok", "within": [1.0 + 1e-15, 2.0], "beyond": 3.001, "new": 1.0}
+    assert merged(got, stored) == {"status": "ok", "within": [1.0, 2.0], "beyond": 3.001,
+                                   "new": 1.0}
+
+
 def record():
     reports = {}
     with tempfile.TemporaryDirectory() as workdir:
@@ -92,7 +118,9 @@ def record():
             reports.setdefault(command, {})[label] = run_case(command, label, workdir)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for command, cases in reports.items():
-        (GOLDEN_DIR / f"{command}.json").write_text(json.dumps(cases, indent=1) + "\n")
+        path = GOLDEN_DIR / f"{command}.json"
+        stored = json.loads(path.read_text()) if path.exists() else {}
+        path.write_text(json.dumps(merged(cases, stored), indent=1) + "\n")
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

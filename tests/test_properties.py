@@ -6,13 +6,17 @@ Hypothesis runs derandomized with a fixed number of examples, so every
 run draws the same cases and the suite stays fast.
 """
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import retracted_random
-from mixedframes import linalg, optimizer, potential, structure
-from mixedframes.frames import ConstraintSpec, Field
+from mixedframes import fixtures, frames, linalg, optimizer, potential, structure
+from mixedframes.errors import DegeneratePairingError
+from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
 
 FIELDS = st.sampled_from([Field.REAL, Field.COMPLEX])
 
@@ -104,16 +108,16 @@ def test_critical_report_matches_per_index_fit(field, d, ratio, seed):
 
 
 # merit_history of the criterion-9 problem (alpha = 1/2 * ones(4), R, d = 2)
-# from seed 3 over 20 iterations, as recorded before the residual kernel was
-# shared between `merit` and `critical_report`; the search must reproduce it
-# bit for bit.
+# from seed 3 over 20 iterations, as recorded once a real pair was stored
+# and searched in float64 arithmetic; the search must reproduce it bit for
+# bit.
 CRITERION_9_MERIT_HISTORY = [
-    0.595790489966725, 0.1382235369235661, 0.0873805772877064, 0.057748550814143415,
-    0.04531005626426292, 0.036387692864804796, 0.031250664712195585, 0.027356383407581095,
-    0.024645970626081655, 0.02246044996772088, 0.02073891420804511, 0.019272829258092858,
-    0.01802650675465947, 0.016923070728479914, 0.01594288703962326, 0.015053500743415259,
-    0.014243665985474403, 0.013497840562884658, 0.012809074306699196, 0.01216905355352655,
-    0.011573102222261648,
+    0.595790489966725, 0.1382235369235661, 0.08738057728770642, 0.05774855081414343,
+    0.04531005626426296, 0.03638769286480488, 0.031250664712195515, 0.02735638340758112,
+    0.024645970626081655, 0.022460449967721, 0.020738914208045217, 0.019272829258092896,
+    0.018026506754659513, 0.01692307072847994, 0.01594288703962326, 0.015053500743415292,
+    0.01424366598547433, 0.013497840562884715, 0.012809074306699194, 0.012169053553526587,
+    0.01157310222226166,
 ]
 
 
@@ -170,3 +174,64 @@ def test_potential_descent_history_recorded():
     assert res.merit_history == DESCENT_MERIT_HISTORY
     for got, want in zip(res.objective_history, DESCENT_OBJECTIVE_HISTORY):
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+DTYPE = {Field.REAL: np.float64, Field.COMPLEX: np.complex128}
+
+
+@fixed(20)
+@given(FIELDS, st.integers(2, 4), st.integers(1, 5), st.integers(0, 10_000))
+def test_dtype_follows_field(field, d, n, seed):
+    """Every way a pair enters stores read-only vectors of its field's
+    dtype, what is derived from a real pair stays real, and the JSON
+    document is the one complex storage wrote."""
+    dtype = DTYPE[field]
+    raw = frames.random_pair(field, d, n, seed)
+    pair, spec = retracted_random(field, d, n, seed)
+    # a start with <f_1, g_1> = 0, which the search must re-randomize
+    fv, gv = raw.f.vectors, raw.g.vectors.copy()
+    gv[0] -= np.vdot(fv[0], gv[0]) / np.vdot(fv[0], fv[0]) * fv[0]
+    start = FramePair(FrameSequence(field, fv), FrameSequence(field, gv))
+    with pytest.raises(DegeneratePairingError):
+        frames.retract_to_constraint(start, spec)
+    res = optimizer.search(spec, field, d, optimizer.OptimizerConfig(max_iters=2),
+                           initial_pair=start)
+    assert res.status != optimizer.DEGENERATE_RETRACTION
+    text = frames.document_to_json(frames.pair_to_document(pair, spec.alpha))
+    entered = [
+        raw,
+        pair,
+        start,
+        res.final_pair,
+        FramePair(FrameSequence(field, fv.astype(np.complex128)), FrameSequence(field, gv.tolist())),
+        frames.pair_from_document(frames.document_from_json(text))[0],
+    ]
+    entered += [fixtures.fixture(name)[0] for name in fixtures.FIXTURE_NAMES]
+    for p in entered:
+        if p.field is field:
+            for v in (p.f.vectors, p.g.vectors):
+                assert v.dtype == dtype and not v.flags.writeable
+
+    assert frames.cross_gram(pair).dtype == dtype
+    assert frames.mixed_operator(pair).dtype == dtype
+    assert structure.critical_report(pair, spec).c.dtype == dtype
+
+    def scalar(z):
+        z = complex(z)
+        return z.real if field is Field.REAL else [z.real, z.imag]
+
+    want = {"field": field.value, "d": d, "N": n}
+    for key, v in (("F", pair.f.vectors), ("G", pair.g.vectors)):
+        want[key] = [[scalar(z) for z in row] for row in v.astype(np.complex128)]
+    want["alpha"] = [scalar(z) for z in spec.alpha]
+    assert text == json.dumps(want, indent=2) + "\n"
+
+
+def test_imaginary_part_search_over_r_stops_at_start():
+    """Im FP vanishes on every real pair, so its gradient is zero and the
+    descent converges before its first step."""
+    cfg = optimizer.OptimizerConfig(mode=optimizer.POTENTIAL_DESCENT,
+                                    objective=optimizer.IMAG_PART, seed=7)
+    res = optimizer.search(ConstraintSpec(np.ones(4)), Field.REAL, 2, cfg)
+    assert res.status == optimizer.CONVERGED
+    assert res.objective_history == [0.0]
