@@ -157,15 +157,10 @@ class ConstraintSpec:
         return self.alpha.real
 
 
-def mixed_operator(pair: FramePair, side="TU*"):
-    """The d x d mixed operator: TU* = sum_m f_m g_m^*, UT* its adjoint.
-    Computed once per pair and side; the result is read-only."""
-    tu = pair._derived("TU*", lambda: pair.f.vectors.T @ pair.g.vectors.conj())
-    if side == "TU*":
-        return tu
-    if side == "UT*":
-        return pair._derived("UT*", lambda: tu.conj().T.copy())
-    raise ValueError(f"side must be 'TU*' or 'UT*', got {side!r}")
+def mixed_operator(pair: FramePair):
+    """The d x d mixed operator TU* = sum_m f_m g_m^* (UT* is its
+    adjoint).  Computed once per pair; the result is read-only."""
+    return pair._derived("TU*", lambda: pair.f.vectors.T @ pair.g.vectors.conj())
 
 
 def cross_gram(pair: FramePair):

@@ -39,13 +39,13 @@ def ensure_finite(a, what="array"):
     return a
 
 
-def as_matrix(a, what="matrix"):
-    """Validate and normalize a dense matrix to complex128."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DimensionMismatchError(f"{what} must be 2-D with positive shape, got {m.shape}")
-    ensure_finite(m, what)
-    return m
+def _real_if_possible(a, what):
+    """a checked finite, as float64 when it is real or all its imaginary
+    parts are zero (so it is solved in real arithmetic), else complex128."""
+    a = np.asarray(a)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+    ensure_finite(a, what)
+    return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,19 @@ class EigenResult:
 def eig_general(a, tol=DEFAULT_EIG_TOL):
     """Full eigendecomposition of a general square matrix.
 
-    A real input matrix is solved in real arithmetic (LAPACK ``geev``),
-    which returns its nonreal eigenvalues in exact conjugate pairs.  Raises
-    NumericalFailureError (carrying the residual) if the backward residual
-    exceeds ``tol * (1 + ||A||_F)`` or the QR iteration fails to converge.
+    A real input matrix (or one whose imaginary parts are all zero) is
+    solved in real arithmetic (LAPACK ``geev``), which returns its nonreal
+    eigenvalues in exact conjugate pairs.  Raises NumericalFailureError
+    (carrying the residual) if the backward residual exceeds
+    ``tol * (1 + ||A||_F)`` or the QR iteration fails to converge.
     """
-    a = as_matrix(a, "matrix")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"eig_general needs a square matrix, got {a.shape}")
+    a = _real_if_possible(a, "matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise DimensionMismatchError(
+            f"eig_general needs a nonempty square matrix, got {a.shape}")
 
     try:
-        values, vectors = np.linalg.eig(a if np.any(a.imag) else a.real)
+        values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # QR iteration did not converge
         raise NumericalFailureError(f"eigensolver failed to converge: {exc}", residual=np.inf) from exc
 
@@ -115,17 +117,18 @@ def orthonormal_span_basis(rows, rank_tol=1e-12):
     rank_tol * max(1, largest row norm), and the basis is the matching
     leading right singular vectors (Golub & Van Loan, Matrix Computations,
     4th ed., sections 2.4 and 5.4.1).  Real rows are decomposed in real
-    arithmetic.  Returns ``(basis, rank)`` where ``basis`` has shape
-    (rank, dim).  A failed SVD raises NumericalFailureError.
+    arithmetic and give a real basis.  Returns ``(basis, rank)`` where
+    ``basis`` has shape (rank, dim).  A failed SVD raises
+    NumericalFailureError.
     """
-    rows = ensure_finite(np.asarray(rows, dtype=np.complex128), "span vector")
+    rows = _real_if_possible(rows, "span vector")
     try:
-        _, sigma, vh = np.linalg.svd(rows if np.any(rows.imag) else rows.real, full_matrices=False)
+        _, sigma, vh = np.linalg.svd(rows, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"span basis SVD failed: {exc}", residual=np.inf) from exc
     cut = rank_tol * max(1.0, np.linalg.norm(rows, axis=1).max(initial=0.0))
     rank = int(np.count_nonzero(sigma > cut))
-    return vh[:rank].astype(np.complex128), rank
+    return vh[:rank], rank
 
 
 def lstsq_scalar(target, direction):

@@ -13,10 +13,12 @@ Two modes:
   and vanishes exactly at critical pairs.
 
 Both use fixed-step descent with backtracking halving (factor 0.5, up to
-30 halvings).  A descent trial is priced from the d x d mixed operator,
-FP = Tr((TU*)^2), in O(N d^2); the residual kernel
+30 halvings).  Everything in the loop works from the d x d mixed operator
+M = TU*, in O(N d^2) time and O(N d + d^2) memory, never from the N x N
+cross Gram: every trial is priced at FP = Tr(M^2); the residual kernel
 ``structure._merit_terms`` runs once per iterate (on every trial of
-CRITICAL_SEARCH, whose acceptance test is the merit), and ``search``
+CRITICAL_SEARCH, whose acceptance test is the merit); the descent
+gradient takes the M of the iterate's kernel output; and ``search``
 reports on the last iterate's kernel output instead of running it again.
 Restarts are independent: restart k uses seed ``seed + k`` and the
 reported result never depends on execution order.
@@ -98,20 +100,20 @@ def fp_gradient(pair: FramePair, objective=REAL_PART):
     along a perturbation (df, dg) in the same encoding is
     Re(sum conj(grad) * d).
     """
-    return _fp_gradient(pair.f.vectors, pair.g.vectors, objective)
+    return _fp_gradient(pair.f.vectors, pair.g.vectors, frames.mixed_operator(pair), objective)
 
 
-def _fp_gradient(fv, gv, objective):
-    c = fv @ gv.conj().T
-    # holomorphic derivative w.r.t. f_m[k]:    2 sum_n conj(g_n[k]) C[n, m]
-    # anti-holomorphic derivative (conj g):    2 sum_n f_n[k] C[m, n]
-    df = 2.0 * (c.T @ gv.conj())  # row m = derivative for f_m
-    dg_bar = 2.0 * (c @ fv)  # row m = derivative for conj(g_m)
+def _fp_gradient(fv, gv, tu, objective):
+    """``fp_gradient`` on raw (N, d) arrays and their M = TU*."""
+    # FP = Tr(M^2) with M = sum_m f_m g_m^*: its holomorphic derivative
+    # w.r.t. f_m is 2 M^T conj(g_m), that w.r.t. conj(g_m) is 2 M f_m
+    df = 2.0 * (gv.conj() @ tu)  # row m = derivative for f_m
+    dg_bar = 2.0 * (fv @ tu.T)  # row m = derivative for conj(g_m)
     if objective == REAL_PART:
         return df.conj(), dg_bar
     if objective != IMAG_PART:
         raise ValueError(f"unknown objective {objective!r}")
-    if not np.iscomplexobj(c):  # Im FP vanishes identically on a real pair
+    if not np.iscomplexobj(tu):  # Im FP vanishes identically on a real pair
         return np.zeros_like(fv), np.zeros_like(gv)
     return 1j * df.conj(), -1j * dg_bar
 
@@ -155,9 +157,9 @@ def merit(pair: FramePair):
 
 def _merit_with_terms(fv, gv):
     """``merit`` on raw (N, d) arrays with nonzero rows, and the terms
-    (C, s, c, r_f, r_g) of ``structure._merit_terms`` it came from."""
+    (TU*, u, lam, c, r_f, r_g) of ``structure._merit_terms`` it came from."""
     terms = structure._merit_terms(fv, gv)
-    rf, rg = terms[3:]
+    rf, rg = terms[4:]
     return float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2)), terms
 
 
@@ -194,32 +196,28 @@ def _merit_and_gradient(fv, gv, alpha):
     component), real for real arrays and alpha.  It is one hand-written
     reverse-mode sweep: each ``x_bar`` below is dL/dRe x + i dL/dIm x for
     the intermediate x, so a product y = a * b sends y_bar * conj(b) to
-    a_bar and y = conj(x) sends conj(y_bar) to x_bar.  Memory is
-    O(N^2 + N d).  The forward retraction is ``frames._retraction`` and
-    raises DegeneratePairingError where it does.
+    a_bar and y = conj(x) sends conj(y_bar) to x_bar.  The sweep runs
+    through M = TU* like the forward, in O(N d^2) time and O(N d + d^2)
+    memory.  The forward retraction is ``frames._retraction`` and raises
+    DegeneratePairingError where it does.
     """
     # forward: the retraction, then the terms of `merit`
     ip, q, gr = frames._retraction(fv, gv, alpha)
-    value, (cg, s, c, rf, rg) = _merit_with_terms(fv, gr)
+    value, (tu, u, lam, _, rf, rg) = _merit_with_terms(fv, gr)
     f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
-    c0 = cg.copy()
-    np.fill_diagonal(c0, 0.0)  # s = C0 F and t = C0^H G_r: sums over n != m only
 
-    # backward; c = num / |f|^2 with num_m = sum_k s_m[k] conj(f_m[k])
+    # backward through r_f = u - lam f, r_g = G_r conj(M) - conj(lam) G_r
+    # and lam = num / |f|^2 with num_m = sum_k u_m[k] conj(f_m[k])
     rf_bar, rg_bar = 2.0 * rf, 2.0 * rg
-    c_bar = -np.sum(rf_bar * fv.conj(), axis=1) - np.sum(rg_bar.conj() * gr, axis=1)
-    f_bar = -c.conj()[:, None] * rf_bar
-    gr_bar = -c[:, None] * rg_bar
-    num_bar = c_bar / f_norms2
-    norms2_bar = -np.real(c_bar * c.conj()) / f_norms2
-    s_bar = rf_bar + num_bar[:, None] * fv
-    f_bar += num_bar.conj()[:, None] * s + 2.0 * norms2_bar[:, None] * fv
-    gr_bar += c0 @ rg_bar
-    # adjoint of C off its diagonal; the merit does not depend on diag(C)
-    c0_bar = s_bar @ fv.conj().T + gr @ rg_bar.conj().T
-    np.fill_diagonal(c0_bar, 0.0)
-    f_bar += c0.conj().T @ s_bar + c0_bar @ gr
-    gr_bar += c0_bar.conj().T @ fv
+    lam_bar = -np.sum(rf_bar * fv.conj(), axis=1) - np.sum(rg_bar.conj() * gr, axis=1)
+    num_bar = lam_bar / f_norms2
+    norms2_bar = -np.real(lam_bar * lam.conj()) / f_norms2
+    u_bar = rf_bar + num_bar[:, None] * fv
+    # through u = F M^T, r_g and M = F^T conj(G_r)
+    tu_bar = u_bar.T @ fv.conj() + gr.T @ rg_bar.conj()
+    f_bar = (num_bar.conj()[:, None] * u - lam.conj()[:, None] * rf_bar
+             + 2.0 * norms2_bar[:, None] * fv + u_bar @ tu.conj() + gr @ tu_bar.T)
+    gr_bar = rg_bar @ tu.T - lam[:, None] * rg_bar + fv @ tu_bar.conj()
     g_bar = gr_bar * q[:, None]
     q_bar = np.sum(gr_bar.conj() * gv, axis=1)  # through gr = gv * conj(q)
     ip_bar = -q_bar * (q / ip).conj()
@@ -256,8 +254,9 @@ def _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist):
 def _accepted(fv, gv, m0, o0, critical, objective):
     """The mode's acceptance test on a retracted trial: its (merit, FP,
     kernel terms) when it lowers the merit (CRITICAL_SEARCH) or the
-    objective (POTENTIAL_DESCENT), else None.  A descent trial is priced
-    from TU* in O(N d^2); the kernel runs only on the accepted one."""
+    objective (POTENTIAL_DESCENT), else None.  Every trial's FP is
+    Tr((TU*)^2); a descent trial is priced from TU* alone and the kernel
+    runs only on the accepted one."""
     if critical:
         m1, terms = _merit_with_terms(fv, gv)
         return (m1, potential._fp_of_gram(terms[0]), terms) if m1 < m0 else None
@@ -306,7 +305,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
             except DegeneratePairingError:
                 return finish(DEGENERATE_RETRACTION)
         else:
-            gf, gg = _fp_gradient(fv, gv, cfg.objective)
+            gf, gg = _fp_gradient(fv, gv, terms[0], cfg.objective)
             gf, gg = _project_to_tangent(fv, gv, gf, gg)
             if np.sqrt(np.vdot(gf, gf).real + np.vdot(gg, gg).real) <= GRAD_TOL:
                 return finish(CONVERGED)

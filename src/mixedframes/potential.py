@@ -38,8 +38,9 @@ class PotentialValue:
 
 def _fp_of_gram(x):
     """FP = Tr(X^2) = sum(X * X^T) for X the N x N cross Gram C, whose
-    entries give sum_{m,n} <f_m, g_n> <f_n, g_m>, or the d x d mixed
-    operator TU* (the trace identity Tr(C^2) = Tr((TU*)^2))."""
+    entries give the double sum sum_{m,n} <f_m, g_n> <f_n, g_m>
+    (``fp_direct``), or the d x d mixed operator TU* by the trace identity
+    Tr(C^2) = Tr((TU*)^2) (``fp_trace`` and every search iterate)."""
     return complex(np.sum(x * x.T))
 
 

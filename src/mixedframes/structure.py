@@ -5,11 +5,12 @@ A pair in S(alpha) is critical when for each m there is a scalar c with
     sum_{n != m} <f_m, g_n> f_n = c f_m     and
     sum_{n != m} <g_m, f_n> g_n = conj(c) g_m.
 
-At a critical pair every f_m is an eigenvector of TU* with eigenvalue
-alpha_m + c_m (and g_m of UT* with the conjugate eigenvalue), the indices
-split into eigenvalue groups that are lambda_j-generalized dual frames,
-and the pair decomposes into a minimal-modulus group plus a generalized
-biorthogonal complement.
+The left sums are TU* f_m - <f_m, g_m> f_m and its UT* mirror, so every
+f_m of a critical pair is an eigenvector of TU* with eigenvalue
+alpha_m + c_m (and g_m of UT* with the conjugate eigenvalue): the form
+the residuals are measured in.  The indices split into eigenvalue groups
+that are lambda_j-generalized dual frames, and the pair decomposes into a
+minimal-modulus group plus a generalized biorthogonal complement.
 """
 
 from __future__ import annotations
@@ -46,23 +47,23 @@ class CriticalPairReport:
         return float(max(self.f_residuals.max(), self.g_residuals.max()))
 
 
-def _merit_terms(fv, gv, cg=None):
-    """(C, s, c, r_f, r_g) of the critical-pair equations on raw (N, d)
-    arrays with nonzero rows: cross Gram (unless given), partial sums s,
-    least-squares multipliers c and the residuals r_f = s - c f,
-    r_g = t - conj(c) g.  The one residual kernel behind
-    ``critical_report`` and the optimizer's merit."""
-    if cg is None:
-        cg = fv @ gv.conj().T
-    diag = np.diag(cg)
-    # row m of (C @ F) is sum_n <f_m,g_n> f_n; remove the n = m term
-    s = cg @ fv - diag[:, None] * fv
-    # <g_m, f_n> = conj(C[n, m])
-    t = cg.conj().T @ gv - diag.conj()[:, None] * gv
-    c = np.sum(s * fv.conj(), axis=1) / np.sum(np.abs(fv) ** 2, axis=1)
-    rf = s - c[:, None] * fv
-    rg = t - c.conj()[:, None] * gv
-    return cg, s, c, rf, rg
+def _merit_terms(fv, gv, tu=None):
+    """(TU*, u, lam, c, r_f, r_g) of the critical-pair equations on raw
+    (N, d) arrays with nonzero rows, from M = TU* = F^T conj(G) (unless
+    given): u = F M^T (row m is TU* f_m), Rayleigh quotients
+    lam_m = <u_m, f_m> / ||f_m||^2, residuals r_f = u - lam f and
+    r_g = G conj(M) - conj(lam) g, and c = lam - <f_m, g_m>, the
+    least-squares multiplier of s_m = TU* f_m - <f_m, g_m> f_m.  O(N d^2)
+    time, O(N d + d^2) memory; the one kernel behind ``critical_report``
+    and the optimizer's merit."""
+    if tu is None:
+        tu = fv.T @ gv.conj()
+    u = fv @ tu.T
+    lam = np.sum(u * fv.conj(), axis=1) / np.sum(np.abs(fv) ** 2, axis=1)
+    rf = u - lam[:, None] * fv
+    rg = gv @ tu.conj() - lam.conj()[:, None] * gv
+    c = lam - np.sum(fv * gv.conj(), axis=1)
+    return tu, u, lam, c, rf, rg
 
 
 def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_TOL):
@@ -86,13 +87,13 @@ def _critical_report(pair, spec, tol, terms=None):
     pair.require_nonzero()
     if terms is None:
         fv, gv = pair.f.vectors, pair.g.vectors
-        terms = pair._derived("terms", lambda: _merit_terms(fv, gv, frames.cross_gram(pair)))
-    _, s, c, rf, rg = terms
-    linalg.ensure_finite(s, "partial sums")
+        terms = pair._derived("terms", lambda: _merit_terms(fv, gv, frames.mixed_operator(pair)))
+    tu, u, _, c, rf, rg = terms
+    linalg.ensure_finite(u, "TU* f_m")
     f_res = np.linalg.norm(rf, axis=1)
     g_res = np.linalg.norm(rg, axis=1)
 
-    mixed_norm = float(np.linalg.norm(frames.mixed_operator(pair)))
+    mixed_norm = float(np.linalg.norm(tu))
     is_critical = max(f_res.max(), g_res.max()) <= tol * (1.0 + mixed_norm)
     return CriticalPairReport(
         c=c,
@@ -109,8 +110,9 @@ class EigenClassification:
     """Index groups of a critical pair by eigenvalue cluster.
 
     ``distinct_eigenvalues[j]`` is the cluster mean; ``index_sets[j]`` the
-    member indices (0-based).  Span bases are not built here: only the
-    group ``decompose`` reports needs them.
+    member indices (0-based).  The eigen residuals are the report's, at
+    lam_m = <f_m, g_m> + c_m (alpha_m + c_m on S(alpha)).  Span bases are
+    not built here: only the group ``decompose`` reports needs them.
     """
 
     distinct_eigenvalues: list
@@ -155,18 +157,13 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
     for j, idx in enumerate(clusters):
         assigned[idx] = j
 
-    tu = frames.mixed_operator(pair, "TU*")
-    ut = frames.mixed_operator(pair, "UT*")
-    f_res = np.linalg.norm(pair.f.vectors @ tu.T - lam[:, None] * pair.f.vectors, axis=1)
-    g_res = np.linalg.norm(pair.g.vectors @ ut.T - lam.conj()[:, None] * pair.g.vectors, axis=1)
-
     return EigenClassification(
         distinct_eigenvalues=means,
         index_sets=clusters,
         assigned=assigned,
         per_index_eigenvalues=lam,
-        f_eigen_residuals=f_res,
-        g_eigen_residuals=g_res,
+        f_eigen_residuals=report.f_residuals,
+        g_eigen_residuals=report.g_residuals,
         cluster_radius=radius,
         report=report,
     )

@@ -63,12 +63,7 @@ def test_operator_matrices_consistent():
     pair = frames.random_pair(Field.COMPLEX, 3, 5, 42)
     # TU* = sum_m f_m g_m^*, one outer product per index
     tu = sum(np.outer(f, g.conj()) for f, g in zip(pair.f.vectors, pair.g.vectors))
-    assert np.allclose(tu, frames.mixed_operator(pair, "TU*"))
-    assert np.allclose(
-        frames.mixed_operator(pair, "UT*"), frames.mixed_operator(pair, "TU*").conj().T
-    )
-    with pytest.raises(ValueError):
-        frames.mixed_operator(pair, "XY")
+    assert np.allclose(tu, frames.mixed_operator(pair))
 
 
 def test_cross_gram_entries():

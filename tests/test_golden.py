@@ -10,9 +10,9 @@ else.  When a report is meant to change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-and name the changed fields in CHANGES.md.  A re-record keeps every
-stored float that the new run still matches, so the files change only
-where a report did.
+and name the changed fields in CHANGES.md: the command prints the JSON
+path of each one.  A re-record keeps every stored float that the new run
+still matches, so the files change only where a report did.
 """
 
 import contextlib
@@ -90,28 +90,44 @@ def test_golden_report(command, label, tmp_path):
     assert_matches(run_case(command, label, tmp_path), golden[label])
 
 
-def merged(got, stored):
+_MISSING = object()
+
+
+def merged(got, stored, changed, where="$"):
     """The new report ``got``, keeping each float of the stored report
     that ``got`` matches to FLOAT_TOL; every other difference (a key, a
     type, a length, a string, a float beyond the tolerance) takes the new
-    value."""
+    value, and its JSON path (a key only the stored report has included)
+    is appended to ``changed``."""
     if isinstance(got, dict) and isinstance(stored, dict):
-        return {key: merged(value, stored.get(key)) for key, value in got.items()}
+        changed.extend(f"{where}.{key}" for key in stored if key not in got)
+        return {key: merged(value, stored.get(key, _MISSING), changed, f"{where}.{key}")
+                for key, value in got.items()}
     if isinstance(got, list) and isinstance(stored, list) and len(got) == len(stored):
-        return [merged(g, s) for g, s in zip(got, stored)]
+        return [merged(g, s, changed, f"{where}[{i}]") for i, (g, s) in enumerate(zip(got, stored))]
     if isinstance(got, float) and isinstance(stored, float) and floats_agree(got, stored):
         return stored
+    if type(got) is not type(stored) or got != stored:
+        changed.append(where)
     return got
 
 
 def test_record_keeps_only_unchanged_floats():
-    stored = {"status": "ok", "within": [1.0, 2.0], "beyond": 3.0, "old": 1.0}
-    got = {"status": "ok", "within": [1.0 + 1e-15, 2.0], "beyond": 3.001, "new": 1.0}
-    assert merged(got, stored) == {"status": "ok", "within": [1.0, 2.0], "beyond": 3.001,
-                                   "new": 1.0}
+    stored = {"status": "ok", "within": [1.0, 2.0], "beyond": 3.0, "old": 1.0, "none": None}
+    got = {"status": "ok", "within": [1.0 + 1e-15, 2.0], "beyond": 3.001, "new": 1.0,
+           "none": None}
+    changed = []
+    assert merged(got, stored, changed) == {"status": "ok", "within": [1.0, 2.0],
+                                            "beyond": 3.001, "new": 1.0, "none": None}
+    assert changed == ["$.old", "$.beyond", "$.new"]
+    changed = []
+    assert merged({"n": [1, 2], "s": "b", "x": 1}, {"n": [1], "s": "a", "x": 1.0}, changed)
+    assert changed == ["$.n", "$.s", "$.x"]
 
 
 def record():
+    """Rewrite the golden files and print each JSON path that changed,
+    one per line, prefixed by its file."""
     reports = {}
     with tempfile.TemporaryDirectory() as workdir:
         for command, label in CASES:
@@ -120,7 +136,10 @@ def record():
     for command, cases in reports.items():
         path = GOLDEN_DIR / f"{command}.json"
         stored = json.loads(path.read_text()) if path.exists() else {}
-        path.write_text(json.dumps(merged(cases, stored), indent=1) + "\n")
+        changed = []
+        path.write_text(json.dumps(merged(cases, stored, changed), indent=1) + "\n")
+        for where in changed:
+            print(f"{path.name} {where}")
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

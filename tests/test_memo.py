@@ -44,9 +44,8 @@ def test_default_trace_tol_passes_after_strict_failure():
 @pytest.mark.parametrize("derive", [
     frames.cross_gram,
     frames.mixed_operator,
-    lambda pair: frames.mixed_operator(pair, "UT*"),
     lambda pair: potential._spectrum(pair).values,
-], ids=["C", "TU*", "UT*", "spectrum"])
+], ids=["C", "TU*", "spectrum"])
 def test_derived_arrays_are_read_only(derive):
     pair = frames.random_pair(Field.COMPLEX, 2, 3, 9)
     with pytest.raises(ValueError):

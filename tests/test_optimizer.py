@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,13 @@ def _fd_gradient(pair, value, h=1e-6):
     return out
 
 
+def _fd_shape(rng, trial):
+    """(d, N) of a finite-difference trial: 20 small shapes, then N >> d."""
+    if trial < 20:
+        return int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    return int(rng.integers(1, 3)), int(rng.integers(8, 13))
+
+
 def _potential_part(objective):
     def value(pair):
         v = complex(np.sum(frames.cross_gram(pair) * frames.cross_gram(pair).T))
@@ -47,8 +55,8 @@ def test_gradient_against_finite_differences(field, objective):
     if field is Field.REAL and objective == optimizer.IMAG_PART:
         pytest.skip("the potential is real over R")
     rng = np.random.default_rng(61)
-    for trial in range(20):
-        d, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    for trial in range(24):
+        d, n = _fd_shape(rng, trial)
         pair = frames.random_pair(field, d, n, 2000 + trial)
         gf, gg = optimizer.fp_gradient(pair, objective)
         ef, eg = _fd_gradient(pair, _potential_part(objective))
@@ -60,11 +68,11 @@ def test_gradient_against_finite_differences(field, objective):
 def test_merit_gradient_against_finite_differences(field):
     """The reverse-mode merit gradient of CRITICAL_SEARCH is the gradient
     of merit(retract_to_constraint(.)), for random nonuniform alpha (its
-    real part over R)."""
+    real part over R), at small shapes and at N >> d."""
     rng = np.random.default_rng(64)
     is_real = field is Field.REAL
-    for trial in range(20):
-        d, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    for trial in range(24):
+        d, n = _fd_shape(rng, trial)
         alpha = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(-1.0, 1.0, n))
         spec = ConstraintSpec(alpha.real if is_real else alpha)
         pair = frames.random_pair(field, d, n, 2200 + trial)
@@ -355,13 +363,31 @@ def test_restart_ranking_prefers_dual():
 
 def test_critical_search_large_size():
     """One iteration at (d, N) = (64, 192) costs a few merit evaluations and
-    O(N^2 + N d) memory, not one merit evaluation per real coordinate."""
+    O(N d + d^2) memory, not one merit evaluation per real coordinate."""
     spec = ConstraintSpec(np.ones(192))
     cfg = optimizer.OptimizerConfig(mode=optimizer.CRITICAL_SEARCH, seed=1, max_iters=2)
     res = optimizer.search(spec, Field.REAL, 64, cfg)
     assert res.status == optimizer.MAX_ITERS
     assert len(res.merit_history) == 3
     assert all(b < a for a, b in zip(res.merit_history, res.merit_history[1:]))
+
+
+def test_kernel_memory_is_linear_in_n(field):
+    """The merit gradient and the critical report work from the d x d
+    mixed operator: at (d, N) = (4, 3000) neither allocates an N x N
+    array (72 MB over R, 144 MB over C) at any point."""
+    spec = ConstraintSpec(np.ones(3000))
+    pair = frames.retract_to_constraint(frames.random_pair(field, 4, 3000, 5), spec)
+    fv, gv, alpha = pair.f.vectors, pair.g.vectors, spec.require_field(field)
+    for run in (lambda: optimizer._merit_and_gradient(fv, gv, alpha),
+                lambda: structure.critical_report(pair, spec)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 def test_potential_descent_diverges_d2():

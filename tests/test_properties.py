@@ -108,16 +108,16 @@ def test_critical_report_matches_per_index_fit(field, d, ratio, seed):
 
 
 # merit_history of the criterion-9 problem (alpha = 1/2 * ones(4), R, d = 2)
-# from seed 3 over 20 iterations, as recorded once a real pair was stored
-# and searched in float64 arithmetic; the search must reproduce it bit for
-# bit.
+# from seed 3 over 20 iterations, as recorded once the residual kernel and
+# its reverse sweep ran through the d x d mixed operator TU* (float64 for a
+# real pair); the search must reproduce it bit for bit.
 CRITERION_9_MERIT_HISTORY = [
-    0.595790489966725, 0.1382235369235661, 0.08738057728770642, 0.05774855081414343,
-    0.04531005626426296, 0.03638769286480488, 0.031250664712195515, 0.02735638340758112,
-    0.024645970626081655, 0.022460449967721, 0.020738914208045217, 0.019272829258092896,
-    0.018026506754659513, 0.01692307072847994, 0.01594288703962326, 0.015053500743415292,
-    0.01424366598547433, 0.013497840562884715, 0.012809074306699194, 0.012169053553526587,
-    0.01157310222226166,
+    0.5957904899667253, 0.13822353692356645, 0.08738057728770646, 0.057748550814143255,
+    0.04531005626426288, 0.03638769286480503, 0.0312506647121956, 0.027356383407581075,
+    0.024645970626081717, 0.02246044996772095, 0.02073891420804519, 0.019272829258092927,
+    0.01802650675465946, 0.01692307072847994, 0.015942887039623318, 0.015053500743415354,
+    0.014243665985474396, 0.013497840562884743, 0.012809074306699227, 0.012169053553526599,
+    0.011573102222261749,
 ]
 
 
@@ -144,24 +144,23 @@ def test_descent_trial_potential_matches_direct_form(field, d, extra, seed):
 
 # merit_history and objective_history of a POTENTIAL_DESCENT over C on the
 # imaginary part, alpha = ones(48), d = 16, seed 11, 20 iterations, as
-# recorded while descent trials were still priced from the N x N cross
-# Gram; the merit must be reproduced bit for bit, the objective (now taken
-# from TU*) to round-off.
+# recorded once the residual kernel and the FP gradient ran through TU*;
+# the merit must be reproduced bit for bit, the objective to round-off.
 DESCENT_MERIT_HISTORY = [
-    317665.12534846604, 7508103.129234564, 3318448138.1035013, 5340368566.794404,
-    36147878522.604126, 1094178253036.4258, 1864568007869.926, 4424380082235.846,
-    6891074113004.127, 10855744599356.738, 15378467286703.855, 24670701889415.812,
-    45916485065182.53, 47735727435834.664, 47004630614435.52, 46278938494816.734,
-    45562795054517.164, 44860078815420.56, 44174389067077.5, 43509038446729.51,
-    40091848139719.266,
+    317665.1253484661, 7508103.129234497, 3318448138.1037345, 5340368566.794445,
+    36147878522.60687, 1094178253027.2551, 1864568007847.9448, 4424380082177.197,
+    6891074112899.027, 10855744599162.232, 15378467286152.488, 24670701887822.516,
+    45916485060631.15, 47735727437311.266, 47004630616127.73, 46278938496535.7,
+    45562795056353.94, 44860078817127.555, 44174389068829.016, 43509038448514.28,
+    40091848141385.01,
 ]
 DESCENT_OBJECTIVE_HISTORY = [
-    93.70990939557775, -1204.6715510392653, -166548.2962090174, -1368569.966118968,
-    -4909503.8430350805, -15490534.050789222, -30232522.996655174, -59384412.85630861,
-    -83494639.40250057, -97426545.20109913, -110573375.77885121, -121538519.97254935,
-    -127826978.65340701, -137188668.18560782, -140886254.3803513, -144594811.05088073,
-    -148320670.9925149, -152070201.4083345, -155849772.98942888, -159665733.5869081,
-    -159672471.43723977,
+    93.70990939557774, -1204.6715510392596, -166548.29620904237, -1368569.9661190016,
+    -4909503.843038289, -15490534.050685871, -30232522.996412143, -59384412.855770975,
+    -83494639.40176713, -97426545.2018467, -110573375.77957082, -121538519.97305554,
+    -127826978.65157254, -137188668.17795083, -140886254.373383, -144594811.04294983,
+    -148320670.98400384, -152070201.39887863, -155849772.98006642, -159665733.5760153,
+    -159672471.42445064,
 ]
 
 
