@@ -12,14 +12,19 @@ Two modes:
   one hand-written reverse-mode sweep.  The merit is bounded below by 0
   and vanishes exactly at critical pairs.
 
-Both use fixed-step descent with backtracking halving (factor 0.5, up to
-30 halvings).  Everything in the loop works from the d x d mixed operator
-M = TU*, in O(N d^2) time and O(N d + d^2) memory, never from the N x N
-cross Gram: every trial is priced at FP = Tr(M^2); the residual kernel
+Both use backtracking searches that halve the step (factor 0.5, up to
+30 halvings) until a trial strictly lowers the merit or the objective.
+CRITICAL_SEARCH starts each search at the Polyak step merit / ||grad||^2,
+since the merit's least value, 0, is known; POTENTIAL_DESCENT, whose
+objective has no known least value, starts at ``STEP_SIZE``.  Everything
+in the loop works from the d x d mixed operator M = TU*, in O(N d^2)
+time and O(N d + d^2) memory, never from the N x N cross Gram: every
+trial is priced at FP = Tr(M^2); the residual kernel
 ``structure._merit_terms`` runs once per iterate (on every trial of
-CRITICAL_SEARCH, whose acceptance test is the merit); the descent
-gradient takes the M of the iterate's kernel output; and ``search``
-reports on the last iterate's kernel output instead of running it again.
+CRITICAL_SEARCH, whose acceptance test is the merit); both gradients
+start from the iterate's kernel output, with no second forward pass;
+and ``search`` reports on the last iterate's kernel output instead of
+running it again.
 Restarts are independent: restart k uses seed ``seed + k`` and the
 reported result never depends on execution order.
 """
@@ -49,7 +54,7 @@ MAX_ITERS = "MAX_ITERS"
 DIVERGED = "DIVERGED"
 DEGENERATE_RETRACTION = "DEGENERATE_RETRACTION"
 
-STEP_SIZE = 0.25  # first trial step of every backtracking search
+STEP_SIZE = 0.25  # first trial step of every POTENTIAL_DESCENT backtracking search
 GRAD_TOL = 1e-8  # POTENTIAL_DESCENT converges at or below this tangent gradient norm
 MERIT_TOL = 1e-16  # CRITICAL_SEARCH converges at or below this merit
 _BACKTRACK_LIMIT = 30
@@ -188,42 +193,46 @@ def _retract_with_recovery(fv, gv, alpha, rng):
                 gv[m] = rng.standard_normal(d)
 
 
-def _merit_and_gradient(fv, gv, alpha):
-    """merit(retract(F, G)) and its gradient on raw (N, d) arrays.
+def _merit_gradient(fv, gv, alpha, terms):
+    """Gradient of merit(retract(F, G)) at a pair (F, G) of raw (N, d)
+    arrays already on S(alpha), from its ``_merit_terms`` output ``terms``.
 
     The gradient is in the fp_gradient encoding (derivative with respect
     to the real component plus i times that with respect to the imaginary
-    component), real for real arrays and alpha.  It is one hand-written
-    reverse-mode sweep: each ``x_bar`` below is dL/dRe x + i dL/dIm x for
-    the intermediate x, so a product y = a * b sends y_bar * conj(b) to
-    a_bar and y = conj(x) sends conj(y_bar) to x_bar.  The sweep runs
-    through M = TU* like the forward, in O(N d^2) time and O(N d + d^2)
-    memory.  The forward retraction is ``frames._retraction`` and raises
-    DegeneratePairingError where it does.
+    component), real for real arrays and alpha.  It is the reverse sweep
+    of one hand-written reverse-mode pass: each ``x_bar`` below is
+    dL/dRe x + i dL/dIm x for the intermediate x, so a product y = a * b
+    sends y_bar * conj(b) to a_bar and y = conj(x) sends conj(y_bar) to
+    x_bar.  The forward is not run again: on S(alpha) the retraction
+    ``frames._retraction`` leaves G as it is, so its output G_r is G, and
+    only ip = <f_m, g_m> and q = alpha / ip are formed for its derivative.
+    The sweep runs through M = TU* like the kernel, in O(N d^2) time and
+    O(N d + d^2) memory.
     """
-    # forward: the retraction, then the terms of `merit`
-    ip, q, gr = frames._retraction(fv, gv, alpha)
-    value, (tu, u, lam, _, rf, rg) = _merit_with_terms(fv, gr)
+    tu, u, lam, _, rf, rg = terms
+    ip = np.sum(fv * gv.conj(), axis=1)
+    q = alpha / ip
     f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
 
     # backward through r_f = u - lam f, r_g = G_r conj(M) - conj(lam) G_r
     # and lam = num / |f|^2 with num_m = sum_k u_m[k] conj(f_m[k])
     rf_bar, rg_bar = 2.0 * rf, 2.0 * rg
-    lam_bar = -np.sum(rf_bar * fv.conj(), axis=1) - np.sum(rg_bar.conj() * gr, axis=1)
+    lam_bar = -np.sum(rf_bar * fv.conj(), axis=1) - np.sum(rg_bar.conj() * gv, axis=1)
     num_bar = lam_bar / f_norms2
     norms2_bar = -np.real(lam_bar * lam.conj()) / f_norms2
     u_bar = rf_bar + num_bar[:, None] * fv
     # through u = F M^T, r_g and M = F^T conj(G_r)
-    tu_bar = u_bar.T @ fv.conj() + gr.T @ rg_bar.conj()
+    tu_bar = u_bar.T @ fv.conj() + gv.T @ rg_bar.conj()
     f_bar = (num_bar.conj()[:, None] * u - lam.conj()[:, None] * rf_bar
-             + 2.0 * norms2_bar[:, None] * fv + u_bar @ tu.conj() + gr @ tu_bar.T)
+             + 2.0 * norms2_bar[:, None] * fv + u_bar @ tu.conj() + gv @ tu_bar.T)
     gr_bar = rg_bar @ tu.T - lam[:, None] * rg_bar + fv @ tu_bar.conj()
+    # through the retraction G_r = G * conj(q), q = alpha / <f_m, g_m>
     g_bar = gr_bar * q[:, None]
-    q_bar = np.sum(gr_bar.conj() * gv, axis=1)  # through gr = gv * conj(q)
+    q_bar = np.sum(gr_bar.conj() * gv, axis=1)
     ip_bar = -q_bar * (q / ip).conj()
     f_bar += ip_bar[:, None] * gv
     g_bar += ip_bar.conj()[:, None] * fv
-    return value, f_bar, g_bar
+    return f_bar, g_bar
 
 
 def _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist):
@@ -300,17 +309,19 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
         if critical:
             if m0 <= MERIT_TOL:
                 return finish(CONVERGED)
-            try:
-                _, gf, gg = _merit_and_gradient(fv, gv, alpha)
-            except DegeneratePairingError:
-                return finish(DEGENERATE_RETRACTION)
+            gf, gg = _merit_gradient(fv, gv, alpha, terms)
+            grad2 = np.sum(np.abs(gf) ** 2) + np.sum(np.abs(gg) ** 2)
+            if grad2 == 0.0:
+                # a stationary point of the merit above MERIT_TOL: no step lowers it
+                return finish(MAX_ITERS)
+            step = m0 / grad2  # Polyak's step for the known least merit, 0
         else:
             gf, gg = _fp_gradient(fv, gv, terms[0], cfg.objective)
             gf, gg = _project_to_tangent(fv, gv, gf, gg)
             if np.sqrt(np.vdot(gf, gf).real + np.vdot(gg, gg).real) <= GRAD_TOL:
                 return finish(CONVERGED)
+            step = STEP_SIZE
 
-        step = STEP_SIZE
         for _ in range(_BACKTRACK_LIMIT):
             f1 = fv - step * gf
             try:

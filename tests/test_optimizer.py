@@ -65,25 +65,31 @@ def test_gradient_against_finite_differences(field, objective):
         assert np.linalg.norm(gg - eg) / scale <= 1e-5
 
 
+def _loop_gradient(pair, alpha):
+    """The merit gradient as the search loop takes it: from the kernel
+    output of the pair, which is on S(alpha)."""
+    fv, gv = pair.f.vectors, pair.g.vectors
+    return optimizer._merit_gradient(fv, gv, alpha, optimizer._merit_with_terms(fv, gv)[1])
+
+
 def test_merit_gradient_against_finite_differences(field):
-    """The reverse-mode merit gradient of CRITICAL_SEARCH is the gradient
-    of merit(retract_to_constraint(.)), for random nonuniform alpha (its
-    real part over R), at small shapes and at N >> d."""
+    """The reverse-mode merit gradient of CRITICAL_SEARCH, taken from the
+    kernel output of a retracted pair with no second forward pass, is the
+    gradient of merit(retract_to_constraint(.)) there, for random
+    nonuniform alpha (its real part over R), at small shapes and at
+    N >> d."""
     rng = np.random.default_rng(64)
     is_real = field is Field.REAL
     for trial in range(24):
         d, n = _fd_shape(rng, trial)
         alpha = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(-1.0, 1.0, n))
         spec = ConstraintSpec(alpha.real if is_real else alpha)
-        pair = frames.random_pair(field, d, n, 2200 + trial)
+        pair = frames.retract_to_constraint(frames.random_pair(field, d, n, 2200 + trial), spec)
 
         def value(p):
             return optimizer.merit(frames.retract_to_constraint(p, spec))
 
-        m, gf, gg = optimizer._merit_and_gradient(
-            pair.f.vectors, pair.g.vectors, spec.require_field(field)
-        )
-        assert m == pytest.approx(value(pair), rel=1e-12, abs=1e-14)
+        gf, gg = _loop_gradient(pair, spec.require_field(field))
         ef, eg = _fd_gradient(pair, value)
         scale = max(1.0, float(np.linalg.norm(ef)), float(np.linalg.norm(eg)))
         assert np.linalg.norm(gf - ef) / scale <= 1e-5
@@ -95,9 +101,7 @@ def test_merit_gradient_against_finite_differences(field):
 def test_merit_gradient_vanishes_at_critical_fixtures():
     for name in ("FX-ONB2", "FX-MB", "FX-MIX", "FX-IMAG"):
         pair, spec = fixtures.fixture(name)
-        _, gf, gg = optimizer._merit_and_gradient(
-            pair.f.vectors, pair.g.vectors, spec.require_field(pair.field)
-        )
+        gf, gg = _loop_gradient(pair, spec.require_field(pair.field))
         assert np.sqrt(np.vdot(gf, gf).real + np.vdot(gg, gg).real) <= 1e-10, name
 
 
@@ -221,6 +225,31 @@ def test_critical_search_converges():
     assert res.constraint_residual_final <= 1e-10
     assert res.critical_report_final is not None
     assert res.critical_report_final.is_critical
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_critical_search_converges_at_every_scale(scale):
+    """The Polyak first step merit / ||grad||^2 scales with the problem:
+    alpha = s * (1, 1, 1) converges at s = 1e-3, 1 and 1e3 alike (a fixed
+    first step of 0.25 reached MAX_ITERS at both ends)."""
+    spec = ConstraintSpec(np.full(3, scale))
+    res = optimizer.search(spec, Field.REAL, 2, optimizer.OptimizerConfig(seed=7))
+    assert res.status == optimizer.CONVERGED
+    assert structure.critical_report(res.final_pair, spec).is_critical
+
+
+def test_critical_search_stops_at_zero_gradient(monkeypatch):
+    """A zero merit gradient above MERIT_TOL ends the restart as MAX_ITERS
+    at once, with no division by zero for the Polyak step."""
+    def zero_gradient(fv, gv, alpha, terms):
+        return np.zeros_like(fv), np.zeros_like(gv)
+
+    monkeypatch.setattr(optimizer, "_merit_gradient", zero_gradient)
+    spec = ConstraintSpec(np.full(4, 0.5))
+    with np.errstate(all="raise"):
+        res = optimizer.search(spec, Field.REAL, 2, optimizer.OptimizerConfig(seed=3))
+    assert res.status == optimizer.MAX_ITERS
+    assert len(res.merit_history) == 1 and res.merit_history[0] > optimizer.MERIT_TOL
 
 
 def test_search_deterministic():
@@ -378,8 +407,7 @@ def test_kernel_memory_is_linear_in_n(field):
     array (72 MB over R, 144 MB over C) at any point."""
     spec = ConstraintSpec(np.ones(3000))
     pair = frames.retract_to_constraint(frames.random_pair(field, 4, 3000, 5), spec)
-    fv, gv, alpha = pair.f.vectors, pair.g.vectors, spec.require_field(field)
-    for run in (lambda: optimizer._merit_and_gradient(fv, gv, alpha),
+    for run in (lambda: _loop_gradient(pair, spec.require_field(field)),
                 lambda: structure.critical_report(pair, spec)):
         tracemalloc.start()
         try:
