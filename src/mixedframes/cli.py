@@ -336,8 +336,6 @@ def cmd_optimize(args):
 
     tols = {"grad_tol": optimizer.GRAD_TOL, "merit_tol": optimizer.MERIT_TOL,
             "divergence_bound": cfg.divergence_bound}
-    if mode == optimizer.POTENTIAL_DESCENT:  # CRITICAL_SEARCH starts at the Polyak step
-        tols["step"] = optimizer.STEP_SIZE
     return _emit("optimize", digest, tols, outputs, result.status,
                  f"status = {result.status}, merit = {outputs['search']['final_merit']}, "
                  f"dual deviation = {result.dual_deviation:.3e}")

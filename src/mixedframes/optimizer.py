@@ -16,7 +16,9 @@ Both use backtracking searches that halve the step (factor 0.5, up to
 30 halvings) until a trial strictly lowers the merit or the objective.
 CRITICAL_SEARCH starts each search at the Polyak step merit / ||grad||^2,
 since the merit's least value, 0, is known; POTENTIAL_DESCENT, whose
-objective has no known least value, starts at ``STEP_SIZE``.  Everything
+objective has no known least value, at 1 / sqrt(2 max |eps_m|), where no
+pairing alpha_m (1 + t^2 eps_m) of the tangent ray has moved by more than
+alpha_m / 2 (``_run_single``).  Both scale with the problem.  Everything
 in the loop works from the d x d mixed operator M = TU*, in O(N d^2)
 time and O(N d + d^2) memory, never from the N x N cross Gram: every
 trial is priced at FP = Tr(M^2); the residual kernel
@@ -54,7 +56,6 @@ MAX_ITERS = "MAX_ITERS"
 DIVERGED = "DIVERGED"
 DEGENERATE_RETRACTION = "DEGENERATE_RETRACTION"
 
-STEP_SIZE = 0.25  # first trial step of every POTENTIAL_DESCENT backtracking search
 GRAD_TOL = 1e-8  # POTENTIAL_DESCENT converges at or below this tangent gradient norm
 MERIT_TOL = 1e-16  # CRITICAL_SEARCH converges at or below this merit
 _BACKTRACK_LIMIT = 30
@@ -318,9 +319,15 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
         else:
             gf, gg = _fp_gradient(fv, gv, terms[0], cfg.objective)
             gf, gg = _project_to_tangent(fv, gv, gf, gg)
-            if np.sqrt(np.vdot(gf, gf).real + np.vdot(gg, gg).real) <= GRAD_TOL:
+            grad2 = np.vdot(gf, gf).real + np.vdot(gg, gg).real
+            if np.sqrt(grad2) <= GRAD_TOL:
                 return finish(CONVERGED)
-            step = STEP_SIZE
+            # <f_m - t gf_m, g_m - t gg_m> = alpha_m (1 + t^2 eps_m): move none by > alpha_m / 2
+            eps = np.max(np.abs(np.sum(gf * gg.conj(), axis=1) / alpha))
+            if eps > 0.0:
+                step = 1.0 / np.sqrt(2.0 * eps)
+            else:  # the ray stays on S(alpha): a move as long as the pair itself
+                step = np.sqrt((np.vdot(fv, fv).real + np.vdot(gv, gv).real) / grad2)
 
         for _ in range(_BACKTRACK_LIMIT):
             f1 = fv - step * gf

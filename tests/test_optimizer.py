@@ -1,12 +1,18 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import retracted_random
 from mixedframes import fixtures, frames, optimizer, structure
-from mixedframes.errors import DimensionMismatchError, MixedFramesError, ZeroVectorError
+from mixedframes.errors import (
+    DegeneratePairingError,
+    DimensionMismatchError,
+    MixedFramesError,
+    ZeroVectorError,
+)
 from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
 
 
@@ -379,6 +385,119 @@ def test_descent_runs_kernel_once_per_iterate(monkeypatch):
         assert len(res.merit_history) == k + 1
         assert len(calls) == 1 + k
         assert res.critical_report_final is not None
+
+
+def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, field):
+    """When every <gf_m, gg_m> is 0 the tangent ray never leaves S(alpha)
+    and 1/sqrt(2 max |eps_m|) is infinite: the search starts instead at
+    ||(F, G)|| / ||(gf, gg)||, finite and with no floating-point warning.
+    F and G live in the first two coordinates and the stubbed gradient
+    rows in the third and fourth, so every pairing of the ray is exact."""
+    dtype = np.complex128 if field is Field.COMPLEX else np.float64
+    fv = np.array([[1.0, 2.0, 0.0, 0.0], [0.5, -1.0, 0.0, 0.0]], dtype=dtype)
+    gv = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, -0.5, 0.0, 0.0]], dtype=dtype)
+    gf = np.array([[0.0, 0.0, 3.0, 0.0], [0.0, 0.0, -1.0, 0.0]], dtype=dtype)
+    gg = np.array([[0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, 4.0]], dtype=dtype)
+    if field is Field.COMPLEX:
+        fv[:, 1] *= 1j
+        gf[:, 2] *= 1 - 1j
+    monkeypatch.setattr(optimizer, "_fp_gradient", lambda fv, gv, tu, objective: (gf, gg))
+    trials = []
+    original = frames._retraction
+
+    def recording(fv, gv, alpha):
+        trials.append(fv)
+        return original(fv, gv, alpha)
+
+    monkeypatch.setattr(frames, "_retraction", recording)
+    spec = ConstraintSpec(np.array([4.0, -0.5]))
+    start = FramePair(FrameSequence(field, fv), FrameSequence(field, gv))
+    cfg = optimizer.OptimizerConfig(mode=optimizer.POTENTIAL_DESCENT, max_iters=1)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimizer.search(spec, field, 4, cfg, initial_pair=start)
+    gv = original(fv, gv, spec.alpha)[2]  # the retracted start
+    step = -trials[1][0, 2] / gf[0, 2]
+    size2 = (np.vdot(fv, fv) + np.vdot(gv, gv)).real
+    want = np.sqrt(size2 / (np.vdot(gf, gf) + np.vdot(gg, gg)).real)
+    assert np.isfinite(step)
+    assert abs(step - want) <= 1e-15 * want
+
+
+DESCENT_PROBLEMS = [(Field.REAL, optimizer.REAL_PART), (Field.COMPLEX, optimizer.REAL_PART),
+                    (Field.COMPLEX, optimizer.IMAG_PART)]
+
+
+@pytest.mark.parametrize("field_,objective", DESCENT_PROBLEMS, ids=["R-REAL", "C-REAL", "C-IMAG"])
+def test_descent_is_scale_equivariant(monkeypatch, field_, objective):
+    """The first trial step is read off the retraction, so a descent from
+    (sF, sG) on s^2 alpha takes the steps of the one from (F, G) on alpha:
+    the same status and iterations, iterates s times and objectives s^4
+    times as large (a fixed first step of 0.25 stopped after 2 or 3
+    iterations at s = 1e3)."""
+    iterates = []
+    original = optimizer._accepted
+
+    def recording(fv, gv, *args):
+        accepted = original(fv, gv, *args)
+        if accepted is not None:
+            iterates.append((fv, gv))
+        return accepted
+
+    monkeypatch.setattr(optimizer, "_accepted", recording)
+    d, n = 3, 7
+    raw = frames.random_pair(field_, d, n, 4)
+    alpha = np.linspace(0.5, 2.0, n)
+    cfg = optimizer.OptimizerConfig(mode=optimizer.POTENTIAL_DESCENT, objective=objective,
+                                    max_iters=6, divergence_bound=1e300)
+
+    def run(s):
+        iterates.clear()
+        start = FramePair(FrameSequence(field_, s * raw.f.vectors),
+                          FrameSequence(field_, s * raw.g.vectors))
+        res = optimizer.search(ConstraintSpec(s**2 * alpha), field_, d, cfg, initial_pair=start)
+        return res, list(iterates)
+
+    base, base_iterates = run(1.0)
+    assert len(base_iterates) == 6
+    for s in (1e-3, 1e3):
+        res, scaled_iterates = run(s)
+        assert res.status == base.status
+        assert len(res.objective_history) == len(base.objective_history)
+        for got, want in zip(scaled_iterates, base_iterates):
+            for x, y in zip(got, want):
+                assert np.max(np.abs(x - s * y)) <= 1e-12 * s * np.max(np.abs(y))
+        for got, want in zip(res.objective_history, base.objective_history):
+            assert abs(got - s**4 * want) <= 1e-12 * s**4 * abs(want)
+
+
+def test_descent_prices_few_trials_per_iteration(monkeypatch):
+    """Starting each backtracking search where no pairing moves by more
+    than half of alpha_m, a descent at (16, 48) over C prices at most 3
+    trials per iteration on average (about 14 from a fixed step of 0.25)
+    and no trial meets a degenerate pairing."""
+    counts = {"trials": 0, "degenerate": 0}
+    accepted, retraction = optimizer._accepted, frames._retraction
+
+    def counting_accepted(*args):
+        counts["trials"] += 1
+        return accepted(*args)
+
+    def counting_retraction(fv, gv, alpha):
+        try:
+            return retraction(fv, gv, alpha)
+        except DegeneratePairingError:
+            counts["degenerate"] += 1
+            raise
+
+    monkeypatch.setattr(optimizer, "_accepted", counting_accepted)
+    monkeypatch.setattr(frames, "_retraction", counting_retraction)
+    cfg = optimizer.OptimizerConfig(mode=optimizer.POTENTIAL_DESCENT, seed=2, max_iters=30)
+    res = optimizer.search(ConstraintSpec(np.ones(48)), Field.COMPLEX, 16, cfg)
+    iterations = len(res.merit_history) - 1
+    assert iterations >= 10
+    assert counts["trials"] <= 3 * iterations
+    assert counts["degenerate"] == 0
 
 
 def test_restart_ranking_prefers_dual():

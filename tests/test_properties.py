@@ -145,23 +145,24 @@ def test_descent_trial_potential_matches_direct_form(field, d, extra, seed):
 
 # merit_history and objective_history of a POTENTIAL_DESCENT over C on the
 # imaginary part, alpha = ones(48), d = 16, seed 11, 20 iterations, as
-# recorded once the residual kernel and the FP gradient ran through TU*;
-# the merit must be reproduced bit for bit, the objective to round-off.
+# recorded once each backtracking search started at the retraction's own
+# scale 1/sqrt(2 max |eps_m|); the merit must be reproduced bit for bit,
+# the objective to round-off.
 DESCENT_MERIT_HISTORY = [
-    317665.1253484661, 7508103.129234497, 3318448138.1037345, 5340368566.794445,
-    36147878522.60687, 1094178253027.2551, 1864568007847.9448, 4424380082177.197,
-    6891074112899.027, 10855744599162.232, 15378467286152.488, 24670701887822.516,
-    45916485060631.15, 47735727437311.266, 47004630616127.73, 46278938496535.7,
-    45562795056353.94, 44860078817127.555, 44174389068829.016, 43509038448514.28,
-    40091848141385.01,
+    317665.1253484661, 3283768.2757881368, 10546661.18081264, 90847761.33212887,
+    652792390.870566, 3957500696.307064, 15446985626.777716, 47429605218.905045,
+    153431859298.8636, 643402851464.2974, 3748215208966.9746, 22065284033647.49,
+    24061231324697.02, 26123039272695.254, 28222029842105.934, 30346107267667.867,
+    32504300647912.99, 34704878089069.35, 36956867400289.95, 39268733959345.16,
+    41645903003062.3,
 ]
 DESCENT_OBJECTIVE_HISTORY = [
-    93.70990939557774, -1204.6715510392596, -166548.29620904237, -1368569.9661190016,
-    -4909503.843038289, -15490534.050685871, -30232522.996412143, -59384412.855770975,
-    -83494639.40176713, -97426545.2018467, -110573375.77957082, -121538519.97305554,
-    -127826978.65157254, -137188668.17795083, -140886254.373383, -144594811.04294983,
-    -148320670.98400384, -152070201.39887863, -155849772.98006642, -159665733.5760153,
-    -159672471.42445064,
+    93.70990939557774, -11835.578561943472, -47509.799463603296, -193746.48147962496,
+    -682607.6780268184, -2118632.485213369, -4782986.683883633, -9301222.935838964,
+    -17485670.541346245, -35828982.7455853, -86976389.9413772, -235457054.57701027,
+    -267972813.850325, -287290823.60591227, -304263150.7523919, -319005735.4602554,
+    -331814755.7670821, -342893685.9922024, -352395271.9843235, -360442498.52981627,
+    -367138878.90566534,
 ]
 
 
