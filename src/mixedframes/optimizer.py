@@ -22,17 +22,20 @@ alpha_m / 2 (``_run_single``).  Both scale with the problem.  Everything
 in the loop works from the d x d mixed operator M = TU*, in O(N d^2)
 time and O(N d + d^2) memory, never from the N x N cross Gram: every
 trial is priced at FP = Tr(M^2); the residual kernel
-``structure._merit_terms`` runs once per iterate (on every trial of
-CRITICAL_SEARCH, whose acceptance test is the merit); both gradients
-start from the iterate's kernel output, with no second forward pass;
-and ``search`` reports on the last iterate's kernel output instead of
-running it again.
+``structure._merit_terms`` runs once per iterate, on the M that priced it
+(on every trial of CRITICAL_SEARCH, whose acceptance test is the merit);
+both gradients and the tangent projection take their products
+u = F M^T, G conj(M) and row sums ||f_m||^2, <f_m, g_m> from that kernel
+output, with no second forward pass; and the pair ``search`` returns
+keeps the last M and the report residuals of that output, so its report,
+duality deviation and constraint residual form no product again.
 Restarts are independent: restart k uses seed ``seed + k`` and the
 reported result never depends on execution order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,22 +109,23 @@ def fp_gradient(pair: FramePair, objective=REAL_PART):
     along a perturbation (df, dg) in the same encoding is
     Re(sum conj(grad) * d).
     """
-    return _fp_gradient(pair.f.vectors, pair.g.vectors, frames.mixed_operator(pair), objective)
+    tu = frames.mixed_operator(pair)
+    return _fp_gradient(pair.f.vectors @ tu.T, pair.g.vectors @ tu.conj(), objective)
 
 
-def _fp_gradient(fv, gv, tu, objective):
-    """``fp_gradient`` on raw (N, d) arrays and their M = TU*."""
+def _fp_gradient(u, gm, objective):
+    """``fp_gradient`` from u = F M^T and G conj(M), M = TU*, as the kernel forms them."""
     # FP = Tr(M^2) with M = sum_m f_m g_m^*: its holomorphic derivative
-    # w.r.t. f_m is 2 M^T conj(g_m), that w.r.t. conj(g_m) is 2 M f_m
-    df = 2.0 * (gv.conj() @ tu)  # row m = derivative for f_m
-    dg_bar = 2.0 * (fv @ tu.T)  # row m = derivative for conj(g_m)
+    # w.r.t. f_m is 2 M^T conj(g_m), the conjugate of row m of 2 G conj(M),
+    # and that w.r.t. conj(g_m) is 2 M f_m, row m of 2 u
+    df_bar, dg_bar = 2.0 * gm, 2.0 * u
     if objective == REAL_PART:
-        return df.conj(), dg_bar
+        return df_bar, dg_bar
     if objective != IMAG_PART:
         raise ValueError(f"unknown objective {objective!r}")
-    if not np.iscomplexobj(tu):  # Im FP vanishes identically on a real pair
-        return np.zeros_like(fv), np.zeros_like(gv)
-    return 1j * df.conj(), -1j * dg_bar
+    if not np.iscomplexobj(u):  # Im FP vanishes identically on a real pair
+        return np.zeros_like(u), np.zeros_like(gm)
+    return 1j * df_bar, -1j * dg_bar
 
 
 def project_to_tangent(pair: FramePair, gf, gg):
@@ -139,13 +143,14 @@ def project_to_tangent(pair: FramePair, gf, gg):
     """
     if pair.field is Field.REAL:
         gf, gg = np.real(gf), np.real(gg)
-    return _project_to_tangent(pair.f.vectors, pair.g.vectors, gf, gg)
+    fv = pair.f.vectors
+    return _project_to_tangent(fv, pair.g.vectors, gf, gg, np.sum(np.abs(fv) ** 2, axis=1))
 
 
-def _project_to_tangent(fv, gv, gf, gg):
-    """``project_to_tangent`` on raw (N, d) arrays; real arrays (a pair
-    over R) have only the real-part constraint directions."""
-    nn = np.sum(np.abs(fv) ** 2, axis=1) + np.sum(np.abs(gv) ** 2, axis=1)
+def _project_to_tangent(fv, gv, gf, gg, f_norms2):
+    """``project_to_tangent`` on raw (N, d) arrays and their ||f_m||^2; real
+    arrays (a pair over R) have only the real-part constraint directions."""
+    nn = f_norms2 + np.sum(np.abs(gv) ** 2, axis=1)
     # <gf_m, g_m> + conj(<gg_m, f_m>): its real part is the real inner
     # product with (g_m, f_m), its imaginary part that with (i g_m, -i f_m)
     ip = np.sum(gf * gv.conj(), axis=1) + np.sum(gg.conj() * fv, axis=1)
@@ -161,12 +166,11 @@ def merit(pair: FramePair):
     return _merit_with_terms(pair.f.vectors, pair.g.vectors)[0]
 
 
-def _merit_with_terms(fv, gv):
-    """``merit`` on raw (N, d) arrays with nonzero rows, and the terms
-    (TU*, u, lam, c, r_f, r_g) of ``structure._merit_terms`` it came from."""
-    terms = structure._merit_terms(fv, gv)
-    rf, rg = terms[4:]
-    return float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2)), terms
+def _merit_with_terms(fv, gv, tu=None):
+    """``merit`` on raw (N, d) arrays with nonzero rows (and their TU*, if
+    already formed), and the ``structure._merit_terms`` output it came from."""
+    terms = structure._merit_terms(fv, gv, tu)
+    return float(np.sum(np.abs(terms.rf) ** 2) + np.sum(np.abs(terms.rg) ** 2)), terms
 
 
 def _objective_part(fp, objective):
@@ -175,8 +179,8 @@ def _objective_part(fp, objective):
 
 def _retract_with_recovery(fv, gv, alpha, rng):
     """G retracted by the kernel ``frames._retraction``; on a degenerate
-    pairing re-randomize the offending g_m (up to the per-index budget)
-    before giving up."""
+    pairing re-randomize the offending g_m from the generator ``rng()``
+    (up to the per-index budget) before giving up."""
     attempts = {}
     while True:
         try:
@@ -187,11 +191,11 @@ def _retract_with_recovery(fv, gv, alpha, rng):
             if attempts[m] > _RERANDOMIZE_BUDGET:
                 raise
             gv = gv.copy()
-            d = gv.shape[1]
+            d, gen = gv.shape[1], rng()
             if np.iscomplexobj(gv):
-                gv[m] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                gv[m] = gen.standard_normal(d) + 1j * gen.standard_normal(d)
             else:
-                gv[m] = rng.standard_normal(d)
+                gv[m] = gen.standard_normal(d)
 
 
 def _merit_gradient(fv, gv, alpha, terms):
@@ -206,14 +210,13 @@ def _merit_gradient(fv, gv, alpha, terms):
     sends y_bar * conj(b) to a_bar and y = conj(x) sends conj(y_bar) to
     x_bar.  The forward is not run again: on S(alpha) the retraction
     ``frames._retraction`` leaves G as it is, so its output G_r is G, and
-    only ip = <f_m, g_m> and q = alpha / ip are formed for its derivative.
-    The sweep runs through M = TU* like the kernel, in O(N d^2) time and
-    O(N d + d^2) memory.
+    only q = alpha / ip is formed for its derivative, from the kernel's
+    ip = <f_m, g_m>.  The sweep runs through M = TU* like the kernel, in
+    O(N d^2) time and O(N d + d^2) memory.
     """
-    tu, u, lam, _, rf, rg = terms
-    ip = np.sum(fv * gv.conj(), axis=1)
+    tu, u, lam, rf, rg, f_norms2, ip = (terms.tu, terms.u, terms.lam, terms.rf, terms.rg,
+                                        terms.f_norms2, terms.ip)
     q = alpha / ip
-    f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
 
     # backward through r_f = u - lam f, r_g = G_r conj(M) - conj(lam) G_r
     # and lam = num / |f|^2 with num_m = sum_k u_m[k] conj(f_m[k])
@@ -237,17 +240,20 @@ def _merit_gradient(fv, gv, alpha, terms):
 
 
 def _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist):
-    """The search result, with the one FramePair the run returns built
-    (and validated) from the final arrays and its critical report taken
-    from their kernel output ``terms``."""
+    """The search result; the one FramePair the run returns is built (and
+    validated) from the final arrays and seeded with their TU* and report
+    residuals from their kernel output ``terms`` (None if never retracted)."""
     pair = FramePair(FrameSequence(field_, fv), FrameSequence(field_, gv))
+    if terms is not None:
+        pair._derived("TU*", lambda: terms.tu)
     report, residual = None, float("inf")
     if status != DEGENERATE_RETRACTION:
         try:
-            report = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms)
+            pair._derived("residuals", lambda: structure._residuals(terms))
+            report = structure.critical_report(pair, spec)
         except MixedFramesError:
             pass  # e.g. round-off pushed a diverged iterate off the constraint
-        residual = float(frames.constraint_residual(pair, spec).max())
+        residual = float(np.abs(terms.ip - spec.alpha).max())
     _, deviation = frames.is_dual_pair(pair)
     return SearchResult(
         final_pair=pair,
@@ -266,13 +272,14 @@ def _accepted(fv, gv, m0, o0, critical, objective):
     kernel terms) when it lowers the merit (CRITICAL_SEARCH) or the
     objective (POTENTIAL_DESCENT), else None.  Every trial's FP is
     Tr((TU*)^2); a descent trial is priced from TU* alone and the kernel
-    runs only on the accepted one."""
+    runs, on that TU*, only on the accepted one."""
     if critical:
         m1, terms = _merit_with_terms(fv, gv)
-        return (m1, potential._fp_of_gram(terms[0]), terms) if m1 < m0 else None
-    fp1 = potential._fp_of_gram(fv.T @ gv.conj())
+        return (m1, potential._fp_of_gram(terms.tu), terms) if m1 < m0 else None
+    tu = fv.T @ gv.conj()
+    fp1 = potential._fp_of_gram(tu)
     if _objective_part(fp1, objective) < o0:
-        m1, terms = _merit_with_terms(fv, gv)
+        m1, terms = _merit_with_terms(fv, gv, tu)
         return m1, fp1, terms
     return None
 
@@ -280,7 +287,7 @@ def _accepted(fv, gv, m0, o0, critical, objective):
 def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
     """One restart on raw (N, d) arrays, alpha in the field's dtype: past
     the start, only ``_finish`` builds a FramePair."""
-    rng = np.random.default_rng(seed)
+    rng = functools.cache(lambda: np.random.default_rng(seed))  # built on first use, then kept
     if initial_pair is None:
         initial_pair = frames.random_pair(field_, d, spec.n, seed)
     critical = cfg.mode == CRITICAL_SEARCH
@@ -298,7 +305,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
         return finish(DEGENERATE_RETRACTION)
     ensure_finite(gv, "frame vectors")  # the rescaling of a tiny pairing can overflow
     m0, terms = _merit_with_terms(fv, gv)
-    fp0 = potential._fp_of_gram(terms[0])
+    fp0 = potential._fp_of_gram(terms.tu)
     o0 = _objective_part(fp0, cfg.objective)
 
     for _ in range(cfg.max_iters):
@@ -317,8 +324,8 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
                 return finish(MAX_ITERS)
             step = m0 / grad2  # Polyak's step for the known least merit, 0
         else:
-            gf, gg = _fp_gradient(fv, gv, terms[0], cfg.objective)
-            gf, gg = _project_to_tangent(fv, gv, gf, gg)
+            gf, gg = _fp_gradient(terms.u, terms.gm, cfg.objective)
+            gf, gg = _project_to_tangent(fv, gv, gf, gg, terms.f_norms2)
             grad2 = np.vdot(gf, gf).real + np.vdot(gg, gg).real
             if np.sqrt(grad2) <= GRAD_TOL:
                 return finish(CONVERGED)

@@ -16,6 +16,7 @@ minimal-modulus group plus a generalized biorthogonal complement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,23 +48,36 @@ class CriticalPairReport:
         return float(max(self.f_residuals.max(), self.g_residuals.max()))
 
 
+class _MeritTerms(NamedTuple):
+    """What one pass of ``_merit_terms`` forms from M = TU*."""
+
+    tu: np.ndarray  # M = TU* = F^T conj(G)
+    u: np.ndarray  # F M^T: row m is TU* f_m
+    gm: np.ndarray  # G conj(M): row m is UT* g_m
+    lam: np.ndarray  # Rayleigh quotients <u_m, f_m> / ||f_m||^2
+    c: np.ndarray  # lam - <f_m, g_m>
+    rf: np.ndarray  # u - lam f
+    rg: np.ndarray  # G conj(M) - conj(lam) g
+    f_norms2: np.ndarray  # ||f_m||^2
+    ip: np.ndarray  # <f_m, g_m>
+
+
 def _merit_terms(fv, gv, tu=None):
-    """(TU*, u, lam, c, r_f, r_g) of the critical-pair equations on raw
-    (N, d) arrays with nonzero rows, from M = TU* = F^T conj(G) (unless
-    given): u = F M^T (row m is TU* f_m), Rayleigh quotients
-    lam_m = <u_m, f_m> / ||f_m||^2, residuals r_f = u - lam f and
-    r_g = G conj(M) - conj(lam) g, and c = lam - <f_m, g_m>, the
-    least-squares multiplier of s_m = TU* f_m - <f_m, g_m> f_m.  O(N d^2)
-    time, O(N d + d^2) memory; the one kernel behind ``critical_report``
-    and the optimizer's merit."""
+    """The critical-pair equations on raw (N, d) arrays with nonzero rows,
+    from M = TU* = F^T conj(G) (unless given), as a ``_MeritTerms``: c is
+    the least-squares multiplier of s_m = TU* f_m - <f_m, g_m> f_m.
+    O(N d^2) time, O(N d + d^2) memory; the one kernel behind
+    ``critical_report``, the optimizer's merit and both its gradients."""
     if tu is None:
         tu = fv.T @ gv.conj()
     u = fv @ tu.T
-    lam = np.sum(u * fv.conj(), axis=1) / np.sum(np.abs(fv) ** 2, axis=1)
+    gm = gv @ tu.conj()
+    f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
+    ip = np.sum(fv * gv.conj(), axis=1)
+    lam = np.sum(u * fv.conj(), axis=1) / f_norms2
     rf = u - lam[:, None] * fv
-    rg = gv @ tu.conj() - lam.conj()[:, None] * gv
-    c = lam - np.sum(fv * gv.conj(), axis=1)
-    return tu, u, lam, c, rf, rg
+    rg = gm - lam.conj()[:, None] * gv
+    return _MeritTerms(tu, u, gm, lam, lam - ip, rf, rg, f_norms2, ip)
 
 
 def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_TOL):
@@ -73,27 +87,14 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
     The g-side residual is taken against conj(c_m), never against an
     independently fitted constant: the Lagrange analysis forces conjugate
     multipliers, and fitting the g side separately would mask a
-    violation of that coupling.
+    violation of that coupling.  The kernel runs once per pair and what
+    the report is made of is kept on it (``search`` stores it on its pair).
     """
-    return _critical_report(pair, spec, tol)
-
-
-def _critical_report(pair, spec, tol, terms=None):
-    """``critical_report``, from the ``_merit_terms`` output ``terms`` of
-    the pair's own arrays when the caller already holds it (the search's
-    last iterate, which is not kept on the pair), else from the pair's
-    kernel pass, run once per pair."""
     frames.require_membership(pair, spec)
     pair.require_nonzero()
-    if terms is None:
-        fv, gv = pair.f.vectors, pair.g.vectors
-        terms = pair._derived("terms", lambda: _merit_terms(fv, gv, frames.mixed_operator(pair)))
-    tu, u, _, c, rf, rg = terms
-    linalg.ensure_finite(u, "TU* f_m")
-    f_res = np.linalg.norm(rf, axis=1)
-    g_res = np.linalg.norm(rg, axis=1)
-
-    mixed_norm = float(np.linalg.norm(tu))
+    fv, gv = pair.f.vectors, pair.g.vectors
+    c, f_res, g_res, mixed_norm = pair._derived(
+        "residuals", lambda: _residuals(_merit_terms(fv, gv, frames.mixed_operator(pair))))
     is_critical = max(f_res.max(), g_res.max()) <= tol * (1.0 + mixed_norm)
     return CriticalPairReport(
         c=c,
@@ -103,6 +104,13 @@ def _critical_report(pair, spec, tol, terms=None):
         tol=tol,
         mixed_norm=mixed_norm,
     )
+
+
+def _residuals(terms):
+    """(c, ||r_f||, ||r_g||, ||TU*||_F) of a finite kernel output."""
+    linalg.ensure_finite(terms.u, "TU* f_m")
+    return (terms.c, np.linalg.norm(terms.rf, axis=1), np.linalg.norm(terms.rg, axis=1),
+            float(np.linalg.norm(terms.tu)))
 
 
 @dataclass(frozen=True)

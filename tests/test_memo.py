@@ -1,7 +1,7 @@
 """Quantities derived from a pair are computed once and kept on the pair.
 
 The cross Gram, TU*, the spectrum of TU*, the direct FP sum and the
-critical-pair kernel are stored on first request.  These tests pin what
+critical report's residuals are stored on first request.  These tests pin what
 that must not change: every check still runs at its caller's tolerance,
 stored arrays cannot be written, results do not depend on call order,
 and the pipeline solves each quantity exactly once.
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import retracted_random
-from mixedframes import cli, fixtures, frames, linalg, potential, structure
+from mixedframes import cli, fixtures, frames, linalg, optimizer, potential, structure
 from mixedframes.errors import MixedFramesError, NumericalFailureError
 from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
 
@@ -84,6 +84,37 @@ def _run(pair, spec, order):
         except MixedFramesError as exc:  # e.g. decompose on a non-critical pair
             out[name] = ("raised", type(exc).__name__, str(exc))
     return out
+
+
+@pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
+def test_search_result_pair_keeps_the_last_kernel_pass(monkeypatch, field, mode):
+    """search stores the last iterate's TU* and report residuals on the
+    pair it returns: TU*, the critical report and the duality deviation of that
+    pair run no kernel and build nothing, and equal bit for bit the same
+    calls on a fresh pair of copies of its vectors."""
+    spec = ConstraintSpec(np.linspace(0.5, 2.0, 6))
+    cfg = optimizer.OptimizerConfig(mode=mode, seed=2, max_iters=5)
+    res = optimizer.search(spec, field, 3, cfg)
+    built, kernels = [], []
+    derived, kernel = FramePair._derived, structure._merit_terms
+
+    def counting_derived(self, key, build):
+        return derived(self, key, lambda: (built.append(key), build())[1])
+
+    monkeypatch.setattr(FramePair, "_derived", counting_derived)
+    monkeypatch.setattr(structure, "_merit_terms", lambda *a: (kernels.append(a), kernel(*a))[1])
+
+    def calls(pair):
+        return _bits((frames.mixed_operator(pair), structure.critical_report(pair, spec),
+                      frames.is_dual_pair(pair)))
+
+    got = calls(res.final_pair)
+    assert (built, kernels) == ([], [])
+    fresh = FramePair(FrameSequence(field, res.final_pair.f.vectors.copy()),
+                      FrameSequence(field, res.final_pair.g.vectors.copy()))
+    assert calls(fresh) == got
+    assert built == ["TU*", "residuals"] and len(kernels) == 1
+    assert got[1] == _bits(res.critical_report_final)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

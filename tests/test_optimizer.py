@@ -365,14 +365,15 @@ def test_search_report_equals_critical_report(mode, field_, d, alpha, seed, max_
 
 def test_descent_runs_kernel_once_per_iterate(monkeypatch):
     """A descent prices its trials from TU*: the residual kernel runs once
-    on the start and once per accepted iterate, and the finish reuses the
-    last output instead of running it again."""
+    on the start and once per accepted iterate, on the TU* that priced
+    it, and the finish reuses the last output instead of running it
+    again."""
     calls = []
     original = structure._merit_terms
 
-    def counting(fv, gv):
-        calls.append(fv.shape)
-        return original(fv, gv)
+    def counting(fv, gv, tu=None):
+        calls.append(tu is not None)
+        return original(fv, gv, tu)
 
     monkeypatch.setattr(structure, "_merit_terms", counting)
     spec = ConstraintSpec(np.ones(2))
@@ -384,6 +385,7 @@ def test_descent_runs_kernel_once_per_iterate(monkeypatch):
         assert res.status == optimizer.MAX_ITERS
         assert len(res.merit_history) == k + 1
         assert len(calls) == 1 + k
+        assert calls == [False] + [True] * k
         assert res.critical_report_final is not None
 
 
@@ -401,7 +403,7 @@ def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, field):
     if field is Field.COMPLEX:
         fv[:, 1] *= 1j
         gf[:, 2] *= 1 - 1j
-    monkeypatch.setattr(optimizer, "_fp_gradient", lambda fv, gv, tu, objective: (gf, gg))
+    monkeypatch.setattr(optimizer, "_fp_gradient", lambda u, gm, objective: (gf, gg))
     trials = []
     original = frames._retraction
 
@@ -575,6 +577,35 @@ def test_degenerate_start_recovers():
     res = optimizer.search(spec, Field.REAL, 2, cfg, initial_pair=FramePair(f, g))
     assert res.status in (optimizer.CONVERGED, optimizer.MAX_ITERS)
     assert res.constraint_residual_final <= 1e-10
+
+
+@pytest.mark.parametrize("degenerate,built", [(False, 0), (True, 1)],
+                         ids=["regular-start", "degenerate-start"])
+def test_restart_builds_its_generator_on_the_first_degenerate_pairing(monkeypatch, degenerate,
+                                                                      built):
+    """Only the re-randomization of a degenerate g_m draws from a restart's
+    generator: a restart that meets no degenerate pairing builds none, and
+    one whose start has two builds one and keeps it."""
+    if degenerate:  # both pairings of the start are orthogonal
+        start = FramePair(FrameSequence(Field.REAL, np.array([[1.0, 0.0], [0.0, 1.0]])),
+                          FrameSequence(Field.REAL, np.array([[0.0, 1.0], [1.0, 0.0]])))
+    else:
+        start = frames.random_pair(Field.REAL, 2, 4, 3)
+    built_seeds = []
+    original = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        built_seeds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    for mode in (optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT):
+        built_seeds.clear()
+        cfg = optimizer.OptimizerConfig(mode=mode, seed=4, max_iters=50)
+        res = optimizer.search(ConstraintSpec(np.full(start.n, 0.5)), Field.REAL, 2, cfg,
+                               initial_pair=start)
+        assert res.status != optimizer.DEGENERATE_RETRACTION
+        assert built_seeds == [(4,)] * built
 
 
 def test_converged_result_passes_structure_checks():

@@ -143,6 +143,40 @@ def test_descent_trial_potential_matches_direct_form(field, d, extra, seed):
     assert abs(fp - want) <= 1e-12 * (1.0 + abs(want))
 
 
+@fixed(60)
+@given(FIELDS, st.sampled_from([optimizer.REAL_PART, optimizer.IMAG_PART]), st.integers(1, 8),
+       st.integers(0, 3), st.integers(0, 10_000))
+def test_gradients_from_the_kernel_pass_are_exact(field, objective, d, extra, seed):
+    """A search takes G conj(M), u = F M^T, ||f_m||^2 and <f_m, g_m> for
+    its gradients from the iterate's kernel pass: the descent gradient,
+    its tangent projection and the merit gradient equal, bit for bit,
+    their values computed from the pair alone, and the descent gradient
+    equals the form conj(2 conj(G) M), 2 F M^T it replaces."""
+    n = d + extra * d
+    pair, spec = retracted_random(field, d, n, seed, alpha=np.linspace(0.5, 2.0, n))
+    fv, gv = pair.f.vectors, pair.g.vectors
+    terms = structure._merit_terms(fv, gv)
+
+    def same(got, want):
+        return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(got, want))
+
+    grad = optimizer._fp_gradient(terms.u, terms.gm, objective)
+    want = optimizer.fp_gradient(pair, objective)
+    assert same(grad, want)
+    tu = fv.T @ gv.conj()
+    old = ((2.0 * (gv.conj() @ tu)).conj(), 2.0 * (fv @ tu.T))
+    if objective == optimizer.IMAG_PART:
+        old = (1j * old[0], -1j * old[1]) if field is Field.COMPLEX else (np.zeros_like(fv),) * 2
+    assert same(grad, old)
+    got = optimizer._project_to_tangent(fv, gv, *grad, terms.f_norms2)
+    assert same(got, optimizer.project_to_tangent(pair, *want))
+    alpha = spec.require_field(field)
+    recomputed = terms._replace(f_norms2=np.sum(np.abs(fv) ** 2, axis=1),
+                                ip=np.sum(fv * gv.conj(), axis=1))
+    assert same(optimizer._merit_gradient(fv, gv, alpha, terms),
+                optimizer._merit_gradient(fv, gv, alpha, recomputed))
+
+
 # merit_history and objective_history of a POTENTIAL_DESCENT over C on the
 # imaginary part, alpha = ones(48), d = 16, seed 11, 20 iterations, as
 # recorded once each backtracking search started at the retraction's own
