@@ -24,11 +24,9 @@ time and O(N d + d^2) memory, never from the N x N cross Gram: every
 trial is priced at FP = Tr(M^2); the residual kernel
 ``structure._merit_terms`` runs once per iterate, on the M that priced it
 (on every trial of CRITICAL_SEARCH, whose acceptance test is the merit);
-both gradients and the tangent projection take their products
-u = F M^T, G conj(M) and row sums ||f_m||^2, <f_m, g_m> from that kernel
-output, with no second forward pass; and the pair ``search`` returns
-keeps the last M and the report residuals of that output, so its report,
-duality deviation and constraint residual form no product again.
+the gradients and the tangent projection read u = F M^T, G conj(M),
+||f_m||^2 and <f_m, g_m> from that output, with no second forward pass;
+``search`` reports on the last output and keeps its M on the pair it returns.
 Restarts are independent: restart k uses seed ``seed + k`` and the
 reported result never depends on execution order.
 """
@@ -115,9 +113,8 @@ def fp_gradient(pair: FramePair, objective=REAL_PART):
 
 def _fp_gradient(u, gm, objective):
     """``fp_gradient`` from u = F M^T and G conj(M), M = TU*, as the kernel forms them."""
-    # FP = Tr(M^2) with M = sum_m f_m g_m^*: its holomorphic derivative
-    # w.r.t. f_m is 2 M^T conj(g_m), the conjugate of row m of 2 G conj(M),
-    # and that w.r.t. conj(g_m) is 2 M f_m, row m of 2 u
+    # FP = Tr(M^2), M = sum_m f_m g_m^*: its holomorphic derivative w.r.t. f_m is
+    # 2 M^T conj(g_m) = conj(row m of 2 G conj(M)), w.r.t. conj(g_m) 2 M f_m = row m of 2 u
     df_bar, dg_bar = 2.0 * gm, 2.0 * u
     if objective == REAL_PART:
         return df_bar, dg_bar
@@ -240,17 +237,16 @@ def _merit_gradient(fv, gv, alpha, terms):
 
 
 def _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist):
-    """The search result; the one FramePair the run returns is built (and
-    validated) from the final arrays and seeded with their TU* and report
-    residuals from their kernel output ``terms`` (None if never retracted)."""
+    """The search result, with the one FramePair the run returns built
+    (and validated) from the final arrays, seeded with their TU*, and its
+    critical report taken from their kernel output ``terms``."""
     pair = FramePair(FrameSequence(field_, fv), FrameSequence(field_, gv))
     if terms is not None:
         pair._derived("TU*", lambda: terms.tu)
     report, residual = None, float("inf")
     if status != DEGENERATE_RETRACTION:
         try:
-            pair._derived("residuals", lambda: structure._residuals(terms))
-            report = structure.critical_report(pair, spec)
+            report = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms)
         except MixedFramesError:
             pass  # e.g. round-off pushed a diverged iterate off the constraint
         residual = float(np.abs(terms.ip - spec.alpha).max())

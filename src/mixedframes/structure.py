@@ -55,7 +55,7 @@ class _MeritTerms(NamedTuple):
     u: np.ndarray  # F M^T: row m is TU* f_m
     gm: np.ndarray  # G conj(M): row m is UT* g_m
     lam: np.ndarray  # Rayleigh quotients <u_m, f_m> / ||f_m||^2
-    c: np.ndarray  # lam - <f_m, g_m>
+    c: np.ndarray  # lam - <f_m, g_m>, least-squares multiplier of TU* f_m - <f_m, g_m> f_m
     rf: np.ndarray  # u - lam f
     rg: np.ndarray  # G conj(M) - conj(lam) g
     f_norms2: np.ndarray  # ||f_m||^2
@@ -64,8 +64,7 @@ class _MeritTerms(NamedTuple):
 
 def _merit_terms(fv, gv, tu=None):
     """The critical-pair equations on raw (N, d) arrays with nonzero rows,
-    from M = TU* = F^T conj(G) (unless given), as a ``_MeritTerms``: c is
-    the least-squares multiplier of s_m = TU* f_m - <f_m, g_m> f_m.
+    from M = TU* = F^T conj(G) (unless given), as a ``_MeritTerms``.
     O(N d^2) time, O(N d + d^2) memory; the one kernel behind
     ``critical_report``, the optimizer's merit and both its gradients."""
     if tu is None:
@@ -87,30 +86,35 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
     The g-side residual is taken against conj(c_m), never against an
     independently fitted constant: the Lagrange analysis forces conjugate
     multipliers, and fitting the g side separately would mask a
-    violation of that coupling.  The kernel runs once per pair and what
-    the report is made of is kept on it (``search`` stores it on its pair).
+    violation of that coupling.
     """
+    return _critical_report(pair, spec, tol)
+
+
+def _critical_report(pair, spec, tol, terms=None):
+    """``critical_report``, from the ``_merit_terms`` output ``terms`` of
+    the pair's own arrays when the caller already holds it (the search's
+    last iterate, which is not kept on the pair), else from the pair's
+    kernel pass, run once per pair."""
     frames.require_membership(pair, spec)
     pair.require_nonzero()
-    fv, gv = pair.f.vectors, pair.g.vectors
-    c, f_res, g_res, mixed_norm = pair._derived(
-        "residuals", lambda: _residuals(_merit_terms(fv, gv, frames.mixed_operator(pair))))
+    if terms is None:
+        fv, gv = pair.f.vectors, pair.g.vectors
+        terms = pair._derived("terms", lambda: _merit_terms(fv, gv, frames.mixed_operator(pair)))
+    linalg.ensure_finite(terms.u, "TU* f_m")
+    f_res = np.linalg.norm(terms.rf, axis=1)
+    g_res = np.linalg.norm(terms.rg, axis=1)
+
+    mixed_norm = float(np.linalg.norm(terms.tu))
     is_critical = max(f_res.max(), g_res.max()) <= tol * (1.0 + mixed_norm)
     return CriticalPairReport(
-        c=c,
+        c=terms.c,
         f_residuals=f_res,
         g_residuals=g_res,
         is_critical=bool(is_critical),
         tol=tol,
         mixed_norm=mixed_norm,
     )
-
-
-def _residuals(terms):
-    """(c, ||r_f||, ||r_g||, ||TU*||_F) of a finite kernel output."""
-    linalg.ensure_finite(terms.u, "TU* f_m")
-    return (terms.c, np.linalg.norm(terms.rf, axis=1), np.linalg.norm(terms.rg, axis=1),
-            float(np.linalg.norm(terms.tu)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Quantities derived from a pair are computed once and kept on the pair.
 
 The cross Gram, TU*, the spectrum of TU*, the direct FP sum and the
-critical report's residuals are stored on first request.  These tests pin what
+critical-pair kernel are stored on first request.  These tests pin what
 that must not change: every check still runs at its caller's tolerance,
 stored arrays cannot be written, results do not depend on call order,
 and the pipeline solves each quantity exactly once.
@@ -87,11 +87,12 @@ def _run(pair, spec, order):
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
-def test_search_result_pair_keeps_the_last_kernel_pass(monkeypatch, field, mode):
-    """search stores the last iterate's TU* and report residuals on the
-    pair it returns: TU*, the critical report and the duality deviation of that
-    pair run no kernel and build nothing, and equal bit for bit the same
-    calls on a fresh pair of copies of its vectors."""
+def test_search_result_pair_keeps_the_last_tu(monkeypatch, field, mode):
+    """search stores the last iterate's TU* on the pair it returns: TU* and
+    the duality deviation of that pair build nothing, its critical report
+    runs the kernel again on the stored TU* (so it checks the search's own
+    report), and all three equal bit for bit the same calls on a fresh
+    pair of copies of its vectors."""
     spec = ConstraintSpec(np.linspace(0.5, 2.0, 6))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=2, max_iters=5)
     res = optimizer.search(spec, field, 3, cfg)
@@ -109,11 +110,12 @@ def test_search_result_pair_keeps_the_last_kernel_pass(monkeypatch, field, mode)
                       frames.is_dual_pair(pair)))
 
     got = calls(res.final_pair)
-    assert (built, kernels) == ([], [])
+    assert built == ["terms"] and len(kernels) == 1
+    assert kernels[0][2] is frames.mixed_operator(res.final_pair)
     fresh = FramePair(FrameSequence(field, res.final_pair.f.vectors.copy()),
                       FrameSequence(field, res.final_pair.g.vectors.copy()))
     assert calls(fresh) == got
-    assert built == ["TU*", "residuals"] and len(kernels) == 1
+    assert built == ["terms", "TU*", "terms"] and len(kernels) == 2
     assert got[1] == _bits(res.critical_report_final)
 
 
