@@ -182,12 +182,17 @@ def constraint_residual(pair: FramePair, spec: ConstraintSpec):
     return np.abs(np.sum(pair.f.vectors * pair.g.vectors.conj(), axis=1) - spec.alpha)
 
 
-def require_membership(pair: FramePair, spec: ConstraintSpec, tol=1e-8):
+#: Largest |<f_m, g_m> - alpha_m| that ``require_membership`` accepts as on S(alpha).
+MEMBERSHIP_TOL = 1e-8
+
+
+def require_membership(pair: FramePair, spec: ConstraintSpec):
     res = constraint_residual(pair, spec)
     worst = float(res.max())
-    if worst > tol:
+    if worst > MEMBERSHIP_TOL:
         raise ConstraintViolationError(
-            f"pair violates the prescribed products: max residual {worst:.3e} > {tol:.3e}",
+            f"pair violates the prescribed products: max residual {worst:.3e} > "
+            f"{MEMBERSHIP_TOL:.3e}",
             residual=worst,
         )
     return worst
@@ -222,9 +227,9 @@ def _retraction(fv, gv, alpha):
     input check; real arrays and a real alpha (a pair over R) give real
     results.
 
-    Returns ip_m = <f_m, g_m>, q = alpha / ip and G with each row g_m
-    rescaled to conj(q_m) g_m.  Raises DegeneratePairingError at the
-    first index with |ip_m| < 1e-10 ||f_m|| ||g_m||.
+    Returns G with each row g_m rescaled to conj(alpha_m / <f_m, g_m>) g_m.
+    Raises DegeneratePairingError at the first index with
+    |<f_m, g_m>| < 1e-10 ||f_m|| ||g_m||, where no such rescaling exists.
     """
     ip = np.sum(fv * gv.conj(), axis=1)
     cut = _DEGENERACY_CUT * np.linalg.norm(fv, axis=1) * np.linalg.norm(gv, axis=1)
@@ -235,8 +240,7 @@ def _retraction(fv, gv, alpha):
             "degeneracy threshold; re-randomize g and retry",
             index=int(bad[0]),
         )
-    q = alpha / ip
-    return ip, q, gv * q.conj()[:, None]
+    return gv * (alpha / ip).conj()[:, None]
 
 
 def retract_to_constraint(pair: FramePair, spec: ConstraintSpec):
@@ -254,7 +258,7 @@ def retract_to_constraint(pair: FramePair, spec: ConstraintSpec):
     spec.require_nonzero()
     alpha = spec.require_field(pair.field)
     pair.require_nonzero()
-    _, _, gv = _retraction(pair.f.vectors, pair.g.vectors, alpha)
+    gv = _retraction(pair.f.vectors, pair.g.vectors, alpha)
     return FramePair(pair.f, FrameSequence(pair.field, gv))
 
 

@@ -23,17 +23,19 @@ in the loop works from the d x d mixed operator M = TU*, in O(N d^2)
 time and O(N d + d^2) memory, never from the N x N cross Gram: every
 trial is priced at FP = Tr(M^2); the residual kernel
 ``structure._merit_terms`` runs once per iterate, on the M that priced it
-(on every trial of CRITICAL_SEARCH, whose acceptance test is the merit);
-the gradients and the tangent projection read u = F M^T, G conj(M),
-||f_m||^2 and <f_m, g_m> from that output, with no second forward pass;
-``search`` reports on the last output and keeps its M on the pair it returns.
-Restarts are independent: restart k uses seed ``seed + k`` and the
-reported result never depends on execution order.
+(on every trial of CRITICAL_SEARCH, whose acceptance test is the merit),
+and its output is the loop's whole record of the iterate: the merit, FP,
+and the u = F M^T, G conj(M), ||f_m||^2 and <f_m, g_m> that the gradients
+and the tangent projection read, with no second forward pass; ``search``
+reports on the last output and keeps its M on the pair it returns.  A
+pairing the retraction cannot rescale (<f_m, g_m> near 0), at the start
+or in a trial, ends the restart as DEGENERATE_RETRACTION; nothing is
+redrawn.  Restarts are independent: restart k uses seed ``seed + k`` and
+the reported result never depends on execution order.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +62,6 @@ DEGENERATE_RETRACTION = "DEGENERATE_RETRACTION"
 GRAD_TOL = 1e-8  # POTENTIAL_DESCENT converges at or below this tangent gradient norm
 MERIT_TOL = 1e-16  # CRITICAL_SEARCH converges at or below this merit
 _BACKTRACK_LIMIT = 30
-_RERANDOMIZE_BUDGET = 3
 
 
 @dataclass(frozen=True)
@@ -160,39 +161,11 @@ def merit(pair: FramePair):
     multiplier of each index eliminated by the same least-squares rule
     the checker uses.  Zero exactly at critical pairs."""
     pair.require_nonzero()
-    return _merit_with_terms(pair.f.vectors, pair.g.vectors)[0]
-
-
-def _merit_with_terms(fv, gv, tu=None):
-    """``merit`` on raw (N, d) arrays with nonzero rows (and their TU*, if
-    already formed), and the ``structure._merit_terms`` output it came from."""
-    terms = structure._merit_terms(fv, gv, tu)
-    return float(np.sum(np.abs(terms.rf) ** 2) + np.sum(np.abs(terms.rg) ** 2)), terms
+    return structure._merit_terms(pair.f.vectors, pair.g.vectors).merit
 
 
 def _objective_part(fp, objective):
     return fp.real if objective == REAL_PART else fp.imag
-
-
-def _retract_with_recovery(fv, gv, alpha, rng):
-    """G retracted by the kernel ``frames._retraction``; on a degenerate
-    pairing re-randomize the offending g_m from the generator ``rng()``
-    (up to the per-index budget) before giving up."""
-    attempts = {}
-    while True:
-        try:
-            return frames._retraction(fv, gv, alpha)[2]
-        except DegeneratePairingError as exc:
-            m = exc.index
-            attempts[m] = attempts.get(m, 0) + 1
-            if attempts[m] > _RERANDOMIZE_BUDGET:
-                raise
-            gv = gv.copy()
-            d, gen = gv.shape[1], rng()
-            if np.iscomplexobj(gv):
-                gv[m] = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-            else:
-                gv[m] = gen.standard_normal(d)
 
 
 def _merit_gradient(fv, gv, alpha, terms):
@@ -263,27 +236,27 @@ def _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist):
     )
 
 
-def _accepted(fv, gv, m0, o0, critical, objective):
-    """The mode's acceptance test on a retracted trial: its (merit, FP,
-    kernel terms) when it lowers the merit (CRITICAL_SEARCH) or the
-    objective (POTENTIAL_DESCENT), else None.  Every trial's FP is
-    Tr((TU*)^2); a descent trial is priced from TU* alone and the kernel
-    runs, on that TU*, only on the accepted one."""
-    if critical:
-        m1, terms = _merit_with_terms(fv, gv)
-        return (m1, potential._fp_of_gram(terms.tu), terms) if m1 < m0 else None
+def _accepted(fv, gv, best, critical, objective):
+    """The mode's acceptance test on a retracted trial against the current
+    iterate's kernel output ``best``: the trial's ``_merit_terms`` output
+    when it lowers the merit (CRITICAL_SEARCH) or the objective
+    (POTENTIAL_DESCENT), else None.  The trial's M = TU* is formed once; a
+    descent trial is priced at Tr(M^2) and the kernel runs, on that M,
+    only on the accepted one."""
     tu = fv.T @ gv.conj()
-    fp1 = potential._fp_of_gram(tu)
-    if _objective_part(fp1, objective) < o0:
-        m1, terms = _merit_with_terms(fv, gv, tu)
-        return m1, fp1, terms
+    if critical:
+        terms = structure._merit_terms(fv, gv, tu)
+        return terms if terms.merit < best.merit else None
+    if _objective_part(potential._fp_of_gram(tu), objective) < _objective_part(best.fp, objective):
+        return structure._merit_terms(fv, gv, tu)
     return None
 
 
 def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
     """One restart on raw (N, d) arrays, alpha in the field's dtype: past
-    the start, only ``_finish`` builds a FramePair."""
-    rng = functools.cache(lambda: np.random.default_rng(seed))  # built on first use, then kept
+    the start, only ``_finish`` builds a FramePair.  The loop's state is
+    the iterate (F, G) and its kernel output ``terms``; a degenerate
+    pairing of the start or of a trial ends it as DEGENERATE_RETRACTION."""
     if initial_pair is None:
         initial_pair = frames.random_pair(field_, d, spec.n, seed)
     critical = cfg.mode == CRITICAL_SEARCH
@@ -295,30 +268,30 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
     def finish(status):
         return _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist)
 
+    def record():
+        obj_hist.append(_objective_part(terms.fp, cfg.objective))
+        merit_hist.append(terms.merit)
+
     try:
-        gv = _retract_with_recovery(fv, gv, alpha, rng)
+        gv = frames._retraction(fv, gv, alpha)
     except DegeneratePairingError:
         return finish(DEGENERATE_RETRACTION)
     ensure_finite(gv, "frame vectors")  # the rescaling of a tiny pairing can overflow
-    m0, terms = _merit_with_terms(fv, gv)
-    fp0 = potential._fp_of_gram(terms.tu)
-    o0 = _objective_part(fp0, cfg.objective)
+    terms = structure._merit_terms(fv, gv)
 
     for _ in range(cfg.max_iters):
-        obj_hist.append(o0)
-        merit_hist.append(m0)
-
-        if abs(fp0) > cfg.divergence_bound:
+        record()
+        if abs(terms.fp) > cfg.divergence_bound:
             return finish(DIVERGED)
         if critical:
-            if m0 <= MERIT_TOL:
+            if terms.merit <= MERIT_TOL:
                 return finish(CONVERGED)
             gf, gg = _merit_gradient(fv, gv, alpha, terms)
             grad2 = np.sum(np.abs(gf) ** 2) + np.sum(np.abs(gg) ** 2)
             if grad2 == 0.0:
                 # a stationary point of the merit above MERIT_TOL: no step lowers it
                 return finish(MAX_ITERS)
-            step = m0 / grad2  # Polyak's step for the known least merit, 0
+            step = terms.merit / grad2  # Polyak's step for the known least merit, 0
         else:
             gf, gg = _fp_gradient(terms.u, terms.gm, cfg.objective)
             gf, gg = _project_to_tangent(fv, gv, gf, gg, terms.f_norms2)
@@ -335,13 +308,12 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
         for _ in range(_BACKTRACK_LIMIT):
             f1 = fv - step * gf
             try:
-                g1 = _retract_with_recovery(f1, gv - step * gg, alpha, rng)
+                g1 = frames._retraction(f1, gv - step * gg, alpha)
             except DegeneratePairingError:
                 return finish(DEGENERATE_RETRACTION)
-            accepted = _accepted(f1, g1, m0, o0, critical, cfg.objective)
+            accepted = _accepted(f1, g1, terms, critical, cfg.objective)
             if accepted is not None:
-                fv, gv, (m0, fp0, terms) = f1, g1, accepted
-                o0 = _objective_part(fp0, cfg.objective)
+                fv, gv, terms = f1, g1, accepted
                 break
             step *= 0.5
         else:
@@ -349,9 +321,8 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
             # merit of CRITICAL_SEARCH is above MERIT_TOL here)
             return finish(MAX_ITERS)
 
-    obj_hist.append(o0)
-    merit_hist.append(m0)
-    return finish(CONVERGED if critical and m0 <= MERIT_TOL else MAX_ITERS)
+    record()
+    return finish(CONVERGED if critical and terms.merit <= MERIT_TOL else MAX_ITERS)
 
 
 _STATUS_RANK = {CONVERGED: 0, MAX_ITERS: 1, DIVERGED: 2, DEGENERATE_RETRACTION: 3}

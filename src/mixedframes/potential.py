@@ -18,7 +18,8 @@ from . import frames, linalg
 from .errors import NumericalFailureError
 from .frames import ConstraintSpec, FramePair, FrameSequence
 
-DEFAULT_CLASS_TOL = 1e-8
+DEFAULT_CLASS_TOL = 1e-8  # the real/imaginary guard of every spectrum classification
+SCALED_IDENTITY_TOL = 1e-9  # scaled_identity_check's cut on ||TU* - A Id||_F / sqrt(d)
 
 ALL_REAL = "ALL_REAL"
 ALL_IMAGINARY = "ALL_IMAGINARY"
@@ -33,7 +34,6 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 @dataclass(frozen=True)
 class PotentialValue:
     value: complex
-    method: str  # "DIRECT" or "TRACE"
 
 
 def _fp_of_gram(x):
@@ -47,7 +47,7 @@ def _fp_of_gram(x):
 def fp_direct(pair: FramePair):
     """Literal double sum over the cross Gram matrix, summed once per pair."""
     value = pair._derived("FP", lambda: _fp_of_gram(frames.cross_gram(pair)))
-    return PotentialValue(value=value, method="DIRECT")
+    return PotentialValue(value=value)
 
 
 def _spectrum(pair: FramePair, tol=linalg.DEFAULT_EIG_TOL):
@@ -67,7 +67,7 @@ def fp_trace(pair: FramePair, tol=linalg.DEFAULT_EIG_TOL):
         raise NumericalFailureError(
             f"trace form and squared-spectrum form disagree by {gap:.3e}", residual=gap
         )
-    return PotentialValue(value=value, method="TRACE")
+    return PotentialValue(value=value)
 
 
 def fp_swap(pair: FramePair):
@@ -89,19 +89,11 @@ def _real_and_imaginary(values, tol):
     return np.abs(values.imag) <= guard, np.abs(values.real) <= guard
 
 
-def classify_eigenvalue(lam, class_tol=DEFAULT_CLASS_TOL):
-    """'real', 'imaginary', or 'mixed' with absolute-plus-relative guards.
-
-    Values near 0 satisfy both tests; classification prefers 'real'.
-    """
-    is_real, is_imag = _real_and_imaginary(lam, class_tol)
-    return "real" if is_real else "imaginary" if is_imag else "mixed"
-
-
-def classify_spectrum(values, class_tol=DEFAULT_CLASS_TOL):
-    """ALL_REAL, ALL_IMAGINARY or MIXED, each value classified as by
-    ``classify_eigenvalue``."""
-    is_real, is_imag = _real_and_imaginary(values, class_tol)
+def classify_spectrum(values):
+    """ALL_REAL, ALL_IMAGINARY or MIXED, each value tested by
+    ``_real_and_imaginary`` at DEFAULT_CLASS_TOL; a value near 0 counts
+    as real."""
+    is_real, is_imag = _real_and_imaginary(values, DEFAULT_CLASS_TOL)
     if is_real.all():
         return ALL_REAL
     if (is_imag & ~is_real).all():
@@ -124,12 +116,12 @@ class BoundReport:
     trace_identity_residual: float  # |sum lambda - sum alpha|
 
 
-def bound_report(pair: FramePair, spec: ConstraintSpec, class_tol=DEFAULT_CLASS_TOL):
+def bound_report(pair: FramePair, spec: ConstraintSpec):
     frames.require_membership(pair, spec)
     eig = _spectrum(pair)
     values = eig.values
 
-    spectrum_class = classify_spectrum(values, class_tol)
+    spectrum_class = classify_spectrum(values)
     r_value = float(np.sum(values.real**2 - values.imag**2))
     i_value = float(2.0 * np.sum(values.real * values.imag))
     alpha_sum = complex(np.sum(spec.alpha))
@@ -170,7 +162,7 @@ def bound_report(pair: FramePair, spec: ConstraintSpec, class_tol=DEFAULT_CLASS_
     return BoundReport(
         eigenvalues=values,
         spectrum_class=spectrum_class,
-        class_tol=class_tol,
+        class_tol=DEFAULT_CLASS_TOL,
         r_value=r_value,
         i_value=i_value,
         alpha_sum=alpha_sum,
@@ -180,7 +172,7 @@ def bound_report(pair: FramePair, spec: ConstraintSpec, class_tol=DEFAULT_CLASS_
     )
 
 
-def scaled_identity_check(pair: FramePair, spec: ConstraintSpec, tol=1e-9):
+def scaled_identity_check(pair: FramePair, spec: ConstraintSpec):
     """Whether TU* = A * Id, with A = trace(TU*) / d.
 
     When it is, A must equal (sum alpha) / d; that identity is enforced.
@@ -190,7 +182,7 @@ def scaled_identity_check(pair: FramePair, spec: ConstraintSpec, tol=1e-9):
     op = frames.mixed_operator(pair)
     a = complex(np.trace(op)) / pair.d
     residual = float(np.linalg.norm(op - a * np.eye(pair.d)))
-    is_scaled = residual <= tol * np.sqrt(pair.d)
+    is_scaled = residual <= SCALED_IDENTITY_TOL * np.sqrt(pair.d)
     if is_scaled:
         alpha_mean = complex(np.sum(spec.alpha)) / pair.d
         gap = abs(a - alpha_mean)

@@ -32,6 +32,7 @@ from .frames import ConstraintSpec, FramePair
 DEFAULT_CRITICAL_TOL = 1e-8
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_COROLLARY_TOL = 1e-8
+PROPOSITION_TOL = 1e-9  # proposition_applicability's injectivity cut and real/imaginary guard
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,8 @@ class CriticalPairReport:
 
 
 class _MeritTerms(NamedTuple):
-    """What one pass of ``_merit_terms`` forms from M = TU*."""
+    """What one pass of ``_merit_terms`` forms from M = TU*: a search
+    iterate's whole record."""
 
     tu: np.ndarray  # M = TU* = F^T conj(G)
     u: np.ndarray  # F M^T: row m is TU* f_m
@@ -60,13 +62,15 @@ class _MeritTerms(NamedTuple):
     rg: np.ndarray  # G conj(M) - conj(lam) g
     f_norms2: np.ndarray  # ||f_m||^2
     ip: np.ndarray  # <f_m, g_m>
+    merit: float  # sum_m ||r_f,m||^2 + ||r_g,m||^2, zero exactly at critical pairs
+    fp: complex  # FP = Tr(M^2)
 
 
 def _merit_terms(fv, gv, tu=None):
     """The critical-pair equations on raw (N, d) arrays with nonzero rows,
     from M = TU* = F^T conj(G) (unless given), as a ``_MeritTerms``.
     O(N d^2) time, O(N d + d^2) memory; the one kernel behind
-    ``critical_report``, the optimizer's merit and both its gradients."""
+    ``critical_report``, the optimizer's merit, FP and both its gradients."""
     if tu is None:
         tu = fv.T @ gv.conj()
     u = fv @ tu.T
@@ -76,7 +80,9 @@ def _merit_terms(fv, gv, tu=None):
     lam = np.sum(u * fv.conj(), axis=1) / f_norms2
     rf = u - lam[:, None] * fv
     rg = gm - lam.conj()[:, None] * gv
-    return _MeritTerms(tu, u, gm, lam, lam - ip, rf, rg, f_norms2, ip)
+    merit = float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2))
+    return _MeritTerms(tu, u, gm, lam, lam - ip, rf, rg, f_norms2, ip, merit,
+                       potential._fp_of_gram(tu))
 
 
 def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_TOL):
@@ -134,7 +140,6 @@ class EigenClassification:
     f_eigen_residuals: np.ndarray
     g_eigen_residuals: np.ndarray
     cluster_radius: float
-    report: CriticalPairReport = field(repr=False, default=None)
 
 
 def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_CLUSTER_TOL,
@@ -177,7 +182,6 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
         f_eigen_residuals=report.f_residuals,
         g_eigen_residuals=report.g_residuals,
         cluster_radius=radius,
-        report=report,
     )
 
 
@@ -356,7 +360,7 @@ NEITHER = "NEITHER"
 NOT_INJECTIVE = "NOT_INJECTIVE"
 
 
-def proposition_applicability(pair: FramePair, tol=1e-9):
+def proposition_applicability(pair: FramePair):
     """Which single-part extremality hypothesis applies to this pair.
 
     NOT_INJECTIVE when the minimal eigenvalue modulus is negligible
@@ -365,9 +369,9 @@ def proposition_applicability(pair: FramePair, tol=1e-9):
     """
     eig = potential._spectrum(pair)
     radius = eig.spectral_radius
-    if radius == 0.0 or float(np.min(np.abs(eig.values))) <= tol * radius:
+    if radius == 0.0 or float(np.min(np.abs(eig.values))) <= PROPOSITION_TOL * radius:
         return NOT_INJECTIVE
-    is_real, is_imag = potential._real_and_imaginary(eig.values, tol)
+    is_real, is_imag = potential._real_and_imaginary(eig.values, PROPOSITION_TOL)
     has_re, has_im = not is_imag.all(), not is_real.all()
     if has_re and has_im:
         return BOTH_SUFFICE

@@ -75,7 +75,7 @@ def _loop_gradient(pair, alpha):
     """The merit gradient as the search loop takes it: from the kernel
     output of the pair, which is on S(alpha)."""
     fv, gv = pair.f.vectors, pair.g.vectors
-    return optimizer._merit_gradient(fv, gv, alpha, optimizer._merit_with_terms(fv, gv)[1])
+    return optimizer._merit_gradient(fv, gv, alpha, structure._merit_terms(fv, gv))
 
 
 def test_merit_gradient_against_finite_differences(field):
@@ -418,7 +418,7 @@ def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, field):
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         optimizer.search(spec, field, 4, cfg, initial_pair=start)
-    gv = original(fv, gv, spec.alpha)[2]  # the retracted start
+    gv = original(fv, gv, spec.alpha)  # the retracted start
     step = -trials[1][0, 2] / gf[0, 2]
     size2 = (np.vdot(fv, fv) + np.vdot(gv, gv)).real
     want = np.sqrt(size2 / (np.vdot(gf, gf) + np.vdot(gg, gg)).real)
@@ -502,6 +502,32 @@ def test_descent_prices_few_trials_per_iteration(monkeypatch):
     assert counts["degenerate"] == 0
 
 
+def test_critical_search_meets_no_degenerate_pairing(monkeypatch):
+    """On the problems of the critical-search benchmark (R, d = 2,
+    alpha = 1/2 x 4, and C, d = 2, alpha = 1 x 3), 4 seeds each at 300
+    iterations, no retraction of a start or a trial meets a degenerate
+    pairing, so no search ends DEGENERATE_RETRACTION."""
+    counts = {"retractions": 0, "degenerate": 0}
+    retraction = frames._retraction
+
+    def counting_retraction(fv, gv, alpha):
+        counts["retractions"] += 1
+        try:
+            return retraction(fv, gv, alpha)
+        except DegeneratePairingError:
+            counts["degenerate"] += 1
+            raise
+
+    monkeypatch.setattr(frames, "_retraction", counting_retraction)
+    for field_, alpha in ((Field.REAL, np.full(4, 0.5)), (Field.COMPLEX, np.ones(3))):
+        for seed in range(4):
+            cfg = optimizer.OptimizerConfig(seed=seed, max_iters=300)
+            res = optimizer.search(ConstraintSpec(alpha), field_, 2, cfg)
+            assert res.status != optimizer.DEGENERATE_RETRACTION
+    assert counts["retractions"] >= 8 * 300
+    assert counts["degenerate"] == 0
+
+
 def test_restart_ranking_prefers_dual():
     """With sum alpha = d, restarts should surface a near-dual pair."""
     spec = ConstraintSpec(np.full(4, 0.5))
@@ -569,23 +595,32 @@ def test_potential_descent_d1_is_constant():
 
 
 def test_degenerate_start_recovers():
-    """An orthogonal starting pairing is re-randomized, not fatal."""
+    """An orthogonal starting pairing has no rescaling onto S(alpha): it
+    ends its restart as DEGENERATE_RETRACTION, with no report and an
+    infinite constraint residual, and is not redrawn.  With a further
+    restart the search recovers: restart 1's result wins."""
     f = FrameSequence(Field.REAL, np.array([[1.0, 0.0], [0.0, 1.0]]))
     g = FrameSequence(Field.REAL, np.array([[0.0, 1.0], [1.0, 0.0]]))
     spec = ConstraintSpec(np.ones(2))
     cfg = optimizer.OptimizerConfig(seed=4, max_iters=2000)
     res = optimizer.search(spec, Field.REAL, 2, cfg, initial_pair=FramePair(f, g))
+    assert res.status == optimizer.DEGENERATE_RETRACTION
+    assert res.critical_report_final is None
+    assert res.constraint_residual_final == np.inf
+
+    res = optimizer.search(spec, Field.REAL, 2, dataclasses.replace(cfg, restarts=1),
+                           initial_pair=FramePair(f, g))
+    alone = optimizer.search(spec, Field.REAL, 2, dataclasses.replace(cfg, seed=5))
+    assert res.restart_seed == 5 and res.merit_history == alone.merit_history
     assert res.status in (optimizer.CONVERGED, optimizer.MAX_ITERS)
     assert res.constraint_residual_final <= 1e-10
 
 
-@pytest.mark.parametrize("degenerate,built", [(False, 0), (True, 1)],
-                         ids=["regular-start", "degenerate-start"])
-def test_restart_builds_its_generator_on_the_first_degenerate_pairing(monkeypatch, degenerate,
-                                                                      built):
-    """Only the re-randomization of a degenerate g_m draws from a restart's
-    generator: a restart that meets no degenerate pairing builds none, and
-    one whose start has two builds one and keeps it."""
+@pytest.mark.parametrize("degenerate", [False, True], ids=["regular-start", "degenerate-start"])
+def test_search_from_an_initial_pair_builds_no_generator(monkeypatch, degenerate):
+    """A degenerate pairing is never redrawn, so a search from an
+    initial_pair builds no generator in either mode, and a start whose
+    two pairings are orthogonal ends DEGENERATE_RETRACTION."""
     if degenerate:  # both pairings of the start are orthogonal
         start = FramePair(FrameSequence(Field.REAL, np.array([[1.0, 0.0], [0.0, 1.0]])),
                           FrameSequence(Field.REAL, np.array([[0.0, 1.0], [1.0, 0.0]])))
@@ -604,8 +639,8 @@ def test_restart_builds_its_generator_on_the_first_degenerate_pairing(monkeypatc
         cfg = optimizer.OptimizerConfig(mode=mode, seed=4, max_iters=50)
         res = optimizer.search(ConstraintSpec(np.full(start.n, 0.5)), Field.REAL, 2, cfg,
                                initial_pair=start)
-        assert res.status != optimizer.DEGENERATE_RETRACTION
-        assert built_seeds == [(4,)] * built
+        assert (res.status == optimizer.DEGENERATE_RETRACTION) == degenerate
+        assert built_seeds == []
 
 
 def test_converged_result_passes_structure_checks():

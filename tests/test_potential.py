@@ -87,19 +87,17 @@ def test_trace_identity():
         assert gap <= 1e-12 * (1 + float(np.linalg.norm(op)))
 
 
-def test_classify_eigenvalue():
-    assert potential.classify_eigenvalue(1.0 + 0j) == "real"
-    assert potential.classify_eigenvalue(2.0j) == "imaginary"
-    assert potential.classify_eigenvalue(1.0 + 1.0j) == "mixed"
-    assert potential.classify_eigenvalue(0.0 + 0.0j) == "real"  # zero prefers real
-    # guard scales with the modulus
-    assert potential.classify_eigenvalue(1e6 + 1e-4j, class_tol=1e-8) == "real"
-
-
 def test_classify_spectrum():
     assert potential.classify_spectrum([1.0, -2.0]) == potential.ALL_REAL
     assert potential.classify_spectrum([1j, -3j]) == potential.ALL_IMAGINARY
     assert potential.classify_spectrum([1.0, 1j]) == potential.MIXED
+    assert potential.classify_spectrum([1.0 + 0j]) == potential.ALL_REAL
+    assert potential.classify_spectrum([2.0j]) == potential.ALL_IMAGINARY
+    assert potential.classify_spectrum([1.0 + 1.0j]) == potential.MIXED
+    assert potential.classify_spectrum([0j]) == potential.ALL_REAL  # zero counts as real
+    assert potential.classify_spectrum([0j, 2j]) == potential.MIXED  # ... so not all imaginary
+    # the guard scales with the modulus
+    assert potential.classify_spectrum([1e6 + 1e-4j]) == potential.ALL_REAL
 
 
 def test_bound_report_requires_membership():
