@@ -239,7 +239,7 @@ def cmd_potential(args):
         "bf_potential": potential.bf_potential(pair.f) if same else None,
     }
     return _emit("potential", digest, {"tol": args.tol}, outputs,
-                 "ok" if discrepancy <= args.tol else "discrepancy",
+                 "ok" if discrepancy <= args.tol * (1.0 + abs(direct.value)) else "discrepancy",
                  f"fp_direct = {direct.value}, fp_trace = {traced.value}, "
                  f"discrepancy = {discrepancy:.3e}")
 

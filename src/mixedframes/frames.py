@@ -40,7 +40,7 @@ def _validate_vectors(vectors, field):
         raise DimensionMismatchError(f"vectors must form an (N, d) array, got shape {v.shape}")
     ensure_finite(v, "frame vectors")
     if field is Field.REAL:
-        if np.any(v.imag):
+        if v.imag.any():
             raise NonFiniteError("REAL-field frame has nonzero imaginary parts")
         v = v.real.copy()
     v.setflags(write=False)
@@ -113,11 +113,11 @@ class FramePair:
         """Rescaling and the critical-pair equations need f_m != 0 and
         g_m != 0 for every m; the first zero vector (f before g) is named."""
         for name, seq in (("f", self.f), ("g", self.g)):
-            zero = np.flatnonzero(np.linalg.norm(seq.vectors, axis=1) == 0)
-            if zero.size:
-                raise ZeroVectorError(
-                    f"{name}_{zero[0] + 1} is the zero vector", index=int(zero[0])
-                )
+            # the kernel's denominator ||f_m||^2: a row too small to square is zero too
+            zero = (np.abs(seq.vectors) ** 2).sum(axis=1) == 0
+            if zero.any():
+                m = int(np.flatnonzero(zero)[0])
+                raise ZeroVectorError(f"{name}_{m + 1} is the zero vector", index=m)
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ class ConstraintSpec:
         needs a real alpha (MixedFramesError)."""
         if field is Field.COMPLEX:
             return self.alpha
-        if np.any(self.alpha.imag):
+        if self.alpha.imag.any():
             raise MixedFramesError("REAL-field alpha must be real")
         return self.alpha.real
 
@@ -179,7 +179,7 @@ def constraint_residual(pair: FramePair, spec: ConstraintSpec):
     """Entrywise |<f_m, g_m> - alpha_m|."""
     if spec.n != pair.n:
         raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")
-    return np.abs(np.sum(pair.f.vectors * pair.g.vectors.conj(), axis=1) - spec.alpha)
+    return np.abs((pair.f.vectors * pair.g.vectors.conj()).sum(axis=1) - spec.alpha)
 
 
 #: Largest |<f_m, g_m> - alpha_m| that ``require_membership`` accepts as on S(alpha).
@@ -230,15 +230,20 @@ def _retraction(fv, gv, alpha):
     Returns G with each row g_m rescaled to conj(alpha_m / <f_m, g_m>) g_m.
     Raises DegeneratePairingError at the first index with
     |<f_m, g_m>| < 1e-10 ||f_m|| ||g_m||, where no such rescaling exists.
+    The cut reads the squared row sums sum_k |v_k|^2 that the residual
+    kernel divides by, each square-rooted before the product: squares
+    multiplied together would underflow at row norms near 1e-80.
     """
-    ip = np.sum(fv * gv.conj(), axis=1)
-    cut = _DEGENERACY_CUT * np.linalg.norm(fv, axis=1) * np.linalg.norm(gv, axis=1)
-    bad = np.flatnonzero(np.abs(ip) < cut)
-    if bad.size:
+    ip = (fv * gv.conj()).sum(axis=1)
+    cut = (_DEGENERACY_CUT * np.sqrt((np.abs(fv) ** 2).sum(axis=1))
+           * np.sqrt((np.abs(gv) ** 2).sum(axis=1)))
+    bad = np.abs(ip) < cut
+    if bad.any():
+        m = int(np.flatnonzero(bad)[0])
         raise DegeneratePairingError(
-            f"|<f_{bad[0] + 1}, g_{bad[0] + 1}>| = {abs(ip[bad[0]]):.3e} is below the "
+            f"|<f_{m + 1}, g_{m + 1}>| = {abs(ip[m]):.3e} is below the "
             "degeneracy threshold; re-randomize g and retry",
-            index=int(bad[0]),
+            index=m,
         )
     return gv * (alpha / ip).conj()[:, None]
 

@@ -34,7 +34,7 @@ DEFAULT_EIG_TOL = 1e-9
 
 def ensure_finite(a, what="array"):
     a = np.asarray(a)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"{what} contains NaN or Inf entries")
     return a
 

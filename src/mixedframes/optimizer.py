@@ -22,15 +22,20 @@ alpha_m / 2 (``_run_single``).  Both scale with the problem.  Everything
 in the loop works from the d x d mixed operator M = TU*, in O(N d^2)
 time and O(N d + d^2) memory, never from the N x N cross Gram: every
 trial is priced at FP = Tr(M^2); the residual kernel
-``structure._merit_terms`` runs once per iterate, on the M that priced it
-(on every trial of CRITICAL_SEARCH, whose acceptance test is the merit),
-and its output is the loop's whole record of the iterate: the merit, FP,
-and the u = F M^T, G conj(M), ||f_m||^2 and <f_m, g_m> that the gradients
-and the tangent projection read, with no second forward pass; ``search``
-reports on the last output and keeps its M on the pair it returns.  A
-pairing the retraction cannot rescale (<f_m, g_m> near 0), at the start
-or in a trial, ends the restart as DEGENERATE_RETRACTION; nothing is
-redrawn.  Restarts are independent: restart k uses seed ``seed + k`` and
+``structure._merit_terms`` runs once per iterate, on the M and the FP that
+priced it (on every trial of CRITICAL_SEARCH, whose acceptance test is
+the merit), and its output is the loop's whole record of the iterate: the
+merit, FP, and the u = F M^T, G conj(M), ||f_m||^2 and <f_m, g_m> that
+the gradients and the tangent projection read, with no second forward
+pass; ``search`` reports on the last output and keeps its M on the pair
+it returns.  On small problems (d = 2, N = 4: arrays of 8 entries) the
+loop's cost is NumPy call overhead, so every row sum and total is one
+reduction method call (``x.sum(axis=1)``, no ``np.sum`` or
+``np.linalg.norm`` wrapper), and the retraction's degeneracy cut reads
+the same squared row sums sum_k |v_k|^2 the kernel divides by.  A pairing
+the retraction cannot rescale (<f_m, g_m> near 0), at the start or in a
+trial, ends the restart as DEGENERATE_RETRACTION; nothing is redrawn.
+Restarts are independent: restart k uses seed ``seed + k`` and
 the reported result never depends on execution order.
 """
 
@@ -142,16 +147,16 @@ def project_to_tangent(pair: FramePair, gf, gg):
     if pair.field is Field.REAL:
         gf, gg = np.real(gf), np.real(gg)
     fv = pair.f.vectors
-    return _project_to_tangent(fv, pair.g.vectors, gf, gg, np.sum(np.abs(fv) ** 2, axis=1))
+    return _project_to_tangent(fv, pair.g.vectors, gf, gg, (np.abs(fv) ** 2).sum(axis=1))
 
 
 def _project_to_tangent(fv, gv, gf, gg, f_norms2):
     """``project_to_tangent`` on raw (N, d) arrays and their ||f_m||^2; real
     arrays (a pair over R) have only the real-part constraint directions."""
-    nn = f_norms2 + np.sum(np.abs(gv) ** 2, axis=1)
+    nn = f_norms2 + (np.abs(gv) ** 2).sum(axis=1)
     # <gf_m, g_m> + conj(<gg_m, f_m>): its real part is the real inner
     # product with (g_m, f_m), its imaginary part that with (i g_m, -i f_m)
-    ip = np.sum(gf * gv.conj(), axis=1) + np.sum(gg.conj() * fv, axis=1)
+    ip = (gf * gv.conj()).sum(axis=1) + (gg.conj() * fv).sum(axis=1)
     coef = np.divide(ip, nn, out=np.zeros_like(ip), where=nn != 0.0)
     return gf - coef[:, None] * gv, gg - coef.conj()[:, None] * fv
 
@@ -191,7 +196,7 @@ def _merit_gradient(fv, gv, alpha, terms):
     # backward through r_f = u - lam f, r_g = G_r conj(M) - conj(lam) G_r
     # and lam = num / |f|^2 with num_m = sum_k u_m[k] conj(f_m[k])
     rf_bar, rg_bar = 2.0 * rf, 2.0 * rg
-    lam_bar = -np.sum(rf_bar * fv.conj(), axis=1) - np.sum(rg_bar.conj() * gv, axis=1)
+    lam_bar = -(rf_bar * fv.conj()).sum(axis=1) - (rg_bar.conj() * gv).sum(axis=1)
     num_bar = lam_bar / f_norms2
     norms2_bar = -np.real(lam_bar * lam.conj()) / f_norms2
     u_bar = rf_bar + num_bar[:, None] * fv
@@ -202,7 +207,7 @@ def _merit_gradient(fv, gv, alpha, terms):
     gr_bar = rg_bar @ tu.T - lam[:, None] * rg_bar + fv @ tu_bar.conj()
     # through the retraction G_r = G * conj(q), q = alpha / <f_m, g_m>
     g_bar = gr_bar * q[:, None]
-    q_bar = np.sum(gr_bar.conj() * gv, axis=1)
+    q_bar = (gr_bar.conj() * gv).sum(axis=1)
     ip_bar = -q_bar * (q / ip).conj()
     f_bar += ip_bar[:, None] * gv
     g_bar += ip_bar.conj()[:, None] * fv
@@ -247,8 +252,9 @@ def _accepted(fv, gv, best, critical, objective):
     if critical:
         terms = structure._merit_terms(fv, gv, tu)
         return terms if terms.merit < best.merit else None
-    if _objective_part(potential._fp_of_gram(tu), objective) < _objective_part(best.fp, objective):
-        return structure._merit_terms(fv, gv, tu)
+    fp = potential._fp_of_gram(tu)
+    if _objective_part(fp, objective) < _objective_part(best.fp, objective):
+        return structure._merit_terms(fv, gv, tu, fp)
     return None
 
 
@@ -287,7 +293,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
             if terms.merit <= MERIT_TOL:
                 return finish(CONVERGED)
             gf, gg = _merit_gradient(fv, gv, alpha, terms)
-            grad2 = np.sum(np.abs(gf) ** 2) + np.sum(np.abs(gg) ** 2)
+            grad2 = (np.abs(gf) ** 2).sum() + (np.abs(gg) ** 2).sum()
             if grad2 == 0.0:
                 # a stationary point of the merit above MERIT_TOL: no step lowers it
                 return finish(MAX_ITERS)
@@ -299,7 +305,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
             if np.sqrt(grad2) <= GRAD_TOL:
                 return finish(CONVERGED)
             # <f_m - t gf_m, g_m - t gg_m> = alpha_m (1 + t^2 eps_m): move none by > alpha_m / 2
-            eps = np.max(np.abs(np.sum(gf * gg.conj(), axis=1) / alpha))
+            eps = np.abs((gf * gg.conj()).sum(axis=1) / alpha).max()
             if eps > 0.0:
                 step = 1.0 / np.sqrt(2.0 * eps)
             else:  # the ray stays on S(alpha): a move as long as the pair itself

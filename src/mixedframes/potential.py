@@ -41,7 +41,7 @@ def _fp_of_gram(x):
     entries give the double sum sum_{m,n} <f_m, g_n> <f_n, g_m>
     (``fp_direct``), or the d x d mixed operator TU* by the trace identity
     Tr(C^2) = Tr((TU*)^2) (``fp_trace`` and every search iterate)."""
-    return complex(np.sum(x * x.T))
+    return complex((x * x.T).sum())
 
 
 def fp_direct(pair: FramePair):

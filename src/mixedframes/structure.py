@@ -66,23 +66,25 @@ class _MeritTerms(NamedTuple):
     fp: complex  # FP = Tr(M^2)
 
 
-def _merit_terms(fv, gv, tu=None):
+def _merit_terms(fv, gv, tu=None, fp=None):
     """The critical-pair equations on raw (N, d) arrays with nonzero rows,
-    from M = TU* = F^T conj(G) (unless given), as a ``_MeritTerms``.
+    from M = TU* = F^T conj(G) (unless given), as a ``_MeritTerms``; ``fp``
+    is Tr(M^2) when the caller has already summed it from this M.
     O(N d^2) time, O(N d + d^2) memory; the one kernel behind
     ``critical_report``, the optimizer's merit, FP and both its gradients."""
     if tu is None:
         tu = fv.T @ gv.conj()
+    if fp is None:
+        fp = potential._fp_of_gram(tu)
     u = fv @ tu.T
     gm = gv @ tu.conj()
-    f_norms2 = np.sum(np.abs(fv) ** 2, axis=1)
-    ip = np.sum(fv * gv.conj(), axis=1)
-    lam = np.sum(u * fv.conj(), axis=1) / f_norms2
+    f_norms2 = (np.abs(fv) ** 2).sum(axis=1)
+    ip = (fv * gv.conj()).sum(axis=1)
+    lam = (u * fv.conj()).sum(axis=1) / f_norms2
     rf = u - lam[:, None] * fv
     rg = gm - lam.conj()[:, None] * gv
-    merit = float(np.sum(np.abs(rf) ** 2) + np.sum(np.abs(rg) ** 2))
-    return _MeritTerms(tu, u, gm, lam, lam - ip, rf, rg, f_norms2, ip, merit,
-                       potential._fp_of_gram(tu))
+    merit = float((np.abs(rf) ** 2).sum() + (np.abs(rg) ** 2).sum())
+    return _MeritTerms(tu, u, gm, lam, lam - ip, rf, rg, f_norms2, ip, merit, fp)
 
 
 def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_TOL):

@@ -242,6 +242,33 @@ def test_potential_large_d(capsys, tmp_path):
     assert report["outputs"]["discrepancy"] <= 1e-9
 
 
+@pytest.mark.parametrize("alpha", ["1e4", "1e6"])
+def test_potential_status_is_scale_free(capsys, tmp_path, alpha):
+    """The two forms are judged at tol * (1 + |FP|), as fp_trace judges its
+    spectrum: at alpha = 1e4 the absolute discrepancy is about 1.7e-5 and
+    at 1e6 about 0.44, both round-off of an FP near 1e10 and 1e14."""
+    path = tmp_path / "scaled.json"
+    code, _ = run(capsys, "gen", "random", "--field", "C", "--d", "16", "--N", "48",
+                  "--seed", "3", "--alpha", ",".join([alpha] * 48), "--output", str(path))
+    assert code == 0
+    code, out = run(capsys, "potential", str(path))
+    report = json.loads(out)
+    assert report["outputs"]["discrepancy"] > 1e-9
+    assert (code, report["status"]) == (0, "ok")
+
+
+def test_potential_discrepancy_above_tol_exits_1(capsys, tmp_path):
+    """At d = 1 the eigendecomposition and the trace form are exact, so a
+    --tol of 1e-300 leaves only the direct sum's round-off to judge."""
+    path = tmp_path / "d1.json"
+    assert run(capsys, "gen", "random", "--field", "C", "--d", "1", "--N", "48", "--seed", "3",
+               "--output", str(path))[0] == 0
+    code, out = run(capsys, "potential", str(path), "--tol", "1e-300")
+    report = json.loads(out)
+    assert report["outputs"]["discrepancy"] > 0.0
+    assert (code, report["status"]) == (1, "discrepancy")
+
+
 def test_decompose_group_below_rank_cut_exits_3(capsys, tmp_path):
     """A dual pair with F scaled by 1e-11 and G by 1e11: group I has rank 0."""
     fv, gv = 1e-11 * np.eye(2), 1e11 * np.eye(2)

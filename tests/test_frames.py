@@ -136,6 +136,54 @@ def test_retraction_names_zero_vector(side, index):
     assert str(info.value).startswith(f"{side}_{index + 1} ")
 
 
+@pytest.mark.parametrize("s", [1e-150, 1e-80, 1.0, 1e80, 1e150])
+def test_degeneracy_decisions_hold_across_scales(field, s):
+    """With F and G scaled by s, the retraction raises exactly where
+    |<f_m, g_m>| < cut ||f_m|| ||g_m|| with the norms from np.linalg.norm,
+    for pairings at 0 to 2 times the cut: the cut does not multiply
+    squares, which would underflow near s = 1e-80.  Row 1 is paired at
+    ratio times the cut, row 0 well."""
+    w = np.exp(0.7j) if field is Field.COMPLEX else 1.0
+    alpha = np.full(2, s * s)
+    for ratio in (0.0, 0.5, 0.999, 1.001, 2.0):
+        fv = s * np.array([[1.0, 0.5 * w], [1.0, 0.0]])
+        gv = s * np.array([[1.0, 0.25 * w], [ratio * frames._DEGENERACY_CUT * w, 1.0]])
+        pair = FramePair(FrameSequence(field, fv), FrameSequence(field, gv))
+        pair.require_nonzero()
+        fv, gv = pair.f.vectors, pair.g.vectors
+        ip = np.sum(fv * gv.conj(), axis=1)
+        cut = frames._DEGENERACY_CUT * np.linalg.norm(fv, axis=1) * np.linalg.norm(gv, axis=1)
+        degenerate = np.abs(ip) < cut
+        assert degenerate.tolist() == [False, ratio < 1.0]
+        if degenerate.any():
+            with pytest.raises(DegeneratePairingError) as info:
+                frames._retraction(fv, gv, alpha)
+            assert info.value.index == 1
+        else:
+            # over C at s = 1e-150 the pairing of row 1 is subnormal, and NumPy's
+            # complex alpha / ip scales by 1 / |ip|, which overflows: only the
+            # decision is compared here
+            with np.errstate(over="ignore", invalid="ignore"):
+                frames._retraction(fv, gv, alpha)
+
+
+@pytest.mark.parametrize("side", ["f", "g"])
+def test_row_too_small_to_square_is_zero(field, side):
+    """A row of 1e-170 entries is nonzero, but its squared norm, the
+    kernel's denominator, underflows to 0 (np.linalg.norm gives 0 too):
+    require_nonzero names it before anything divides by it."""
+    w = np.exp(0.7j) if field is Field.COMPLEX else 1.0
+    fv = np.array([[1.0, 0.5 * w], [2.0, 1.0]])
+    gv = np.array([[1.0, 0.25], [1.0, w]])
+    (fv if side == "f" else gv)[1] = 1e-170 * np.array([1.0, w])
+    pair = FramePair(FrameSequence(field, fv), FrameSequence(field, gv))
+    assert np.linalg.norm((fv if side == "f" else gv)[1]) == 0.0
+    with pytest.raises(ZeroVectorError) as info:
+        pair.require_nonzero()
+    assert info.value.index == 1
+    assert str(info.value).startswith(f"{side}_2 ")
+
+
 def test_retraction_rejects_nonreal_alpha_over_r():
     """Over R a complex alpha is refused, not retracted onto S(Re alpha)."""
     spec = ConstraintSpec(np.array([1 + 1j, 1.0]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import retracted_random
-from mixedframes import fixtures, frames, optimizer, structure
+from mixedframes import fixtures, frames, optimizer, potential, structure
 from mixedframes.errors import (
     DegeneratePairingError,
     DimensionMismatchError,
@@ -365,20 +365,25 @@ def test_search_report_equals_critical_report(mode, field_, d, alpha, seed, max_
 
 def test_descent_runs_kernel_once_per_iterate(monkeypatch):
     """A descent prices its trials from TU*: the residual kernel runs once
-    on the start and once per accepted iterate, on the TU* that priced
-    it, and the finish reuses the last output instead of running it
-    again."""
+    on the start and once per accepted iterate, on the TU* and the FP
+    that priced it, and the finish reuses the last output instead of
+    running it again."""
     calls = []
+    priced = []
     original = structure._merit_terms
 
-    def counting(fv, gv, tu=None):
+    def counting(fv, gv, tu=None, fp=None):
         calls.append(tu is not None)
-        return original(fv, gv, tu)
+        priced.append(fp is not None)
+        if fp is not None:
+            assert fp == potential._fp_of_gram(tu)
+        return original(fv, gv, tu, fp)
 
     monkeypatch.setattr(structure, "_merit_terms", counting)
     spec = ConstraintSpec(np.ones(2))
     for k in (1, 5):
         calls.clear()
+        priced.clear()
         cfg = optimizer.OptimizerConfig(mode=optimizer.POTENTIAL_DESCENT, seed=0, max_iters=k,
                                         divergence_bound=1e6)
         res = optimizer.search(spec, Field.COMPLEX, 2, cfg)
@@ -386,6 +391,7 @@ def test_descent_runs_kernel_once_per_iterate(monkeypatch):
         assert len(res.merit_history) == k + 1
         assert len(calls) == 1 + k
         assert calls == [False] + [True] * k
+        assert priced == calls
         assert res.critical_report_final is not None
 
 

@@ -272,3 +272,85 @@ def test_imaginary_part_search_over_r_stops_at_start():
     res = optimizer.search(ConstraintSpec(np.ones(4)), Field.REAL, 2, cfg)
     assert res.status == optimizer.CONVERGED
     assert res.objective_history == [0.0]
+
+
+# (d, N) with d in 1..8 and N in d..4d
+SHAPES = st.integers(1, 8).flatmap(lambda d: st.tuples(st.just(d), st.integers(d, 4 * d)))
+
+
+def _fp_scale(pair):
+    """Round-off scale of FP: |FP| <= ||C||_F^2 for the cross Gram C."""
+    return 1e-12 * (1.0 + np.linalg.norm(frames.cross_gram(pair)) ** 2)
+
+
+@fixed(60)
+@given(FIELDS, SHAPES, st.integers(0, 10_000))
+def test_swapped_pair_has_conjugate_potential(field, shape, seed):
+    """FP(G, F) = conj FP(F, G), for the direct double sum and for
+    Tr((TU*)^2) as the residual kernel sums it."""
+    d, n = shape
+    pair = frames.random_pair(field, d, n, seed)
+    fv, gv = pair.f.vectors, pair.g.vectors
+    fp = potential.fp_direct(pair).value
+    kernel_fp = structure._merit_terms(fv, gv).fp
+    scale = _fp_scale(pair)
+    assert abs(potential.fp_swap(pair).value - np.conj(fp)) <= scale
+    assert abs(structure._merit_terms(gv, fv).fp - np.conj(kernel_fp)) <= scale
+    assert abs(kernel_fp - fp) <= scale
+
+
+@fixed(60)
+@given(FIELDS, SHAPES, st.integers(0, 10_000))
+def test_trace_of_mixed_operator_is_alpha_sum(field, shape, seed):
+    """Tr TU* = sum_m <f_m, g_m> = sum alpha on S(alpha), from the
+    kernel's M and its row sums <f_m, g_m>."""
+    d, n = shape
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    if field is Field.COMPLEX:
+        alpha = alpha * np.exp(2j * np.pi * rng.uniform(size=n))
+    pair, _ = retracted_random(field, d, n, seed, alpha)
+    fv, gv = pair.f.vectors, pair.g.vectors
+    terms = structure._merit_terms(fv, gv)
+    total = np.sum(alpha)
+    scale = 1e-12 * (1.0 + np.sum(np.linalg.norm(fv, axis=1) * np.linalg.norm(gv, axis=1)))
+    for got in (np.trace(terms.tu), np.trace(frames.mixed_operator(pair)), np.sum(terms.ip)):
+        assert abs(got - total) <= scale
+
+
+@fixed(60)
+@given(FIELDS, SHAPES, st.booleans(), st.integers(0, 10_000))
+def test_potential_and_verdict_invariant_under_relabelling_and_unitary(field, shape, dual, seed):
+    """FP and critical_report's verdict and residuals do not change when
+    the indices are permuted jointly or every vector is moved by one
+    unitary Q, (F Q, G Q) in the row convention.  ``dual`` plants the
+    canonical dual G = F (F^H F)^-1, a critical pair with TU* = I."""
+    d, n = shape
+    if dual:
+        fv = frames.random_pair(field, d, n, seed).f.vectors
+        gv = fv @ np.linalg.inv(fv.conj().T @ fv)
+        spec = ConstraintSpec(np.sum(fv * gv.conj(), axis=1))
+        pair = FramePair(FrameSequence(field, fv), FrameSequence(field, gv))
+    else:
+        pair, spec = retracted_random(field, d, n, seed)
+    fv, gv = pair.f.vectors, pair.g.vectors
+    report = structure.critical_report(pair, spec)
+    assert report.is_critical or not dual
+    fp = potential.fp_direct(pair).value
+
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    z = rng.standard_normal((d, d))
+    if field is Field.COMPLEX:
+        z = z + 1j * rng.standard_normal((d, d))
+    q = np.linalg.qr(z)[0]
+    res_scale = 1e-11 * (1.0 + report.mixed_norm) * (1.0 + np.abs(fv).max() + np.abs(gv).max())
+    for moved_f, moved_g, alpha, order in ((fv[perm], gv[perm], spec.alpha[perm], perm),
+                                           (fv @ q, gv @ q, spec.alpha, np.arange(n))):
+        moved = FramePair(FrameSequence(field, moved_f), FrameSequence(field, moved_g))
+        assert abs(potential.fp_direct(moved).value - fp) <= _fp_scale(pair)
+        assert abs(structure._merit_terms(moved_f, moved_g).fp - fp) <= _fp_scale(pair)
+        got = structure.critical_report(moved, ConstraintSpec(alpha))
+        assert got.is_critical == report.is_critical
+        assert np.abs(got.f_residuals - report.f_residuals[order]).max() <= res_scale
+        assert np.abs(got.g_residuals - report.g_residuals[order]).max() <= res_scale
