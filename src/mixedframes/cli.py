@@ -430,10 +430,7 @@ def main(argv=None):
     except (NumericalFailureError, DegeneratePairingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except MixedFramesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ValueError, KeyError) as exc:
+    except (MixedFramesError, ValueError) as exc:  # ValueError: OptimizerConfig's checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

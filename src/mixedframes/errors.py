@@ -2,7 +2,14 @@
 
 
 class MixedFramesError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``index`` (0-based), ``residual``
+    and ``report`` carry a failure's details where it has them, else None."""
+
+    def __init__(self, message, *, index=None, residual=None, report=None):
+        super().__init__(message)
+        self.index = index
+        self.residual = residual
+        self.report = report
 
 
 class DimensionMismatchError(MixedFramesError):
@@ -16,33 +23,17 @@ class NonFiniteError(MixedFramesError):
 class ZeroVectorError(MixedFramesError):
     """A vector that must be nonzero is (numerically) zero."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
 
 class ZeroAlphaError(MixedFramesError):
     """A prescribed inner product that must be nonzero is zero."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class ConstraintViolationError(MixedFramesError):
     """The pair is not a member of the prescribed inner-product set."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class DegeneratePairingError(MixedFramesError):
     """|<f_m, g_m>| is too small for the rescaling retraction to be stable."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class NumericalFailureError(MixedFramesError):
@@ -51,20 +42,12 @@ class NumericalFailureError(MixedFramesError):
     Carries the offending residual when one is available.
     """
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class NotCriticalError(MixedFramesError):
     """An operation requiring a critical pair received a non-critical one.
 
     The failing report is attached so callers can inspect the residuals.
     """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class ClusterAmbiguityError(MixedFramesError):

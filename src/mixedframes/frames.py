@@ -220,6 +220,7 @@ def random_pair(field: Field, d, n, seed):
 #: Degeneracy cut of the retraction: a pairing with |<f_m, g_m>| below
 #: this times ||f_m|| ||g_m|| is too close to orthogonal to rescale.
 _DEGENERACY_CUT = 1e-10
+_SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
 
 
 def _retraction(fv, gv, alpha):
@@ -233,18 +234,29 @@ def _retraction(fv, gv, alpha):
     The cut reads the squared row sums sum_k |v_k|^2 that the residual
     kernel divides by, each square-rooted before the product: squares
     multiplied together would underflow at row norms near 1e-80.
+    A subnormal pairing has lost bits, and NumPy's complex division by it
+    multiplies by 1 / |<f_m, g_m>|, which overflows.  In those rows alone
+    the pairing is formed again from f_m and g_m each scaled, exactly, by
+    the power of two 2^k that brings it near unit modulus, and alpha_m is
+    scaled by 4^k to match.
     """
     ip = (fv * gv.conj()).sum(axis=1)
     cut = (_DEGENERACY_CUT * np.sqrt((np.abs(fv) ** 2).sum(axis=1))
            * np.sqrt((np.abs(gv) ** 2).sum(axis=1)))
-    bad = np.abs(ip) < cut
+    modulus = np.abs(ip)
+    bad = modulus < cut
     if bad.any():
         m = int(np.flatnonzero(bad)[0])
         raise DegeneratePairingError(
             f"|<f_{m + 1}, g_{m + 1}>| = {abs(ip[m]):.3e} is below the "
-            "degeneracy threshold; re-randomize g and retry",
+            "degeneracy threshold: the pairing cannot be rescaled",
             index=m,
         )
+    if modulus.min() < _SMALLEST_NORMAL:
+        tiny = modulus < _SMALLEST_NORMAL
+        s = np.ldexp(1.0, np.where(tiny, -(np.frexp(modulus)[1] // 2), 0))
+        ip = np.where(tiny, ((fv * s[:, None]) * (gv * s[:, None]).conj()).sum(axis=1), ip)
+        alpha = np.where(tiny, alpha * s * s, alpha)
     return gv * (alpha / ip).conj()[:, None]
 
 
@@ -255,8 +267,7 @@ def retract_to_constraint(pair: FramePair, spec: ConstraintSpec):
     Raises ZeroAlphaError for a zero alpha_m, MixedFramesError for a
     non-real alpha over R, ZeroVectorError for a zero f_m or g_m, and
     DegeneratePairingError when some |<f_m, g_m>| falls below
-    1e-10 ||f_m|| ||g_m||; the caller is expected to re-randomize that
-    g_m and retry.
+    1e-10 ||f_m|| ||g_m||: that pairing cannot be rescaled.
     """
     if spec.n != pair.n:
         raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")

@@ -155,7 +155,7 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
         )
 
     lam = spec.alpha + report.c
-    spectral_radius = float(np.max(np.abs(lam))) if lam.size else 0.0
+    spectral_radius = float(np.max(np.abs(lam)))
     radius = cluster_tol * (1.0 + spectral_radius)
     clusters = linalg.cluster_complex(lam, radius)
     distances = np.abs(lam[:, None] - lam[None, :])
@@ -169,7 +169,7 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
 
     means = [complex(np.mean(lam[idx])) for idx in clusters]
     order = sorted(range(len(clusters)), key=lambda j: (-means[j].real, -means[j].imag))
-    clusters = [sorted(clusters[j]) for j in order]
+    clusters = [clusters[j] for j in order]
     means = [means[j] for j in order]
 
     assigned = np.zeros(pair.n, dtype=int)
@@ -187,26 +187,38 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
     )
 
 
+def _block_residual(gram, rows, cols, target=0.0):
+    """max |gram[rows, cols] - target|, 0 for an empty block: each residual
+    of the structure theorem is one block of the cross Gram against its target."""
+    return float(np.abs(gram[np.ix_(rows, cols)] - target).max(initial=0.0))
+
+
+def _index_set(pair, idx):
+    """idx sorted, or ValueError naming an index outside 0..N-1 or one
+    given twice."""
+    idx = sorted(idx)
+    for k, m in enumerate(idx):
+        if not 0 <= m < pair.n:
+            raise ValueError(f"index {m} is outside 0..{pair.n - 1}")
+        if k and idx[k - 1] == m:
+            raise ValueError(f"index {m} is given twice")
+    return idx
+
+
 def check_generalized_biorthogonal(pair: FramePair, spec: ConstraintSpec, idx):
     """Residual of the generalized biorthogonality conditions on idx:
     max of |<f_n, g_m>| over n != m and |<f_m, g_m> - alpha_m|.
 
     An empty index set and a singleton's off-diagonal part are vacuous.
     """
-    idx = sorted(idx)
+    idx = _index_set(pair, idx)
     for m in idx:
         if spec.alpha[m] == 0:
             raise ZeroAlphaError(
                 f"alpha_{m + 1} = 0: generalized biorthogonality needs nonzero alpha",
                 index=m,
             )
-    if not idx:
-        return 0.0
-    sub = frames.cross_gram(pair)[np.ix_(idx, idx)]
-    diag_res = float(np.abs(np.diag(sub) - spec.alpha[idx]).max())
-    off = sub - np.diag(np.diag(sub))
-    off_res = float(np.abs(off).max()) if len(idx) > 1 else 0.0
-    return max(diag_res, off_res)
+    return _block_residual(frames.cross_gram(pair), idx, idx, np.diag(spec.alpha[idx]))
 
 
 def check_a_generalized_dual(pair: FramePair, idx, a, rank_tol=DEFAULT_RANK_TOL):
@@ -222,7 +234,7 @@ def check_a_generalized_dual(pair: FramePair, idx, a, rank_tol=DEFAULT_RANK_TOL)
     converged pair at tolerance t, pass rank_tol = t so that residual
     directions below t are not mistaken for genuine span directions.
     """
-    idx = sorted(idx)
+    idx = _index_set(pair, idx)
     if not idx:
         raise ValueError("index set must be nonempty")
     return _a_dual_residual(*_span_bases(pair, idx, rank_tol), a)
@@ -297,7 +309,7 @@ def decompose(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_
     moduli = [abs(v) for v in cls.distinct_eigenvalues]
     j_min = int(np.argmin(moduli))  # argmin takes the first on ties
     group = list(cls.index_sets[j_min])
-    complement = sorted(set(range(pair.n)) - set(group))
+    complement = np.flatnonzero(cls.assigned != j_min).tolist()
     lam_group = cls.distinct_eigenvalues[j_min]
 
     fv, gv, f_basis, g_basis = _span_bases(pair, group, DEFAULT_RANK_TOL)
@@ -309,36 +321,18 @@ def decompose(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_
         )
     a = complex(np.sum(spec.alpha[group])) / dim_span
 
-    bio_res = check_generalized_biorthogonal(pair, spec, complement)
-    dual_res = _a_dual_residual(fv, gv, f_basis, g_basis, a)
-
     gram = frames.cross_gram(pair)
-    if complement:
-        cross = max(
-            float(np.abs(gram[np.ix_(group, complement)]).max()),
-            float(np.abs(gram[np.ix_(complement, group)]).max()),
-        )
-    else:
-        cross = 0.0
+    bio_res = _block_residual(gram, complement, complement, np.diag(spec.alpha[complement]))
+    dual_res = _a_dual_residual(fv, gv, f_basis, g_basis, a)
+    cross = max(_block_residual(gram, group, complement), _block_residual(gram, complement, group))
 
-    normalized = []
-    for j, idx in enumerate(cls.index_sets):
-        if j == j_min:
-            continue
-        lam = cls.distinct_eigenvalues[j]
-        if lam == 0:
-            continue  # cannot happen after the minimal-modulus choice, kept as a guard
-        w = principal_sqrt(lam)
-        sub = gram[np.ix_(idx, idx)] / lam  # <f_l/w, g_m/conj(w)> = <f_l,g_m> / lambda
-        res = float(np.abs(sub - np.eye(len(idx))).max())
-        normalized.append(
-            NormalizedGroup(
-                indices=list(idx),
-                eigenvalue=lam,
-                w=w,
-                biorthogonality_residual=res,
-            )
-        )
+    # each other group's block of C / lambda = (<f_l/w, g_m/conj(w)>), w^2 = lambda, against I
+    normalized = [
+        NormalizedGroup(list(idx), lam, principal_sqrt(lam), _block_residual(
+            gram[np.ix_(idx, idx)] / lam, range(len(idx)), range(len(idx)), np.eye(len(idx))))
+        for j, (idx, lam) in enumerate(zip(cls.index_sets, cls.distinct_eigenvalues))
+        if j != j_min
+    ]
 
     return DecompositionReport(
         group=group,

@@ -320,3 +320,16 @@ def test_optimize_removed_flags_exit_2(capsys, flag):
     code, out = run(capsys, "optimize", "--alpha", "1", "--field", "R", "--d", "1", flag, "0.5")
     assert code == 2
     assert out == ""
+
+
+def test_decompose_ambiguous_cluster_exits_2(capsys, tmp_path):
+    """A critical pair whose eigenvalues 1, 1 + 1.5e-6, 1 + 3e-6 chain into
+    one cluster wider than the clustering radius is refused as input."""
+    lam = np.array([1.0, 1.0 + 1.5e-6, 1.0 + 3e-6])
+    pair = frames.FramePair(frames.FrameSequence(frames.Field.REAL, np.eye(3)),
+                            frames.FrameSequence(frames.Field.REAL, np.diag(lam)))
+    path = tmp_path / "chain.json"
+    path.write_text(frames.document_to_json(frames.pair_to_document(pair, lam)))
+    code, out = run(capsys, "decompose", str(path))
+    assert code == 2
+    assert out == ""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mixedframes.errors import (
     DimensionMismatchError,
     MixedFramesError,
     NonFiniteError,
+    NumericalFailureError,
     ZeroAlphaError,
     ZeroVectorError,
 )
@@ -160,11 +163,39 @@ def test_degeneracy_decisions_hold_across_scales(field, s):
                 frames._retraction(fv, gv, alpha)
             assert info.value.index == 1
         else:
-            # over C at s = 1e-150 the pairing of row 1 is subnormal, and NumPy's
-            # complex alpha / ip scales by 1 / |ip|, which overflows: only the
-            # decision is compared here
-            with np.errstate(over="ignore", invalid="ignore"):
-                frames._retraction(fv, gv, alpha)
+            assert np.isfinite(frames._retraction(fv, gv, alpha)).all()
+
+
+def test_retraction_of_subnormal_pairing(field):
+    """A random (2, 3) pair scaled by 1e-155 has pairings near 1e-310,
+    subnormal; with alpha = 1e10 <f_m, g_m> the quotient is a moderate
+    1e10, and the retraction reaches it without overflow or warning."""
+    p = frames.random_pair(field, 2, 3, 0)
+    f, g = 1e-155 * p.f.vectors, 1e-155 * p.g.vectors
+    ip = (f * g.conj()).sum(axis=1)
+    assert (np.abs(ip) < np.finfo(np.float64).tiny).all()
+    spec = ConstraintSpec(1e10 * ip)
+    pair = FramePair(FrameSequence(field, f), FrameSequence(field, g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        retracted = frames.retract_to_constraint(pair, spec)
+    assert (frames.constraint_residual(retracted, spec) / np.abs(spec.alpha)).max() <= 1e-14
+
+
+def test_retraction_keeps_ordinary_rows_bits(field):
+    """Only a subnormal pairing's row takes the rescaled path: the other
+    rows of G come out as the plain conj(alpha_m / <f_m, g_m>) g_m."""
+    p = frames.random_pair(field, 2, 3, 1)
+    f, g = p.f.vectors.copy(), p.g.vectors.copy()
+    f[1], g[1] = 1e-155 * f[1], 1e-155 * g[1]
+    ip = (f * g.conj()).sum(axis=1)
+    ip1 = ip[1]
+    alpha = np.array([1.5, 1e10 * ip1, 0.5 - 0.25j if field is Field.COMPLEX else -0.5])
+    gr = frames._retraction(f, g, alpha)
+    ip[1] = alpha[1] = 1.0  # the plain quotient would overflow in row 1
+    plain = g * (alpha / ip).conj()[:, None]
+    assert gr[[0, 2]].tobytes() == plain[[0, 2]].tobytes()
+    assert abs((f[1] * gr[1].conj()).sum() - 1e10 * ip1) <= 1e-14 * abs(1e10 * ip1)
 
 
 @pytest.mark.parametrize("side", ["f", "g"])
@@ -191,6 +222,16 @@ def test_retraction_rejects_nonreal_alpha_over_r():
         frames.retract_to_constraint(frames.random_pair(Field.REAL, 2, 2, 0), spec)
     pair = frames.retract_to_constraint(frames.random_pair(Field.COMPLEX, 2, 2, 0), spec)
     assert frames.constraint_residual(pair, spec).max() <= 1e-12
+
+
+def test_error_details_are_keyword_only():
+    """Every package error carries index, residual and report, None unless
+    given, and only by keyword: a positional residual cannot land in index."""
+    err = NumericalFailureError("boom", residual=0.5)
+    assert (err.index, err.residual, err.report, str(err)) == (None, 0.5, None, "boom")
+    assert ZeroVectorError("zero", index=2).index == 2
+    with pytest.raises(TypeError):
+        ConstraintViolationError("off", 0.5)
 
 
 def test_zero_alpha_rejected():

@@ -534,6 +534,41 @@ def test_critical_search_meets_no_degenerate_pairing(monkeypatch):
     assert counts["degenerate"] == 0
 
 
+@pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
+def test_degenerate_trial_ends_restart_at_last_accepted_iterate(monkeypatch, mode):
+    """When the retraction of a trial meets a degenerate pairing, the
+    restart ends DEGENERATE_RETRACTION and returns the last accepted
+    iterate, with no critical report and no constraint residual."""
+    calls, last = {"retractions": 0}, {}
+    retraction, accepted = frames._retraction, optimizer._accepted
+
+    def failing_retraction(fv, gv, alpha):
+        calls["retractions"] += 1
+        if calls["retractions"] == 6:
+            raise DegeneratePairingError("stub", index=0)
+        out = retraction(fv, gv, alpha)
+        if calls["retractions"] == 1:  # the start
+            last["f"], last["g"] = fv, out
+        return out
+
+    def recording_accepted(fv, gv, *args):
+        terms = accepted(fv, gv, *args)
+        if terms is not None:
+            last["f"], last["g"] = fv, gv
+        return terms
+
+    monkeypatch.setattr(frames, "_retraction", failing_retraction)
+    monkeypatch.setattr(optimizer, "_accepted", recording_accepted)
+    cfg = optimizer.OptimizerConfig(mode=mode, seed=0, max_iters=50)
+    res = optimizer.search(ConstraintSpec(np.ones(3)), Field.COMPLEX, 2, cfg)
+    assert calls["retractions"] == 6
+    assert res.status == optimizer.DEGENERATE_RETRACTION
+    assert res.final_pair.f.vectors.tobytes() == last["f"].tobytes()
+    assert res.final_pair.g.vectors.tobytes() == last["g"].tobytes()
+    assert res.critical_report_final is None
+    assert res.constraint_residual_final == float("inf")
+
+
 def test_restart_ranking_prefers_dual():
     """With sum alpha = d, restarts should surface a near-dual pair."""
     spec = ConstraintSpec(np.full(4, 0.5))

@@ -125,6 +125,20 @@ def test_bound_real_spectrum_lower():
     assert hits > 0  # the loop must actually exercise the bound
 
 
+def test_bound_imaginary_spectrum_upper_holds():
+    """Over C, F = I_2 and G = diag(conj lambda) with lambda = (i, 2i) give
+    TU* = diag(i, 2i): two imaginary clusters and FP = -5, at most the
+    bound (sum alpha)^2 / d = (3i)^2 / 2 = -4.5."""
+    lam = np.array([1j, 2j])
+    pair = FramePair(FrameSequence(Field.COMPLEX, np.eye(2)),
+                     FrameSequence(Field.COMPLEX, np.diag(lam.conj())))
+    rep = potential.bound_report(pair, ConstraintSpec(lam))
+    assert rep.spectrum_class == potential.ALL_IMAGINARY
+    assert rep.bound_status == potential.UPPER_HOLDS
+    assert potential.fp_direct(pair).value == -5.0
+    assert rep.bound == -4.5
+
+
 def test_bound_imaginary_equality_fixture():
     pair, spec = fixtures.fixture("FX-IMAG")
     rep = potential.bound_report(pair, spec)

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import retracted_random
 from mixedframes import fixtures, frames, structure
 from mixedframes.errors import (
+    ClusterAmbiguityError,
     NotCriticalError,
     NumericalFailureError,
     ZeroAlphaError,
@@ -111,6 +114,52 @@ def test_generalized_biorthogonal():
         structure.check_generalized_biorthogonal(
             pair, ConstraintSpec(np.array([1.0, 0.0])), [0, 1]
         )
+
+
+def test_generalized_biorthogonal_is_the_blockwise_max():
+    """On every index set of FX-MIX, in any order, the residual is the
+    larger of max |<f_m, g_m> - alpha_m| and the largest off-diagonal
+    |<f_n, g_m>|, bit for bit; the A-dual residual ignores the order."""
+    pair, spec = fixtures.fixture("FX-MIX")
+    gram = frames.cross_gram(pair)
+    for r in range(1, pair.n + 1):
+        for idx in itertools.combinations(range(pair.n), r):
+            sub = gram[np.ix_(idx, idx)]
+            diag = np.abs(np.diag(sub) - spec.alpha[list(idx)]).max()
+            off = np.abs(sub - np.diag(np.diag(sub))).max()
+            assert structure.check_generalized_biorthogonal(pair, spec, idx[::-1]) == max(diag, off)
+            assert (structure.check_a_generalized_dual(pair, idx[::-1], 1.5)
+                    == structure.check_a_generalized_dual(pair, list(idx), 1.5))
+
+
+@pytest.mark.parametrize("idx,message", [
+    ([0, 0], "index 0 is given twice"),
+    ([-1], "index -1 is outside 0..3"),
+    ([4], "index 4 is outside 0..3"),
+])
+def test_index_sets_are_checked(idx, message):
+    """A duplicate is not counted as an off-diagonal entry, -1 does not
+    wrap to the last index and 4 raises no bare IndexError: each is a
+    ValueError naming the index."""
+    pair, spec = fixtures.fixture("FX-MIX")
+    assert pair.n == 4
+    with pytest.raises(ValueError, match=message):
+        structure.check_generalized_biorthogonal(pair, spec, idx)
+    with pytest.raises(ValueError, match=message):
+        structure.check_a_generalized_dual(pair, idx, 1.0)
+
+
+def test_cluster_chain_wider_than_radius_is_ambiguous():
+    """F = I_3, G = diag(lambda), alpha = lambda = (1, 1 + 1.5e-6, 1 + 3e-6)
+    is critical with c = 0; steps of 1.5e-6 chain all three eigenvalues
+    into one cluster at radius 1e-6 (1 + 1.000003), but its diameter
+    3e-6 exceeds that radius."""
+    lam = np.array([1.0, 1.0 + 1.5e-6, 1.0 + 3e-6])
+    pair = FramePair(FrameSequence(Field.REAL, np.eye(3)), FrameSequence(Field.REAL, np.diag(lam)))
+    spec = ConstraintSpec(lam)
+    assert structure.critical_report(pair, spec).is_critical
+    with pytest.raises(ClusterAmbiguityError, match="diameter"):
+        structure.classify(pair, spec)
 
 
 def test_a_generalized_dual_per_cluster():

@@ -1,0 +1,66 @@
+"""Print one sha256 over the verification reports of the library and the CLI.
+
+240 seeded ``plant_critical_pair`` pairs, cycling through the Analyze cases (both fields, d up
+to 64), through ``perfbench.workloads.analyze_pipeline``, each report field by field (array
+dtype, shape and bytes, every other value's repr); then the exit code and stdout of ``potential``,
+``check``, ``decompose`` and ``corollary`` on the six fixture documents, run in process, at
+1 BLAS thread.  ROOT (default: the checkout holding this script) selects the source tree, so
+two checkouts can be compared: ``python tools/report_digest.py [ROOT]``."""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+PIPELINES = 240
+COMMANDS = ("potential", "check", "decompose", "corollary")
+
+
+def _feed(h, obj):
+    """Hash obj exactly: dataclasses field by field, sequences item by item."""
+    import numpy as np
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _feed(h, getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"[")
+        for item in obj:
+            _feed(h, item)
+        h.update(b"]")
+    elif isinstance(obj, np.ndarray):
+        h.update(repr((obj.dtype.str, obj.shape)).encode() + obj.tobytes())
+    else:
+        h.update(repr(obj).encode())
+
+
+def digest(root):
+    sys.path[:0] = [os.path.join(root, "src"), root]
+    from mixedframes import cli, fixtures, frames
+    from perfbench.workloads import Analyze, _sub_rng, analyze_pipeline, plant_critical_pair
+    h = hashlib.sha256()
+    cases = Analyze(0).cases
+    for k in range(PIPELINES):
+        pair, spec, _, _ = plant_critical_pair(_sub_rng(0, 1, k), *cases[k % len(cases)])
+        _feed(h, analyze_pipeline(pair, spec))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in fixtures.FIXTURE_NAMES:
+            pair, spec = fixtures.fixture(name)
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                fh.write(frames.document_to_json(frames.pair_to_document(pair, spec.alpha)))
+            for command in COMMANDS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main([command, path])
+                h.update(f"{command} {name} {code}\n".encode() + out.getvalue().encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1"))
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # numpy loads inside digest(), after the thread count is set
+    print(digest(os.path.abspath(sys.argv[1]) if len(sys.argv) > 1 else here))
