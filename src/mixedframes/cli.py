@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -46,16 +47,6 @@ _STATUS_EXIT = {
 }
 
 
-def _c(z):
-    """Scalar encoding used in reports."""
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _ones_based(indices):
-    return [int(i) + 1 for i in indices]
-
-
 def _digest(data: bytes):
     return hashlib.sha256(data).hexdigest()
 
@@ -64,11 +55,14 @@ def _digest_obj(obj):
     return _digest(json.dumps(obj, sort_keys=True).encode())
 
 
-def _parse_alpha(text):
+def _parse_spec(text):
+    """ConstraintSpec of a comma-separated alpha list, whose entries may
+    end in the imaginary unit i (``1+2i``, ``-i``)."""
     try:
-        return np.array([complex(part.strip().replace("i", "j")) for part in text.split(",")])
+        alpha = [complex(re.sub(r"i$", "j", part.strip())) for part in text.split(",")]
     except ValueError as exc:
         raise MixedFramesError(f"could not parse alpha list {text!r}: {exc}") from exc
+    return frames.ConstraintSpec(alpha)
 
 
 def _load_pair(path):
@@ -84,7 +78,7 @@ def _load_pair(path):
 
 def _resolve_spec(embedded, override):
     if override is not None:
-        return frames.ConstraintSpec(_parse_alpha(override))
+        return _parse_spec(override)
     if embedded is not None:
         return embedded
     raise MixedFramesError("no alpha available: pass --alpha or embed it in the document")
@@ -109,77 +103,36 @@ def _emit(command, digest, tolerances, outputs, status, summary):
     return _STATUS_EXIT[status]
 
 
-def _critical_json(rep: structure.CriticalPairReport):
-    return {
-        "c": [_c(z) for z in rep.c],
-        "f_residuals": [float(x) for x in rep.f_residuals],
-        "g_residuals": [float(x) for x in rep.g_residuals],
-        "is_critical": rep.is_critical,
-        "tol": rep.tol,
-        "mixed_operator_norm": rep.mixed_norm,
-    }
+# Report keys that differ from their dataclass field names.
+_KEYS = {"mixed_norm": "mixed_operator_norm", "r_value": "R_value", "i_value": "I_value",
+         "group": "I", "complement": "I_complement", "a": "A",
+         "a_eigenvalue_gap": "A_eigenvalue_gap"}
+# Fields holding indices, which reports give 1-based.
+_INDICES = {"index_sets", "assigned", "group", "complement", "indices"}
 
 
-def _bound_json(rep: potential.BoundReport):
-    return {
-        "eigenvalues": [_c(z) for z in rep.eigenvalues],
-        "spectrum_class": rep.spectrum_class,
-        "class_tol": rep.class_tol,
-        "R_value": rep.r_value,
-        "I_value": rep.i_value,
-        "alpha_sum": _c(rep.alpha_sum),
-        "bound": _c(rep.bound),
-        "bound_status": rep.bound_status,
-        "trace_identity_residual": rep.trace_identity_residual,
-    }
+def _json(x, name=None):
+    """Encode a report value, ``name`` being the field that holds it.
 
-
-def _classification_json(cls: structure.EigenClassification):
-    return {
-        "distinct_eigenvalues": [_c(z) for z in cls.distinct_eigenvalues],
-        "index_sets": [_ones_based(idx) for idx in cls.index_sets],
-        "assigned": _ones_based(cls.assigned),
-        "per_index_eigenvalues": [_c(z) for z in cls.per_index_eigenvalues],
-        "f_eigen_residuals": [float(x) for x in cls.f_eigen_residuals],
-        "g_eigen_residuals": [float(x) for x in cls.g_eigen_residuals],
-        "cluster_radius": cls.cluster_radius,
-    }
-
-
-def _decomposition_json(dec: structure.DecompositionReport):
-    return {
-        "I": _ones_based(dec.group),
-        "I_complement": _ones_based(dec.complement),
-        "A": _c(dec.a),
-        "dim_span": dec.dim_span,
-        "group_eigenvalue": _c(dec.group_eigenvalue),
-        "biorthogonality_residual": dec.biorthogonality_residual,
-        "dual_frame_residual": dec.dual_frame_residual,
-        "cross_orthogonality_residual": dec.cross_orthogonality_residual,
-        "A_eigenvalue_gap": dec.a_eigenvalue_gap,
-        "normalized_groups": [
-            {
-                "indices": _ones_based(g.indices),
-                "eigenvalue": _c(g.eigenvalue),
-                "w": _c(g.w),
-                "biorthogonality_residual": g.biorthogonality_residual,
-            }
-            for g in dec.normalized_groups
-        ],
-    }
-
-
-def _corollary_json(rep: structure.CorollaryReport):
-    return {
-        "spectrum_all_real": rep.spectrum_all_real,
-        "fp_value": _c(rep.fp_value),
-        "fp_equals_d": rep.fp_equals_d,
-        "re_alpha_sum_ge_d": rep.re_alpha_sum_ge_d,
-        "alpha_sum_equals_d": rep.alpha_sum_equals_d,
-        "is_dual_pair": rep.is_dual_pair,
-        "dual_deviation": rep.dual_deviation,
-        "verdict": rep.verdict,
-    }
+    A dataclass becomes its fields in declaration order, keyed by name
+    (renamed by ``_KEYS``), less those declared ``repr=False``; sequences
+    go item by item; indices become 1-based and complex scalars [re, im].
+    """
+    if dataclasses.is_dataclass(x):
+        return {_KEYS.get(f.name, f.name): _json(getattr(x, f.name), f.name)
+                for f in dataclasses.fields(x) if f.repr}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_json(item, name) for item in x]
+    if name in _INDICES:
+        return int(x) + 1
+    # a multiplier c_m is a scalar of K, reported as one; over R it is
+    # stored real, since the dtype follows the field and the search
+    # digest pins its bytes
+    if isinstance(x, complex) or name == "c":
+        return [float(x.real), float(x.imag)]
+    if x is None or isinstance(x, (str, bool, int)):
+        return x
+    return float(x)
 
 
 def _search_json(res: optimizer.SearchResult):
@@ -193,9 +146,7 @@ def _search_json(res: optimizer.SearchResult):
         "merit_history": res.merit_history,
         "constraint_residual_final": res.constraint_residual_final,
         "dual_deviation": res.dual_deviation,
-        "critical_report": _critical_json(res.critical_report_final)
-        if res.critical_report_final is not None
-        else None,
+        "critical_report": _json(res.critical_report_final),
     }
 
 
@@ -209,8 +160,8 @@ def cmd_gen(args):
         pair = frames.random_pair(field_, args.d, args.n, args.seed)
         alpha = None
         if args.alpha is not None:
-            alpha = _parse_alpha(args.alpha)
-            pair = frames.retract_to_constraint(pair, frames.ConstraintSpec(alpha))
+            spec = _parse_spec(args.alpha)
+            pair, alpha = frames.retract_to_constraint(pair, spec), spec.alpha
         doc = frames.pair_to_document(pair, alpha)
         digest = _digest_obj(
             {"random": {"field": args.field, "d": args.d, "N": args.n, "seed": args.seed,
@@ -233,8 +184,8 @@ def cmd_potential(args):
     discrepancy = abs(direct.value - traced.value)
     same = bool(np.array_equal(pair.f.vectors, pair.g.vectors))
     outputs = {
-        "fp_direct": _c(direct.value),
-        "fp_trace": _c(traced.value),
+        "fp_direct": _json(direct.value),
+        "fp_trace": _json(traced.value),
         "discrepancy": discrepancy,
         "bf_potential": potential.bf_potential(pair.f) if same else None,
     }
@@ -251,9 +202,9 @@ def cmd_check(args):
     bound = potential.bound_report(pair, spec)
     is_scaled, a, residual = potential.scaled_identity_check(pair, spec)
     outputs = {
-        "critical": _critical_json(crit),
-        "bound": _bound_json(bound),
-        "scaled_identity": {"is_scaled_identity": is_scaled, "A": _c(a), "residual": residual},
+        "critical": _json(crit),
+        "bound": _json(bound),
+        "scaled_identity": {"is_scaled_identity": is_scaled, "A": _json(a), "residual": residual},
     }
     return _emit("check", digest, {"tol": args.tol}, outputs,
                  "critical" if crit.is_critical else "not_critical",
@@ -265,8 +216,8 @@ def cmd_decompose(args):
     spec = _resolve_spec(embedded, args.alpha)
     dec = structure.decompose(pair, spec, cluster_tol=args.cluster_tol)
     outputs = {
-        "classification": _classification_json(dec.classification),
-        "decomposition": _decomposition_json(dec),
+        "classification": _json(dec.classification),
+        "decomposition": _json(dec),
     }
     worst = max(
         dec.biorthogonality_residual,
@@ -277,19 +228,19 @@ def cmd_decompose(args):
     )
     return _emit("decompose", digest, {"tol": args.tol, "cluster_tol": args.cluster_tol},
                  outputs, "ok" if worst <= args.tol else "residuals_exceed_tol",
-                 f"I = {_ones_based(dec.group)}, A = {dec.a}, worst residual = {worst:.3e}")
+                 f"I = {_json(dec.group, 'group')}, A = {dec.a}, worst residual = {worst:.3e}")
 
 
 def cmd_corollary(args):
     if args.alpha_only is not None:
-        if args.d is None or args.n is None:
-            raise MixedFramesError("--alpha-only mode requires --d and --N")
+        if args.d is None or args.n is None or min(args.d, args.n) < 1:
+            raise MixedFramesError("--alpha-only mode requires --d and --N of at least 1")
         # alpha-only mode does the sum arithmetic only; N is taken at its
         # word and not cross-checked against the list length
         total, sum_eq, re_ge_d = structure._alpha_sum_conditions(
-            _parse_alpha(args.alpha_only), args.d, args.tol)
+            _parse_spec(args.alpha_only).alpha, args.d, args.tol)
         outputs = {
-            "alpha_sum": _c(total),
+            "alpha_sum": _json(total),
             "alpha_sum_equals_d": sum_eq,
             "re_alpha_sum_ge_d": re_ge_d,
             "n_exceeds_d": args.n > args.d,
@@ -305,15 +256,14 @@ def cmd_corollary(args):
     pair, embedded, digest = _load_pair(args.input)
     spec = _resolve_spec(embedded, args.alpha)
     rep = structure.corollary_check(pair, spec, tol=args.tol)
-    return _emit("corollary", digest, {"tol": args.tol}, _corollary_json(rep),
+    return _emit("corollary", digest, {"tol": args.tol}, _json(rep),
                  "ok" if rep.verdict == structure.CONDITIONS_MET else "failed",
                  f"verdict = {rep.verdict}, dual = {rep.is_dual_pair}")
 
 
 def cmd_optimize(args):
-    alpha = _parse_alpha(args.alpha)
+    spec = _parse_spec(args.alpha)
     field_ = frames.Field(args.field)
-    spec = frames.ConstraintSpec(alpha)
     mode = optimizer.CRITICAL_SEARCH if args.mode == "critical" else optimizer.POTENTIAL_DESCENT
     objective = optimizer.REAL_PART if args.objective == "real" else optimizer.IMAG_PART
     cfg = optimizer.OptimizerConfig(
@@ -329,7 +279,7 @@ def cmd_optimize(args):
     result = optimizer.search(spec, field_, args.d, cfg)
 
     outputs = {"search": _search_json(result),
-               "final_pair": frames.pair_to_document(result.final_pair, alpha)}
+               "final_pair": frames.pair_to_document(result.final_pair, spec.alpha)}
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(frames.document_to_json(outputs["final_pair"]))
@@ -422,7 +372,7 @@ def main(argv=None):
     except NotCriticalError as exc:
         payload = {"error": str(exc)}
         if exc.report is not None:
-            payload["critical_report"] = _critical_json(exc.report)
+            payload["critical_report"] = _json(exc.report)
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ import numpy as np
 from . import frames, linalg, potential
 from .errors import (
     ClusterAmbiguityError,
+    DimensionMismatchError,
     NotCriticalError,
     NumericalFailureError,
     ZeroAlphaError,
@@ -211,6 +212,8 @@ def check_generalized_biorthogonal(pair: FramePair, spec: ConstraintSpec, idx):
 
     An empty index set and a singleton's off-diagonal part are vacuous.
     """
+    if spec.n != pair.n:
+        raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")
     idx = _index_set(pair, idx)
     for m in idx:
         if spec.alpha[m] == 0:

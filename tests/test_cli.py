@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mixedframes import cli, fixtures, frames
+from mixedframes.errors import DegeneratePairingError
 
 
 def run(capsys, *argv):
@@ -176,10 +177,51 @@ def test_corollary_alpha_only(capsys):
     assert code == 1
     assert json.loads(out)["outputs"]["alpha_sum_equals_d"] is False
 
+    # an entry may end in the imaginary unit i
+    code, out = run(capsys, "corollary", "--alpha-only", "1+0.5i,1-0.5i,-i,i", "--d", "2",
+                    "--N", "4")
+    assert code == 0
+    assert json.loads(out)["outputs"]["alpha_sum"] == [2.0, 0.0]
+
 
 def test_corollary_alpha_only_needs_dims(capsys):
     assert run(capsys, "corollary", "--alpha-only", "1,1")[0] == 2
     assert run(capsys, "corollary")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["-1", "--d", "-1", "--N", "1"],
+    ["0,0", "--d", "0", "--N", "2"],
+    ["nan,1", "--d", "2", "--N", "3"],
+])
+def test_corollary_alpha_only_rejects_invalid_input(capsys, argv):
+    """A dimension below 1 or a non-finite alpha is invalid input: no
+    verdict, and no bare NaN token on stdout."""
+    assert run(capsys, "corollary", "--alpha-only", *argv) == (2, "")
+
+
+@pytest.mark.parametrize("alpha", ["inf,1,1", "nan,1,1"])
+def test_non_finite_alpha_exits_2(capsys, alpha):
+    code = cli.main(["optimize", "--alpha", alpha, "--field", "R", "--d", "2"])
+    assert code == 2
+    assert "alpha contains NaN or Inf entries" in capsys.readouterr().err
+
+
+def test_optimize_degenerate_start_reports_nulls(capsys, monkeypatch):
+    """A start whose retraction meets a degenerate pairing ends the search
+    with no iterate: the report's merit, objective and critical report
+    are null."""
+    def degenerate(fv, gv, alpha):
+        raise DegeneratePairingError("stub", index=0)
+
+    monkeypatch.setattr(frames, "_retraction", degenerate)
+    code, out = run(capsys, "optimize", "--alpha", "1,1,1", "--field", "C", "--d", "2")
+    assert code == 3
+    search = json.loads(out)["outputs"]["search"]
+    assert search["status"] == "DEGENERATE_RETRACTION"
+    assert search["critical_report"] is search["final_merit"] is search["final_objective"] is None
+    assert search["iterations"] == 0
+    assert search["merit_history"] == search["objective_history"] == []
 
 
 def test_optimize_trivial_converges(capsys, tmp_path):

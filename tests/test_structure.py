@@ -7,6 +7,7 @@ from conftest import retracted_random
 from mixedframes import fixtures, frames, structure
 from mixedframes.errors import (
     ClusterAmbiguityError,
+    DimensionMismatchError,
     NotCriticalError,
     NumericalFailureError,
     ZeroAlphaError,
@@ -147,6 +148,16 @@ def test_index_sets_are_checked(idx, message):
         structure.check_generalized_biorthogonal(pair, spec, idx)
     with pytest.raises(ValueError, match=message):
         structure.check_a_generalized_dual(pair, idx, 1.0)
+
+
+@pytest.mark.parametrize("n_alpha", [2, 6])
+@pytest.mark.parametrize("idx", [[0, 1], [3]])
+def test_generalized_biorthogonal_checks_alpha_length(n_alpha, idx):
+    """An alpha of the wrong length is refused as constraint_residual
+    refuses it, not read against the wrong m or past its end."""
+    pair, _ = fixtures.fixture("FX-MIX")
+    with pytest.raises(DimensionMismatchError, match=f"alpha has length {n_alpha}, pair has N = 4"):
+        structure.check_generalized_biorthogonal(pair, ConstraintSpec(np.ones(n_alpha)), idx)
 
 
 def test_cluster_chain_wider_than_radius_is_ambiguous():

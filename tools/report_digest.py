@@ -3,7 +3,9 @@
 240 seeded ``plant_critical_pair`` pairs, cycling through the Analyze cases (both fields, d up
 to 64), through ``perfbench.workloads.analyze_pipeline``, each report field by field (array
 dtype, shape and bytes, every other value's repr); then the exit code and stdout of ``potential``,
-``check``, ``decompose`` and ``corollary`` on the six fixture documents, run in process, at
+``check``, ``decompose`` and ``corollary`` on the six fixture documents and of ``decompose`` on
+two seeded non-critical pairs (the NotCriticalError payload); then ``corollary --alpha-only``
+on valid inputs and ``optimize`` in both modes over R and C at seeds 0-2; all run in process, at
 1 BLAS thread.  ROOT (default: the checkout holding this script) selects the source tree, so
 two checkouts can be compared: ``python tools/report_digest.py [ROOT]``."""
 
@@ -17,6 +19,10 @@ import tempfile
 
 PIPELINES = 240
 COMMANDS = ("potential", "check", "decompose", "corollary")
+NON_CRITICAL = (("R", 2, 4, 11), ("C", 3, 5, 0))  # field, d, N, seed, retracted onto alpha = 1
+ALPHA_ONLY = (("1,1", "2", "3"), ("1,0.5", "2", "3"), ("1+0.5i,1-0.5i,-i,i", "2", "4"))
+OPTIMIZE = [("--field", field, "--mode", mode, "--seed", str(seed))
+            for field in "RC" for mode in ("critical", "potential") for seed in range(3)]
 
 
 def _feed(h, obj):
@@ -38,6 +44,7 @@ def _feed(h, obj):
 
 def digest(root):
     sys.path[:0] = [os.path.join(root, "src"), root]
+    import numpy as np
     from mixedframes import cli, fixtures, frames
     from perfbench.workloads import Analyze, _sub_rng, analyze_pipeline, plant_critical_pair
     h = hashlib.sha256()
@@ -45,17 +52,34 @@ def digest(root):
     for k in range(PIPELINES):
         pair, spec, _, _ = plant_critical_pair(_sub_rng(0, 1, k), *cases[k % len(cases)])
         _feed(h, analyze_pipeline(pair, spec))
+
     with tempfile.TemporaryDirectory() as tmp:
-        for name in fixtures.FIXTURE_NAMES:
-            pair, spec = fixtures.fixture(name)
+        def write(name, pair, alpha):
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w") as fh:
-                fh.write(frames.document_to_json(frames.pair_to_document(pair, spec.alpha)))
-            for command in COMMANDS:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main([command, path])
-                h.update(f"{command} {name} {code}\n".encode() + out.getvalue().encode())
+                fh.write(frames.document_to_json(frames.pair_to_document(pair, alpha)))
+            return path
+
+        runs = []
+        for name in fixtures.FIXTURE_NAMES:
+            pair, spec = fixtures.fixture(name)
+            path = write(name, pair, spec.alpha)
+            runs += [[command, path] for command in COMMANDS]
+        for field_, d, n, seed in NON_CRITICAL:
+            pair = frames.retract_to_constraint(
+                frames.random_pair(frames.Field(field_), d, n, seed),
+                frames.ConstraintSpec(np.ones(n)))
+            runs.append(["decompose", write(f"nc-{field_}-{seed}", pair, np.ones(n))])
+        runs += [["corollary", "--alpha-only", alpha, "--d", d, "--N", n]
+                 for alpha, d, n in ALPHA_ONLY]
+        runs += [["optimize", "--alpha", "1,1,1", "--d", "2", "--max-iters", "200", *flags]
+                 for flags in OPTIMIZE]
+        for argv in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            label = " ".join(map(os.path.basename, argv))  # document names, not the temp dir
+            h.update(f"{label} {code}\n".encode() + out.getvalue().encode())
     return h.hexdigest()
 
 
