@@ -164,9 +164,9 @@ def mixed_operator(pair: FramePair):
 
 
 def cross_gram(pair: FramePair):
-    """N x N matrix with entry (m, n) = <f_m, g_n>.  Computed once per
-    pair; the result is read-only."""
-    return pair._derived("C", lambda: pair.f.vectors @ pair.g.vectors.conj().T)
+    """N x N matrix with entry (m, n) = <f_m, g_n>, formed on each call and
+    not kept: only the double sums ``fp_direct`` and ``bf_potential`` read it."""
+    return pair.f.vectors @ pair.g.vectors.conj().T
 
 
 def is_dual_pair(pair: FramePair, tol=1e-10):
@@ -332,23 +332,19 @@ def pair_from_document(doc):
         field = Field(doc["field"])
     except (KeyError, ValueError) as exc:
         raise MixedFramesError(f"invalid or missing 'field' entry: {exc}") from exc
-    try:
-        d = int(doc["d"])
-        n = int(doc["N"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MixedFramesError(f"invalid or missing 'd'/'N' entries: {exc}") from exc
+    d, n = doc.get("d"), doc.get("N")
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (d, n)):
+        raise MixedFramesError(f"'d' and 'N' must be JSON integers, got d={d!r}, N={n!r}")
 
     def decode_sequence(key):
         rows = doc.get(key)
         if not isinstance(rows, list) or len(rows) != n:
             raise MixedFramesError(f"'{key}' must be an array of {n} vectors")
-        out = np.zeros((n, d), dtype=np.complex128)
-        for m, row in enumerate(rows):
+        for m, row in enumerate(rows):  # every length before any allocation sized by d
             if not isinstance(row, list) or len(row) != d:
                 raise MixedFramesError(f"'{key}[{m}]' must be an array of {d} scalars")
-            for k, entry in enumerate(row):
-                out[m, k] = _decode_scalar(entry, field, f"{key}[{m}][{k}]")
-        return out
+        return np.array([[_decode_scalar(entry, field, f"{key}[{m}][{k}]")
+                          for k, entry in enumerate(row)] for m, row in enumerate(rows)])
 
     pair = FramePair(
         FrameSequence(field, decode_sequence("F")),

@@ -188,10 +188,12 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
     )
 
 
-def _block_residual(gram, rows, cols, target=0.0):
-    """max |gram[rows, cols] - target|, 0 for an empty block: each residual
-    of the structure theorem is one block of the cross Gram against its target."""
-    return float(np.abs(gram[np.ix_(rows, cols)] - target).max(initial=0.0))
+def _block_residual(pair, rows, cols, target=0.0):
+    """max |C[rows, cols] - target|, 0 for an empty block: each residual of
+    the structure theorem is one block (<f_m, g_n>) of the cross Gram C
+    against its target, and only that block of C is formed."""
+    block = pair.f.vectors[rows] @ pair.g.vectors[cols].conj().T
+    return float(np.abs(block - target).max(initial=0.0))
 
 
 def _index_set(pair, idx):
@@ -221,7 +223,7 @@ def check_generalized_biorthogonal(pair: FramePair, spec: ConstraintSpec, idx):
                 f"alpha_{m + 1} = 0: generalized biorthogonality needs nonzero alpha",
                 index=m,
             )
-    return _block_residual(frames.cross_gram(pair), idx, idx, np.diag(spec.alpha[idx]))
+    return _block_residual(pair, idx, idx, np.diag(spec.alpha[idx]))
 
 
 def check_a_generalized_dual(pair: FramePair, idx, a, rank_tol=DEFAULT_RANK_TOL):
@@ -324,15 +326,14 @@ def decompose(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_
         )
     a = complex(np.sum(spec.alpha[group])) / dim_span
 
-    gram = frames.cross_gram(pair)
-    bio_res = _block_residual(gram, complement, complement, np.diag(spec.alpha[complement]))
+    bio_res = _block_residual(pair, complement, complement, np.diag(spec.alpha[complement]))
     dual_res = _a_dual_residual(fv, gv, f_basis, g_basis, a)
-    cross = max(_block_residual(gram, group, complement), _block_residual(gram, complement, group))
+    cross = max(_block_residual(pair, group, complement), _block_residual(pair, complement, group))
 
-    # each other group's block of C / lambda = (<f_l/w, g_m/conj(w)>), w^2 = lambda, against I
+    # C_jj / lambda = (<f_l/w, g_m/conj(w)>), w^2 = lambda, against I: |C_jj - lambda I| / |lambda|
     normalized = [
-        NormalizedGroup(list(idx), lam, principal_sqrt(lam), _block_residual(
-            gram[np.ix_(idx, idx)] / lam, range(len(idx)), range(len(idx)), np.eye(len(idx))))
+        NormalizedGroup(list(idx), lam, principal_sqrt(lam),
+                        _block_residual(pair, idx, idx, lam * np.eye(len(idx))) / abs(lam))
         for j, (idx, lam) in enumerate(zip(cls.index_sets, cls.distinct_eigenvalues))
         if j != j_min
     ]
@@ -416,7 +417,7 @@ def corollary_check(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_COROLLARY
     d = pair.d
     eig = potential._spectrum(pair)
     all_real = bool(potential._real_and_imaginary(eig.values, tol)[0].all())
-    fp = fp_value = potential.fp_direct(pair).value
+    fp = fp_value = potential._fp_of_gram(frames.mixed_operator(pair))
     fp_equals_d = abs(fp - d) <= tol * (1.0 + d)
     _, sum_eq_d, re_ge_d = _alpha_sum_conditions(spec.alpha, d, tol)
     dual, deviation = frames.is_dual_pair(pair, tol)

@@ -109,6 +109,34 @@ def test_check_non_critical_exits_1(capsys, tmp_path):
     assert json.loads(out)["status"] == "not_critical"
 
 
+def test_check_scaled_tight_frame_exits_0(capsys, tmp_path):
+    """FX-MB with F and G times 1000: FP meets the bound 4.5e12 to one ulp."""
+    pair, spec = fixtures.fixture("FX-MB")
+    path = tmp_path / "mb1000.json"
+    path.write_text(frames.document_to_json(frames.pair_to_document(
+        frames.FramePair(frames.FrameSequence(pair.field, 1e3 * pair.f.vectors),
+                         frames.FrameSequence(pair.field, 1e3 * pair.g.vectors)),
+        1e6 * spec.alpha)))
+    code, out = run(capsys, "check", str(path))
+    assert code == 0
+    assert json.loads(out)["outputs"]["bound"]["bound_status"] == "EQUALITY"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("d", 2.7), ("d", "2"), ("N", 3.9), ("d", 2.0), ("d", True), ("N", False), ("N", None),
+    ("d", 10**12),
+])
+def test_check_rejects_non_integer_dimensions(capsys, tmp_path, key, value):
+    """d and N must be JSON integers; d = 10^12 must not size an allocation
+    before the rows, of length 2, are checked against it."""
+    doc = json.loads(write_fixture(tmp_path, "FX-MB").read_text())
+    doc[key] = value
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+
+
 def test_check_constraint_violation_exits_2(capsys, tmp_path):
     path = write_fixture(tmp_path, "FX-MB")
     assert run(capsys, "check", str(path), "--alpha", "5,5,5")[0] == 2

@@ -1,13 +1,19 @@
 """Quantities derived from a pair are computed once and kept on the pair.
 
-The cross Gram, TU*, the spectrum of TU*, the direct FP sum and the
-critical-pair kernel are stored on first request.  These tests pin what
-that must not change: every check still runs at its caller's tolerance,
-stored arrays cannot be written, results do not depend on call order,
-and the pipeline solves each quantity exactly once.
+TU*, the spectrum of TU* and the critical-pair kernel are stored on
+first request.  These tests pin what that must not change: every check
+still runs at its caller's tolerance, stored arrays cannot be written,
+results do not depend on call order, and the pipeline solves each
+quantity exactly once.  The N x N cross Gram C and the FP summed over it
+are not kept: only the literal double sums ``fp_direct`` and
+``bf_potential`` form C.  Every other verdict reads TU* or the blocks of
+C it checks, and the tests below hold it to the N x N reference and to
+a memory bound.
 """
 
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,10 +48,9 @@ def test_default_trace_tol_passes_after_strict_failure():
 
 
 @pytest.mark.parametrize("derive", [
-    frames.cross_gram,
     frames.mixed_operator,
     lambda pair: potential._spectrum(pair).values,
-], ids=["C", "TU*", "spectrum"])
+], ids=["TU*", "spectrum"])
 def test_derived_arrays_are_read_only(derive):
     pair = frames.random_pair(Field.COMPLEX, 2, 3, 9)
     with pytest.raises(ValueError):
@@ -207,3 +212,125 @@ def test_cli_check_solves_spectrum_once(counts, tmp_path, capsys):
     assert cli.main(["check", str(doc)]) == 0
     assert counts["eig_general"] == 1
     assert counts["_merit_terms"] == 1
+
+
+def planted_pair(field, d1, d2, n1, seed):
+    """A critical pair with TU* = lam1 on a d1-dimensional subspace and
+    lam2 on its d2-dimensional complement, 2 |lam1| <= |lam2|: n1 >= d1
+    vectors and their canonical dual scaled by lam1, and d2 biorthogonal
+    vectors with <f_l, g_m> = lam2 delta_lm, moved by one random unitary
+    and shuffled."""
+    rng = np.random.default_rng(seed)
+    is_complex = field is Field.COMPLEX
+
+    def gauss(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if is_complex else x
+
+    def phase():
+        return np.exp(2j * np.pi * rng.uniform()) if is_complex else rng.choice((-1.0, 1.0))
+
+    lam1 = rng.uniform(0.5, 1.5) * phase()
+    lam2 = lam1 * rng.uniform(2.0, 4.0) * phase()
+    q = np.linalg.qr(gauss(d1 + d2, d1 + d2))[0]
+    a1, a2 = gauss(n1, d1), gauss(d2, d2)
+    c1 = np.conj(lam1) * a1 @ np.linalg.inv(a1.T @ a1.conj()).T
+    c2 = np.conj(lam2 * np.linalg.inv(a2)).T
+    perm = rng.permutation(n1 + d2)
+    fv = np.vstack([a1 @ q[:, :d1].T, a2 @ q[:, d1:].T])[perm]
+    gv = np.vstack([c1 @ q[:, :d1].T, c2 @ q[:, d1:].T])[perm]
+    pair = FramePair(FrameSequence(field, fv), FrameSequence(field, gv))
+    return pair, ConstraintSpec(np.sum(fv * gv.conj(), axis=1))
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def _check_against_the_full_gram(pair, spec):
+    """decompose's residuals and normalized groups and
+    check_generalized_biorthogonal against blocks sliced from the full
+    cross Gram; the FP that bound_report and corollary_check read from TU*
+    against fp_direct; and their reports against the ones they give when
+    that FP is the double sum, as it was before TU* gave it."""
+    gram = frames.cross_gram(pair)
+
+    def block(rows, cols, target=0.0):
+        return np.abs(gram[np.ix_(rows, cols)] - target).max(initial=0.0)
+
+    dec = structure.decompose(pair, spec)
+    group, comp = dec.group, dec.complement
+    assert _close(dec.biorthogonality_residual, block(comp, comp, np.diag(spec.alpha[comp])))
+    assert _close(dec.cross_orthogonality_residual, max(block(group, comp), block(comp, group)))
+    assert dec.normalized_groups or not comp
+    for g in dec.normalized_groups:
+        sub = gram[np.ix_(g.indices, g.indices)] / g.eigenvalue
+        assert _close(g.biorthogonality_residual, np.abs(sub - np.eye(len(g.indices))).max())
+    for idx in (group, comp, sorted(group[:2] + comp[:2])):
+        assert _close(structure.check_generalized_biorthogonal(pair, spec, idx),
+                      block(idx, idx, np.diag(spec.alpha[idx])))
+
+    fp_of_gram, seen = potential._fp_of_gram, []
+
+    def recording(x):
+        seen.append(fp_of_gram(x))
+        return seen[-1]
+
+    with mock.patch.object(potential, "_fp_of_gram", recording):
+        bound, cor = potential.bound_report(pair, spec), structure.corollary_check(pair, spec)
+    direct = potential.fp_direct(pair).value
+    assert len(seen) == 2 and all(_close(fp, direct) for fp in seen)
+    assert cor.fp_value == seen[1]
+    with mock.patch.object(potential, "_fp_of_gram", lambda x: direct):
+        by_sum = potential.bound_report(pair, spec), structure.corollary_check(pair, spec)
+    assert _bits(bound) == _bits(by_sum[0])
+    assert _bits(cor) == _bits(dataclasses.replace(by_sum[1], fp_value=cor.fp_value))
+
+
+@pytest.mark.parametrize("case", [*fixtures.FIXTURE_NAMES, "two-block-R", "two-block-C"])
+def test_verdicts_match_the_full_cross_gram_on_fixtures(case):
+    pair, spec = fixtures.fixture(case) if case.startswith("FX") else critical_case(case)
+    _check_against_the_full_gram(pair, spec)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([Field.REAL, Field.COMPLEX]), st.integers(1, 4), st.integers(1, 3),
+       st.integers(0, 6), st.integers(0, 10_000))
+def test_verdicts_match_the_full_cross_gram_on_planted_pairs(field, d1, d2, extra, seed):
+    pair, spec = planted_pair(field, d1, d2, d1 + extra, seed)
+    _check_against_the_full_gram(pair, spec)
+
+
+@pytest.mark.parametrize("case", ["FX-MIX", "two-block-R", "two-block-C"])
+def test_only_the_double_sums_form_the_cross_gram(monkeypatch, case):
+    pair, spec = critical_case(case)
+
+    def refuse(pair):
+        raise AssertionError("the N x N cross Gram was formed")
+
+    monkeypatch.setattr(frames, "cross_gram", refuse)
+    for name, run in PIPELINE.items():
+        if name != "fp_direct":
+            run(pair, spec)
+    dec = structure.decompose(pair, spec)
+    for idx in (dec.group, dec.complement, range(pair.n)):
+        structure.check_generalized_biorthogonal(pair, spec, idx)
+    with pytest.raises(AssertionError, match="cross Gram"):
+        potential.fp_direct(pair)
+
+
+def test_verdicts_memory_is_linear_in_n(field):
+    """At (d, N) = (8, 4000) an N x N array is 128 MB over R and 256 MB
+    over C.  None of these verdicts allocates one: each reads TU*, which
+    is formed anew on every fresh copy of the pair."""
+    pair, spec = planted_pair(field, 4, 4, 3996, 11)
+    for run in (potential.bound_report, structure.corollary_check, structure.critical_report,
+                potential.scaled_identity_check):
+        fresh = fresh_copy(pair)
+        tracemalloc.start()
+        try:
+            run(fresh, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, run.__name__

@@ -157,6 +157,21 @@ def test_bound_equality_scaled_identity_fixtures():
         assert abs(potential.fp_direct(pair).value - rep.bound) <= 1e-12, name
 
 
+def test_bound_margin_scales_with_the_bound():
+    """Harmonic tight frames f_m = (e^{2 pi i m k / N})_k / sqrt(N), k < d,
+    paired with themselves and scaled by s up to 1e4: TU* = s^2 I, so FP
+    meets the bound to round-off of its own size, and the margin of FP
+    against the bound is 1e-9 * (1 + |bound|), not an absolute 1e-9."""
+    for d in (2, 3):
+        for n in range(d + 1, 9):
+            m, k = np.meshgrid(np.arange(n), np.arange(d), indexing="ij")
+            for s in np.logspace(0, 4, 41):
+                v = s * np.exp(2j * np.pi * m * k / n) / np.sqrt(n)
+                pair = FramePair(FrameSequence(Field.COMPLEX, v), FrameSequence(Field.COMPLEX, v))
+                rep = potential.bound_report(pair, ConstraintSpec(np.sum(v * v.conj(), axis=1)))
+                assert rep.bound_status == potential.EQUALITY, (d, n, s)
+
+
 def test_bound_decomposition_identity():
     """FP = R + iI with R, I the quadratic eigenvalue sums."""
     for seed in range(10):

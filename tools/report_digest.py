@@ -3,11 +3,13 @@
 240 seeded ``plant_critical_pair`` pairs, cycling through the Analyze cases (both fields, d up
 to 64), through ``perfbench.workloads.analyze_pipeline``, each report field by field (array
 dtype, shape and bytes, every other value's repr); then the exit code and stdout of ``potential``,
-``check``, ``decompose`` and ``corollary`` on the six fixture documents and of ``decompose`` on
-two seeded non-critical pairs (the NotCriticalError payload); then ``corollary --alpha-only``
-on valid inputs and ``optimize`` in both modes over R and C at seeds 0-2; all run in process, at
-1 BLAS thread.  ROOT (default: the checkout holding this script) selects the source tree, so
-two checkouts can be compared: ``python tools/report_digest.py [ROOT]``."""
+``check``, ``decompose`` and ``corollary`` on the six fixture documents, of the last three on
+FX-MB with F and G scaled by 1000 (a tight frame whose FP meets the bound to one ulp at 4.5e12)
+and of ``decompose`` on two seeded non-critical pairs (the NotCriticalError payload); then
+``corollary --alpha-only`` on valid inputs and ``optimize`` in both modes over R and C at seeds
+0-2; all run in process, at 1 BLAS thread.  ROOT (default: the checkout holding this script)
+selects the source tree, so two checkouts can be compared:
+``python tools/report_digest.py [ROOT]``."""
 
 import contextlib
 import dataclasses
@@ -19,6 +21,7 @@ import tempfile
 
 PIPELINES = 240
 COMMANDS = ("potential", "check", "decompose", "corollary")
+SCALE = 1e3  # FX-MB scaled: F, G times SCALE and alpha times SCALE^2
 NON_CRITICAL = (("R", 2, 4, 11), ("C", 3, 5, 0))  # field, d, N, seed, retracted onto alpha = 1
 ALPHA_ONLY = (("1,1", "2", "3"), ("1,0.5", "2", "3"), ("1+0.5i,1-0.5i,-i,i", "2", "4"))
 OPTIMIZE = [("--field", field, "--mode", mode, "--seed", str(seed))
@@ -65,6 +68,11 @@ def digest(root):
             pair, spec = fixtures.fixture(name)
             path = write(name, pair, spec.alpha)
             runs += [[command, path] for command in COMMANDS]
+        pair, spec = fixtures.fixture("FX-MB")
+        scaled = frames.FramePair(frames.FrameSequence(pair.field, SCALE * pair.f.vectors),
+                                  frames.FrameSequence(pair.field, SCALE * pair.g.vectors))
+        path = write("FX-MB-scaled", scaled, SCALE**2 * spec.alpha)
+        runs += [[command, path] for command in COMMANDS[1:]]
         for field_, d, n, seed in NON_CRITICAL:
             pair = frames.retract_to_constraint(
                 frames.random_pair(frames.Field(field_), d, n, seed),
