@@ -144,7 +144,9 @@ def _search_json(res: optimizer.SearchResult):
         "final_objective": res.objective_history[-1] if res.objective_history else None,
         "objective_history": res.objective_history,
         "merit_history": res.merit_history,
-        "constraint_residual_final": res.constraint_residual_final,
+        # inf after a degenerate pairing, which RFC 8259 JSON cannot write
+        "constraint_residual_final": (res.constraint_residual_final
+                                      if np.isfinite(res.constraint_residual_final) else None),
         "dual_deviation": res.dual_deviation,
         "critical_report": _json(res.critical_report_final),
     }

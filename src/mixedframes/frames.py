@@ -114,7 +114,7 @@ class FramePair:
         g_m != 0 for every m; the first zero vector (f before g) is named."""
         for name, seq in (("f", self.f), ("g", self.g)):
             # the kernel's denominator ||f_m||^2: a row too small to square is zero too
-            zero = (np.abs(seq.vectors) ** 2).sum(axis=1) == 0
+            zero = np.vecdot(seq.vectors, seq.vectors).real == 0
             if zero.any():
                 m = int(np.flatnonzero(zero)[0])
                 raise ZeroVectorError(f"{name}_{m + 1} is the zero vector", index=m)
@@ -179,7 +179,7 @@ def constraint_residual(pair: FramePair, spec: ConstraintSpec):
     """Entrywise |<f_m, g_m> - alpha_m|."""
     if spec.n != pair.n:
         raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")
-    return np.abs((pair.f.vectors * pair.g.vectors.conj()).sum(axis=1) - spec.alpha)
+    return np.abs(np.vecdot(pair.g.vectors, pair.f.vectors) - spec.alpha)
 
 
 #: Largest |<f_m, g_m> - alpha_m| that ``require_membership`` accepts as on S(alpha).
@@ -240,9 +240,8 @@ def _retraction(fv, gv, alpha):
     the power of two 2^k that brings it near unit modulus, and alpha_m is
     scaled by 4^k to match.
     """
-    ip = (fv * gv.conj()).sum(axis=1)
-    cut = (_DEGENERACY_CUT * np.sqrt((np.abs(fv) ** 2).sum(axis=1))
-           * np.sqrt((np.abs(gv) ** 2).sum(axis=1)))
+    ip = np.vecdot(gv, fv)
+    cut = _DEGENERACY_CUT * np.sqrt(np.vecdot(fv, fv).real) * np.sqrt(np.vecdot(gv, gv).real)
     modulus = np.abs(ip)
     bad = modulus < cut
     if bad.any():
@@ -255,7 +254,7 @@ def _retraction(fv, gv, alpha):
     if modulus.min() < _SMALLEST_NORMAL:
         tiny = modulus < _SMALLEST_NORMAL
         s = np.ldexp(1.0, np.where(tiny, -(np.frexp(modulus)[1] // 2), 0))
-        ip = np.where(tiny, ((fv * s[:, None]) * (gv * s[:, None]).conj()).sum(axis=1), ip)
+        ip = np.where(tiny, np.vecdot(gv * s[:, None], fv * s[:, None]), ip)
         alpha = np.where(tiny, alpha * s * s, alpha)
     return gv * (alpha / ip).conj()[:, None]
 

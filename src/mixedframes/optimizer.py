@@ -29,10 +29,12 @@ merit, FP, and the u = F M^T, G conj(M), ||f_m||^2 and <f_m, g_m> that
 the gradients and the tangent projection read, with no second forward
 pass; ``search`` reports on the last output and keeps its M on the pair
 it returns.  On small problems (d = 2, N = 4: arrays of 8 entries) the
-loop's cost is NumPy call overhead, so every row sum and total is one
-reduction method call (``x.sum(axis=1)``, no ``np.sum`` or
-``np.linalg.norm`` wrapper), and the retraction's degeneracy cut reads
-the same squared row sums sum_k |v_k|^2 the kernel divides by.  A pairing
+loop's cost is NumPy call overhead, so every row inner product and
+squared row norm is one ``np.vecdot`` call and every total of squares one
+``np.vdot`` call (no elementwise product, ``.conj()`` copy or
+``np.linalg.norm`` wrapper); ``np.vecdot(a, b)`` conjugates ``a``, so
+<x_m, y_m> is ``np.vecdot(y, x)``.  The retraction's degeneracy cut reads
+the same squared row norms sum_k |v_k|^2 the kernel divides by.  A pairing
 the retraction cannot rescale (<f_m, g_m> near 0), at the start or in a
 trial, ends the restart as DEGENERATE_RETRACTION; nothing is redrawn.
 Restarts are independent: restart k uses seed ``seed + k`` and
@@ -147,16 +149,16 @@ def project_to_tangent(pair: FramePair, gf, gg):
     if pair.field is Field.REAL:
         gf, gg = np.real(gf), np.real(gg)
     fv = pair.f.vectors
-    return _project_to_tangent(fv, pair.g.vectors, gf, gg, (np.abs(fv) ** 2).sum(axis=1))
+    return _project_to_tangent(fv, pair.g.vectors, gf, gg, np.vecdot(fv, fv).real)
 
 
 def _project_to_tangent(fv, gv, gf, gg, f_norms2):
     """``project_to_tangent`` on raw (N, d) arrays and their ||f_m||^2; real
     arrays (a pair over R) have only the real-part constraint directions."""
-    nn = f_norms2 + (np.abs(gv) ** 2).sum(axis=1)
+    nn = f_norms2 + np.vecdot(gv, gv).real
     # <gf_m, g_m> + conj(<gg_m, f_m>): its real part is the real inner
     # product with (g_m, f_m), its imaginary part that with (i g_m, -i f_m)
-    ip = (gf * gv.conj()).sum(axis=1) + (gg.conj() * fv).sum(axis=1)
+    ip = np.vecdot(gv, gf) + np.vecdot(gg, fv)
     coef = np.divide(ip, nn, out=np.zeros_like(ip), where=nn != 0.0)
     return gf - coef[:, None] * gv, gg - coef.conj()[:, None] * fv
 
@@ -196,7 +198,7 @@ def _merit_gradient(fv, gv, alpha, terms):
     # backward through r_f = u - lam f, r_g = G_r conj(M) - conj(lam) G_r
     # and lam = num / |f|^2 with num_m = sum_k u_m[k] conj(f_m[k])
     rf_bar, rg_bar = 2.0 * rf, 2.0 * rg
-    lam_bar = -(rf_bar * fv.conj()).sum(axis=1) - (rg_bar.conj() * gv).sum(axis=1)
+    lam_bar = -np.vecdot(fv, rf_bar) - np.vecdot(rg_bar, gv)
     num_bar = lam_bar / f_norms2
     norms2_bar = -np.real(lam_bar * lam.conj()) / f_norms2
     u_bar = rf_bar + num_bar[:, None] * fv
@@ -207,7 +209,7 @@ def _merit_gradient(fv, gv, alpha, terms):
     gr_bar = rg_bar @ tu.T - lam[:, None] * rg_bar + fv @ tu_bar.conj()
     # through the retraction G_r = G * conj(q), q = alpha / <f_m, g_m>
     g_bar = gr_bar * q[:, None]
-    q_bar = (gr_bar.conj() * gv).sum(axis=1)
+    q_bar = np.vecdot(gr_bar, gv)
     ip_bar = -q_bar * (q / ip).conj()
     f_bar += ip_bar[:, None] * gv
     g_bar += ip_bar.conj()[:, None] * fv
@@ -293,7 +295,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
             if terms.merit <= MERIT_TOL:
                 return finish(CONVERGED)
             gf, gg = _merit_gradient(fv, gv, alpha, terms)
-            grad2 = (np.abs(gf) ** 2).sum() + (np.abs(gg) ** 2).sum()
+            grad2 = np.vdot(gf, gf).real + np.vdot(gg, gg).real
             if grad2 == 0.0:
                 # a stationary point of the merit above MERIT_TOL: no step lowers it
                 return finish(MAX_ITERS)
@@ -305,7 +307,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
             if np.sqrt(grad2) <= GRAD_TOL:
                 return finish(CONVERGED)
             # <f_m - t gf_m, g_m - t gg_m> = alpha_m (1 + t^2 eps_m): move none by > alpha_m / 2
-            eps = np.abs((gf * gg.conj()).sum(axis=1) / alpha).max()
+            eps = np.abs(np.vecdot(gg, gf) / alpha).max()
             if eps > 0.0:
                 step = 1.0 / np.sqrt(2.0 * eps)
             else:  # the ray stays on S(alpha): a move as long as the pair itself

@@ -79,12 +79,12 @@ def _merit_terms(fv, gv, tu=None, fp=None):
         fp = potential._fp_of_gram(tu)
     u = fv @ tu.T
     gm = gv @ tu.conj()
-    f_norms2 = (np.abs(fv) ** 2).sum(axis=1)
-    ip = (fv * gv.conj()).sum(axis=1)
-    lam = (u * fv.conj()).sum(axis=1) / f_norms2
+    f_norms2 = np.vecdot(fv, fv).real
+    ip = np.vecdot(gv, fv)
+    lam = np.vecdot(fv, u) / f_norms2
     rf = u - lam[:, None] * fv
     rg = gm - lam.conj()[:, None] * gv
-    merit = float((np.abs(rf) ** 2).sum() + (np.abs(rg) ** 2).sum())
+    merit = float(np.vdot(rf, rf).real + np.vdot(rg, rg).real)
     return _MeritTerms(tu, u, gm, lam, lam - ip, rf, rg, f_norms2, ip, merit, fp)
 
 
@@ -111,10 +111,10 @@ def _critical_report(pair, spec, tol, terms=None):
         fv, gv = pair.f.vectors, pair.g.vectors
         terms = pair._derived("terms", lambda: _merit_terms(fv, gv, frames.mixed_operator(pair)))
     linalg.ensure_finite(terms.u, "TU* f_m")
-    f_res = np.linalg.norm(terms.rf, axis=1)
-    g_res = np.linalg.norm(terms.rg, axis=1)
+    f_res = np.sqrt(np.vecdot(terms.rf, terms.rf).real)
+    g_res = np.sqrt(np.vecdot(terms.rg, terms.rg).real)
 
-    mixed_norm = float(np.linalg.norm(terms.tu))
+    mixed_norm = float(np.sqrt(np.vdot(terms.tu, terms.tu).real))
     is_critical = max(f_res.max(), g_res.max()) <= tol * (1.0 + mixed_norm)
     return CriticalPairReport(
         c=terms.c,

@@ -7,9 +7,17 @@ from mixedframes import cli, fixtures, frames
 from mixedframes.errors import DegeneratePairingError
 
 
+def _non_json_constant(name):
+    raise ValueError(f"stdout holds {name}, which RFC 8259 JSON has no literal for")
+
+
 def run(capsys, *argv):
+    """Exit code and stdout of one CLI run; stdout, when there is any, must
+    be strict JSON (no NaN or Infinity)."""
     code = cli.main(list(argv))
     out = capsys.readouterr().out
+    if out:
+        json.loads(out, parse_constant=_non_json_constant)
     return code, out
 
 
@@ -237,8 +245,8 @@ def test_non_finite_alpha_exits_2(capsys, alpha):
 
 def test_optimize_degenerate_start_reports_nulls(capsys, monkeypatch):
     """A start whose retraction meets a degenerate pairing ends the search
-    with no iterate: the report's merit, objective and critical report
-    are null."""
+    with no iterate: the report's merit, objective, constraint residual
+    and critical report are null, and the report is strict JSON."""
     def degenerate(fv, gv, alpha):
         raise DegeneratePairingError("stub", index=0)
 
@@ -248,6 +256,7 @@ def test_optimize_degenerate_start_reports_nulls(capsys, monkeypatch):
     search = json.loads(out)["outputs"]["search"]
     assert search["status"] == "DEGENERATE_RETRACTION"
     assert search["critical_report"] is search["final_merit"] is search["final_objective"] is None
+    assert search["constraint_residual_final"] is None
     assert search["iterations"] == 0
     assert search["merit_history"] == search["objective_history"] == []
 

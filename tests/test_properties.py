@@ -111,15 +111,15 @@ def test_critical_report_matches_per_index_fit(field, d, ratio, seed):
 # merit_history of the criterion-9 problem (alpha = 1/2 * ones(4), R, d = 2)
 # from seed 3 over 20 iterations, as recorded once each backtracking search
 # started at the Polyak step merit / ||grad||^2 and the gradient came from
-# the iterate's kernel output (float64 for a real pair); the search must
-# reproduce it bit for bit.
+# the iterate's kernel output (float64 for a real pair), each row product
+# and squared row norm one np.vecdot; the search must reproduce it bit for bit.
 CRITERION_9_MERIT_HISTORY = [
-    0.5957904899667253, 0.1675708080149216, 0.05327914668101482, 0.03023897936692638,
-    0.027572454305241835, 0.024763498782845703, 0.024252650043503333, 0.02417723702835878,
-    0.020060778688808262, 0.0199283933912312, 0.019108885200703626, 0.017921356185323943,
-    0.016764651963770416, 0.014597736934924135, 0.013440011831322856, 0.009513666616229084,
-    0.009228986695530725, 0.008657494204884332, 0.008422049700987123, 0.007865783632433242,
-    0.007762086249163851,
+    0.5957904899667253, 0.1675708080149215, 0.05327914668101481, 0.030238979366926443,
+    0.027572454305241856, 0.024763498782845873, 0.02425265004350341, 0.024177237028358983,
+    0.02006077868880834, 0.01992839339123141, 0.019108885200702846, 0.01792135618532544,
+    0.01676465196376747, 0.014597736934924397, 0.013440011831448172, 0.009513666616176707,
+    0.009228986695692179, 0.008657494204585333, 0.008422049701723302, 0.0078657836309846,
+    0.007762086252870836,
 ]
 
 
@@ -173,8 +173,7 @@ def test_gradients_from_the_kernel_pass_are_exact(field, objective, d, extra, se
     got = optimizer._project_to_tangent(fv, gv, *grad, terms.f_norms2)
     assert same(got, optimizer.project_to_tangent(pair, *want))
     alpha = spec.require_field(field)
-    recomputed = terms._replace(f_norms2=np.sum(np.abs(fv) ** 2, axis=1),
-                                ip=np.sum(fv * gv.conj(), axis=1))
+    recomputed = terms._replace(f_norms2=np.vecdot(fv, fv).real, ip=np.vecdot(gv, fv))
     assert same(optimizer._merit_gradient(fv, gv, alpha, terms),
                 optimizer._merit_gradient(fv, gv, alpha, recomputed))
 
@@ -182,23 +181,24 @@ def test_gradients_from_the_kernel_pass_are_exact(field, objective, d, extra, se
 # merit_history and objective_history of a POTENTIAL_DESCENT over C on the
 # imaginary part, alpha = ones(48), d = 16, seed 11, 20 iterations, as
 # recorded once each backtracking search started at the retraction's own
-# scale 1/sqrt(2 max |eps_m|); the merit must be reproduced bit for bit,
-# the objective to round-off.
+# scale 1/sqrt(2 max |eps_m|), each row product and squared row norm one
+# np.vecdot; the merit must be reproduced bit for bit, the objective to
+# round-off.
 DESCENT_MERIT_HISTORY = [
-    317665.1253484661, 3283768.2757881368, 10546661.18081264, 90847761.33212887,
-    652792390.870566, 3957500696.307064, 15446985626.777716, 47429605218.905045,
-    153431859298.8636, 643402851464.2974, 3748215208966.9746, 22065284033647.49,
-    24061231324697.02, 26123039272695.254, 28222029842105.934, 30346107267667.867,
-    32504300647912.99, 34704878089069.35, 36956867400289.95, 39268733959345.16,
-    41645903003062.3,
+    317665.12534846575, 3283768.275788141, 10546661.18081262, 90847761.33212884,
+    652792390.8705664, 3957500696.307083, 15446985626.777208, 47429605218.9035,
+    153431859298.84885, 643402851464.2548, 3748215208967.895, 22065284033641.832,
+    24061231324645.13, 26123039272615.203, 28222029842025.117, 30346107267539.996,
+    32504300647818.32, 34704878088997.797, 36956867400093.05, 39268733959265.68,
+    41645903002976.8,
 ]
 DESCENT_OBJECTIVE_HISTORY = [
-    93.70990939557774, -11835.578561943472, -47509.799463603296, -193746.48147962496,
-    -682607.6780268184, -2118632.485213369, -4782986.683883633, -9301222.935838964,
-    -17485670.541346245, -35828982.7455853, -86976389.9413772, -235457054.57701027,
-    -267972813.850325, -287290823.60591227, -304263150.7523919, -319005735.4602554,
-    -331814755.7670821, -342893685.9922024, -352395271.9843235, -360442498.52981627,
-    -367138878.90566534,
+    93.70990939557768, -11835.57856194348, -47509.79946360322, -193746.48147962487,
+    -682607.6780268187, -2118632.485213373, -4782986.683883545, -9301222.935838703,
+    -17485670.541345414, -35828982.74558397, -86976389.94138767, -235457054.57698363,
+    -267972813.8500821, -287290823.60553217, -304263150.7520095, -319005735.45964724,
+    -331814755.76668936, -342893685.9919431, -352395271.98352015, -360442498.52953714,
+    -367138878.9053712,
 ]
 
 
@@ -316,6 +316,77 @@ def test_trace_of_mixed_operator_is_alpha_sum(field, shape, seed):
     scale = 1e-12 * (1.0 + np.sum(np.linalg.norm(fv, axis=1) * np.linalg.norm(gv, axis=1)))
     for got in (np.trace(terms.tu), np.trace(frames.mixed_operator(pair)), np.sum(terms.ip)):
         assert abs(got - total) <= scale
+
+
+@fixed(60)
+@given(FIELDS, SHAPES, st.integers(0, 10_000))
+@example(Field.REAL, (8, 2000), 0)
+@example(Field.COMPLEX, (8, 2000), 0)
+def test_row_contractions_match_elementwise_forms(field, shape, seed):
+    """Each row product, squared row norm and sum of squares that the
+    kernel, the retraction and the critical report take as one np.vecdot
+    or np.vdot agrees with the elementwise form it replaced, to 1e-13 of
+    the quantity's natural scale (||f_m|| ||g_m|| for <f_m, g_m>)."""
+    d, n = shape
+    raw = frames.random_pair(field, d, n, seed)
+    fv, gv = raw.f.vectors, raw.g.vectors
+    f_norm, g_norm = np.linalg.norm(fv, axis=1), np.linalg.norm(gv, axis=1)
+
+    def close(got, want, scale):
+        return np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    terms = structure._merit_terms(fv, gv)
+    f_norms2 = (np.abs(fv) ** 2).sum(axis=1)
+    ip = (fv * gv.conj()).sum(axis=1)
+    assert close(terms.f_norms2, f_norms2, f_norm**2)
+    assert close(terms.ip, ip, f_norm * g_norm)
+    assert close(terms.lam, (terms.u * fv.conj()).sum(axis=1) / f_norms2,
+                 np.linalg.norm(terms.u, axis=1) / f_norm)
+    merit = (np.abs(terms.rf) ** 2).sum() + (np.abs(terms.rg) ** 2).sum()
+    assert close(terms.merit, merit, merit)
+
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    if field is Field.COMPLEX:
+        alpha = alpha * np.exp(2j * np.pi * rng.uniform(size=n))
+    gr = frames._retraction(fv, gv, alpha)
+    want = gv * (alpha / ip).conj()[:, None]
+    # an error of the pairing moves the quotient by its size relative to |<f_m, g_m>|
+    scale = np.linalg.norm(want, axis=1) * f_norm * g_norm / np.abs(ip)
+    assert close(gr, want, scale[:, None])
+
+    pair = FramePair(raw.f, FrameSequence(field, gr))
+    report = structure.critical_report(pair, ConstraintSpec(alpha))
+    terms = structure._merit_terms(fv, gr, frames.mixed_operator(pair))
+    for got, r in ((report.f_residuals, terms.rf), (report.g_residuals, terms.rg)):
+        want = np.linalg.norm(r, axis=1)
+        assert close(got, want, want)
+    want = np.linalg.norm(terms.tu)
+    assert close(report.mixed_norm, want, want)
+
+
+def test_row_products_pair_f_against_conjugated_g():
+    """<f_m, g_m> = sum_k f_m[k] conj(g_m[k]), and np.vecdot conjugates its
+    first argument: the kernel's products and Rayleigh quotients, the
+    retraction and the constraint residual are those of the package's
+    product, not their conjugates."""
+    fv = np.array([[1.0 + 2.0j, 0.5j], [2.0, 1.0 - 1.0j]])
+    gv = np.array([[1.0j, 1.0], [1.0 + 1.0j, 0.5]])
+
+    def product(x, y):
+        return np.array([sum(a * np.conj(b) for a, b in zip(xm, ym)) for xm, ym in zip(x, y)])
+
+    ip = product(fv, gv)
+    assert np.array_equal(ip, [2.0 - 0.5j, 2.5 - 2.5j])  # neither is real
+    terms = structure._merit_terms(fv, gv)
+    assert np.array_equal(terms.ip, ip)
+    assert np.allclose(terms.lam, product(terms.u, fv) / product(fv, fv).real, rtol=1e-15, atol=0)
+    alpha = np.array([1.0, 2.0j])
+    gr = frames._retraction(fv, gv, alpha)
+    assert np.allclose(product(fv, gr), alpha, rtol=1e-15, atol=0)
+    pair = FramePair(FrameSequence(Field.COMPLEX, fv), FrameSequence(Field.COMPLEX, gv))
+    residual = frames.constraint_residual(pair, ConstraintSpec(ip.conj()))
+    assert np.allclose(residual, 2.0 * np.abs(ip.imag), rtol=1e-15, atol=0)
 
 
 @fixed(60)
