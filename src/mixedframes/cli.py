@@ -5,7 +5,7 @@ Exit codes, uniform across subcommands:
     0   success / check verified
     1   check failed or search did not converge
     2   invalid input or precondition violation
-    3   numerical failure (eigensolver, degenerate retraction)
+    3   numerical failure (eigensolver, degenerate retraction, overflow)
 
 Every report is a single JSON document on stdout carrying the command
 name, a content digest of the inputs, the exact tolerances used, and the
@@ -85,20 +85,37 @@ def _resolve_spec(embedded, override):
 
 
 def _positive_float(text):
-    """argparse type of every tolerance and bound: a number above 0, not NaN."""
+    """argparse type of every tolerance and bound: a finite number above 0."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return value
 
 
-def _emit(command, digest, tolerances, outputs, status, summary):
-    """Write the report to stdout and the summary to stderr; return the
-    status's exit code."""
-    report = {"command": command, "inputs_digest": digest, "tolerances": tolerances,
-              "outputs": outputs, "status": status}
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _dumps(obj):
+    """Strict JSON text of a report: a NaN or infinity in it is a numerical failure."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalFailureError(f"the report holds a non-finite value ({exc})") from exc
+
+
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MixedFramesError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(command, digest, tolerances, outputs, status, summary, output=None):
+    """Once the report serializes, write ``output`` (path, text) if given, the
+    report to stdout and the summary to stderr; return the status's exit code."""
+    report = _dumps({"command": command, "inputs_digest": digest, "tolerances": tolerances,
+                     "outputs": outputs, "status": status})
+    if output is not None:
+        _write(*output)
+    sys.stdout.write(report)
     print(summary, file=sys.stderr)
     return _STATUS_EXIT[status]
 
@@ -171,8 +188,7 @@ def cmd_gen(args):
         )
     text = frames.document_to_json(doc)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, text)
         print(f"wrote {args.output} (digest {digest[:12]})", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -282,15 +298,12 @@ def cmd_optimize(args):
 
     outputs = {"search": _search_json(result),
                "final_pair": frames.pair_to_document(result.final_pair, spec.alpha)}
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(frames.document_to_json(outputs["final_pair"]))
-
+    output = (args.output, frames.document_to_json(outputs["final_pair"])) if args.output else None
     tols = {"grad_tol": optimizer.GRAD_TOL, "merit_tol": optimizer.MERIT_TOL,
             "divergence_bound": cfg.divergence_bound}
     return _emit("optimize", digest, tols, outputs, result.status,
                  f"status = {result.status}, merit = {outputs['search']['final_merit']}, "
-                 f"dual deviation = {result.dual_deviation:.3e}")
+                 f"dual deviation = {result.dual_deviation:.3e}", output)
 
 
 def build_parser():
@@ -370,16 +383,17 @@ def main(argv=None):
         # argparse exits 2 on bad usage, matching the invalid-input code
         return int(exc.code) if exc.code else 0
     try:
-        return _HANDLERS[args.command](args)
-    except NotCriticalError as exc:
-        payload = {"error": str(exc)}
-        if exc.report is not None:
-            payload["critical_report"] = _json(exc.report)
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (NumericalFailureError, DegeneratePairingError) as exc:
+        try:
+            return _HANDLERS[args.command](args)
+        except NotCriticalError as exc:  # a payload _dumps refuses is a numerical failure
+            payload = {"error": str(exc)}
+            if exc.report is not None:
+                payload["critical_report"] = _json(exc.report)
+            sys.stdout.write(_dumps(payload))
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+    # OverflowError: Python's complex arithmetic past float64
+    except (NumericalFailureError, DegeneratePairingError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (MixedFramesError, ValueError) as exc:  # ValueError: OptimizerConfig's checks

@@ -52,6 +52,7 @@ from .errors import (
     DegeneratePairingError,
     DimensionMismatchError,
     MixedFramesError,
+    NumericalFailureError,
 )
 from .frames import ConstraintSpec, Field, FramePair, FrameSequence
 from .linalg import ensure_finite
@@ -286,6 +287,8 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
         return finish(DEGENERATE_RETRACTION)
     ensure_finite(gv, "frame vectors")  # the rescaling of a tiny pairing can overflow
     terms = structure._merit_terms(fv, gv)
+    if np.isnan(terms.merit) or np.isnan(terms.fp):  # no NaN trial is ever accepted
+        raise NumericalFailureError(f"the start's merit {terms.merit} or FP {terms.fp} is NaN")
 
     for _ in range(cfg.max_iters):
         record()
@@ -355,7 +358,8 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
     The inputs are checked here, once: alpha must be nonzero, and real
     over R (MixedFramesError), and ``initial_pair`` must have the field,
     d and N of the search (DimensionMismatchError) and no zero f_m or g_m
-    (ZeroVectorError).
+    (ZeroVectorError).  A start whose merit or FP is NaN (a problem past
+    float64) raises NumericalFailureError.
     """
     spec.require_nonzero()
     alpha = spec.require_field(field_)

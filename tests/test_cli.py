@@ -412,3 +412,37 @@ def test_decompose_ambiguous_cluster_exits_2(capsys, tmp_path):
     code, out = run(capsys, "decompose", str(path))
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["check", "{huge}"], 3),
+    (["potential", "{huge}"], 3),
+    (["corollary", "{huge}"], 3),
+    (["decompose", "{huge}"], 3),
+    (["optimize", "--alpha", "1e200,1e200,1e200", "--field", "R", "--d", "2",
+      "--max-iters", "3"], 3),
+    (["optimize", "--alpha", "1e200,1e200,1e200", "--field", "R", "--d", "2",
+      "--max-iters", "3", "--mode", "potential"], 3),
+    (["check", "{doc}", "--tol", "inf"], 2),
+    (["potential", "{doc}", "--tol", "1e400"], 2),
+    (["decompose", "{doc}", "--cluster-tol", "inf"], 2),
+    (["optimize", "--alpha", "1,1", "--field", "C", "--d", "2", "--divergence-bound", "inf"], 2),
+    (["gen", "fixture", "FX-MB", "--output", "{missing}"], 2),
+    (["optimize", "--alpha", "1", "--field", "R", "--d", "1", "--output", "{missing}"], 2),
+], ids=["check-huge", "potential-huge", "corollary-huge", "decompose-huge", "critical-huge",
+        "descent-huge", "check-tol-inf", "potential-tol-1e400", "decompose-cluster-tol-inf",
+        "optimize-bound-inf", "gen-output-missing", "optimize-output-missing"])
+def test_unreportable_input_exits_with_empty_stdout(capsys, tmp_path, argv, code):
+    """A report past float64 exits 3 and an infinite tolerance or an
+    unwritable --output 2, each with nothing on stdout.  The huge document
+    is FX-MB with F and G scaled by 1e100 and alpha by 1e200: valid, but
+    its FP is about 4.5e400."""
+    pair, spec = fixtures.fixture("FX-MB")
+    huge = frames.FramePair(frames.FrameSequence(pair.field, 1e100 * pair.f.vectors),
+                            frames.FrameSequence(pair.field, 1e100 * pair.g.vectors))
+    huge_path = tmp_path / "huge.json"
+    huge_path.write_text(frames.document_to_json(frames.pair_to_document(huge, 1e200 * spec.alpha)))
+    paths = {"huge": huge_path, "doc": write_fixture(tmp_path, "FX-MB"),
+             "missing": tmp_path / "missing" / "x.json"}
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(capsys, *[a.format(**paths) for a in argv]) == (code, "")

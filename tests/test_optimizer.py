@@ -11,6 +11,7 @@ from mixedframes.errors import (
     DegeneratePairingError,
     DimensionMismatchError,
     MixedFramesError,
+    NumericalFailureError,
     ZeroVectorError,
 )
 from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
@@ -297,6 +298,15 @@ def test_search_rejects_nonreal_alpha_over_r():
         optimizer.search(spec, Field.REAL, 2, cfg)
     res = optimizer.search(spec, Field.COMPLEX, 2, cfg)
     assert res.constraint_residual_final <= 1e-10
+
+
+@pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
+def test_search_from_a_nan_start_is_a_numerical_failure(mode):
+    """At alpha = 1e200 the start's FP, about 1e400, overflows and its merit
+    is NaN: the search raises instead of backtracking on NaN to MAX_ITERS."""
+    cfg = optimizer.OptimizerConfig(mode=mode, max_iters=3)
+    with pytest.raises(NumericalFailureError), np.errstate(over="ignore", invalid="ignore"):
+        optimizer.search(ConstraintSpec(np.full(3, 1e200)), Field.REAL, 2, cfg)
 
 
 def test_search_rejects_zero_vector_start():

@@ -1,0 +1,150 @@
+"""Print the restart table and three sha256 digests of the library's and the CLI's behaviour.
+
+``python tools/digest.py [ROOT]``; ROOT (default: this script's checkout) selects the source tree,
+so two checkouts can be compared.  Everything runs in process at 1 BLAS thread.
+
+* ``outcomes``: one restart at max_iters 2000 per CriticalSearch.PROBLEMS x seeds 0-15 and
+  Descent.PROBLEMS x seeds 0-2, tabled (problem, seed, status, iterations, ``is_dual_pair`` at
+  1e-6) and tallied per mode; hashed over (problem, seed, status, dual), which no machine moves.
+* ``search``: CriticalSearch.PROBLEMS x seeds 0-3 at 300 iterations, Descent.PROBLEMS x seeds
+  0-4 at 40: status, histories, final F/G bytes, the report's c and residual bytes with
+  repr((is_critical, tol, mixed_norm)), and repr((constraint_residual_final, dual_deviation)).
+* ``reports``: 240 seeded ``plant_critical_pair`` pairs over the Analyze cases through
+  ``perfbench.workloads.analyze_pipeline``, by ``_feed``; then the CLI's exit code and stdout:
+  ``potential``, ``check``, ``decompose`` and ``corollary`` on the six fixtures, the last three
+  on FX-MB with F and G scaled by 1000 (its FP meets the bound to one ulp at 4.5e12),
+  ``decompose`` on two seeded non-critical pairs (the NotCriticalError payload), ``corollary
+  --alpha-only`` on valid inputs and ``optimize`` in both modes over R and C at seeds 0-2.
+"""
+
+import collections
+import contextlib
+import dataclasses
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1"))
+ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1
+                       else os.path.join(os.path.dirname(__file__), ".."))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+import numpy as np  # noqa: E402  (loads only once the thread count is set)
+from mixedframes import cli, fixtures, frames, optimizer  # noqa: E402
+from perfbench.workloads import (Analyze, CriticalSearch, Descent, _sub_rng,  # noqa: E402
+                                 analyze_pipeline, plant_critical_pair)
+
+COMMANDS = ("potential", "check", "decompose", "corollary")
+SCALE = 1e3  # FX-MB scaled: F, G times SCALE and alpha times SCALE^2
+NON_CRITICAL = (("R", 2, 4, 11), ("C", 3, 5, 0))  # field, d, N, seed, retracted onto alpha = 1
+ALPHA_ONLY = (("1,1", "2", "3"), ("1,0.5", "2", "3"), ("1+0.5i,1-0.5i,-i,i", "2", "4"))
+OPTIMIZE = [("--field", field, "--mode", mode, "--seed", str(seed))
+            for field in "RC" for mode in ("critical", "potential") for seed in range(3)]
+
+
+def _feed(h, obj):
+    """Hash obj exactly: dataclasses field by field, sequences item by item."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _feed(h, getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"[")
+        for item in obj:
+            _feed(h, item)
+        h.update(b"]")
+    elif isinstance(obj, np.ndarray):
+        h.update(repr((obj.dtype.str, obj.shape)).encode() + obj.tobytes())
+    else:
+        h.update(repr(obj).encode())
+
+
+def _searches(problems, seeds, max_iters):
+    """(label, seed, result) of one ``optimizer.search`` per problem and seed."""
+    for label, field_, d, alpha, cfg in problems:
+        for seed in seeds:
+            run = dataclasses.replace(cfg, seed=seed, max_iters=max_iters)
+            yield label, seed, optimizer.search(frames.ConstraintSpec(alpha), field_, d, run)
+
+
+def outcomes():
+    h = hashlib.sha256()
+    for mode, problems, seeds in (("critical", CriticalSearch.PROBLEMS, range(16)),
+                                  ("descent", Descent.PROBLEMS, range(3))):
+        tally, iterations = collections.Counter(), 0
+        for label, seed, res in _searches(problems, seeds, 2000):
+            dual, _ = frames.is_dual_pair(res.final_pair, tol=1e-6)
+            iters = max(len(res.merit_history) - 1, 0)
+            print(f"{mode} {label} seed {seed}: {res.status} iterations {iters} dual {dual}")
+            h.update(f"{mode} {label} {seed} {res.status} {dual}\n".encode())
+            tally[res.status] += 1
+            tally["dual"] += dual
+            iterations += iters
+        counts = ", ".join(f"{key} {n}" for key, n in sorted(tally.items()))
+        print(f"{mode}: {counts}, iterations {iterations}")
+    return h.hexdigest()
+
+
+def search():
+    h = hashlib.sha256()
+    for problems, seeds, iters in ((CriticalSearch.PROBLEMS, range(4), 300),
+                                   (Descent.PROBLEMS, range(5), 40)):
+        for _, _, res in _searches(problems, seeds, iters):
+            rep, pair = res.critical_report_final, res.final_pair
+            parts = [res.status, repr(res.merit_history), repr(res.objective_history),
+                     pair.f.vectors, pair.g.vectors]
+            if rep is not None:
+                parts += [rep.c, rep.f_residuals, rep.g_residuals,
+                          repr((rep.is_critical, rep.tol, rep.mixed_norm))]
+            parts.append(repr((res.constraint_residual_final, res.dual_deviation)))
+            for part in parts:
+                h.update(part.encode() if isinstance(part, str) else part.tobytes())
+    return h.hexdigest()
+
+
+def reports():
+    h = hashlib.sha256()
+    cases = Analyze(0).cases
+    for k in range(240):
+        pair, spec, _, _ = plant_critical_pair(_sub_rng(0, 1, k), *cases[k % len(cases)])
+        _feed(h, analyze_pipeline(pair, spec))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name, pair, alpha):
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                fh.write(frames.document_to_json(frames.pair_to_document(pair, alpha)))
+            return path
+
+        runs = []
+        for name in fixtures.FIXTURE_NAMES:
+            pair, spec = fixtures.fixture(name)
+            path = write(name, pair, spec.alpha)
+            runs += [[command, path] for command in COMMANDS]
+        pair, spec = fixtures.fixture("FX-MB")
+        scaled = frames.FramePair(frames.FrameSequence(pair.field, SCALE * pair.f.vectors),
+                                  frames.FrameSequence(pair.field, SCALE * pair.g.vectors))
+        path = write("FX-MB-scaled", scaled, SCALE**2 * spec.alpha)
+        runs += [[command, path] for command in COMMANDS[1:]]
+        for field_, d, n, seed in NON_CRITICAL:
+            pair = frames.retract_to_constraint(
+                frames.random_pair(frames.Field(field_), d, n, seed),
+                frames.ConstraintSpec(np.ones(n)))
+            runs.append(["decompose", write(f"nc-{field_}-{seed}", pair, np.ones(n))])
+        runs += [["corollary", "--alpha-only", alpha, "--d", d, "--N", n]
+                 for alpha, d, n in ALPHA_ONLY]
+        runs += [["optimize", "--alpha", "1,1,1", "--d", "2", "--max-iters", "200", *flags]
+                 for flags in OPTIMIZE]
+        for argv in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            label = " ".join(map(os.path.basename, argv))  # document names, not the temp dir
+            h.update(f"{label} {code}\n".encode() + out.getvalue().encode())
+    return h.hexdigest()
+
+
+print(f"outcomes {outcomes()}")
+print(f"search {search()}")
+print(f"reports {reports()}")
