@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import sys
 
@@ -106,6 +107,10 @@ def _write(path, text):
             fh.write(text)
     except OSError as exc:
         raise MixedFramesError(f"cannot write {path}: {exc}") from exc
+
+
+# Verdicts stop at a float overflow or invalid operation (exit 3) rather than warn; not optimize.
+_STRICT = np.errstate(over="raise", invalid="raise")
 
 
 def _emit(command, digest, tolerances, outputs, status, summary, output=None):
@@ -294,6 +299,9 @@ def cmd_optimize(args):
     )
     digest = _digest_obj({"alpha": args.alpha, "field": args.field, "d": args.d,
                           "config": dataclasses.asdict(cfg)})
+    out = args.output and os.path.abspath(args.output)  # checked before the search it would waste
+    if out and (os.path.isdir(out) or not os.access(os.path.dirname(out), os.W_OK)):
+        raise MixedFramesError(f"cannot write {args.output}: not a file in a writable directory")
     result = optimizer.search(spec, field_, args.d, cfg)
 
     outputs = {"search": _search_json(result),
@@ -367,10 +375,10 @@ def build_parser():
 
 _HANDLERS = {
     "gen": cmd_gen,
-    "potential": cmd_potential,
-    "check": cmd_check,
-    "decompose": cmd_decompose,
-    "corollary": cmd_corollary,
+    "potential": _STRICT(cmd_potential),
+    "check": _STRICT(cmd_check),
+    "decompose": _STRICT(cmd_decompose),
+    "corollary": _STRICT(cmd_corollary),
     "optimize": cmd_optimize,
 }
 
@@ -392,8 +400,8 @@ def main(argv=None):
             sys.stdout.write(_dumps(payload))
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
-    # OverflowError: Python's complex arithmetic past float64
-    except (NumericalFailureError, DegeneratePairingError, OverflowError) as exc:
+    # ArithmeticError: OverflowError past float64, or NumPy's FloatingPointError under _STRICT
+    except (NumericalFailureError, DegeneratePairingError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (MixedFramesError, ValueError) as exc:  # ValueError: OptimizerConfig's checks

@@ -224,13 +224,14 @@ _SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
 
 
 def _retraction(fv, gv, alpha):
-    """The retraction onto S(alpha) on raw (N, d) arrays, with no other
-    input check; real arrays and a real alpha (a pair over R) give real
-    results.
+    """The retraction onto S(alpha) on raw (N, d) arrays, or on a stack
+    (K, N, d) of trials, with no other input check; real arrays and a real
+    alpha (a pair over R) give real results.
 
-    Returns G with each row g_m rescaled to conj(alpha_m / <f_m, g_m>) g_m.
-    Raises DegeneratePairingError at the first index with
-    |<f_m, g_m>| < 1e-10 ||f_m|| ||g_m||, where no such rescaling exists.
+    Returns G with each row g_m rescaled to conj(alpha_m / <f_m, g_m>) g_m;
+    a pairing with |<f_m, g_m>| < 1e-10 ||f_m|| ||g_m|| has none.  A stack
+    comes back cut before its first trial with one, which is not retracted;
+    a pair, or a stack led by such a trial, raises DegeneratePairingError.
     The cut reads the squared row sums sum_k |v_k|^2 that the residual
     kernel divides by, each square-rooted before the product: squares
     multiplied together would underflow at row norms near 1e-80.
@@ -245,18 +246,22 @@ def _retraction(fv, gv, alpha):
     modulus = np.abs(ip)
     bad = modulus < cut
     if bad.any():
-        m = int(np.flatnonzero(bad)[0])
-        raise DegeneratePairingError(
-            f"|<f_{m + 1}, g_{m + 1}>| = {abs(ip[m]):.3e} is below the "
-            "degeneracy threshold: the pairing cannot be rescaled",
-            index=m,
-        )
+        trials = bad.reshape(-1, bad.shape[-1])  # a row per trial, an (N, d) pair's alone
+        k = int(trials.any(axis=1).argmax())
+        if k == 0:
+            m = int(trials[0].argmax())
+            raise DegeneratePairingError(
+                f"|<f_{m + 1}, g_{m + 1}>| = {modulus.flat[m]:.3e} is below the "
+                "degeneracy threshold: the pairing cannot be rescaled",
+                index=m,
+            )
+        fv, gv, ip, modulus = fv[:k], gv[:k], ip[:k], modulus[:k]
     if modulus.min() < _SMALLEST_NORMAL:
         tiny = modulus < _SMALLEST_NORMAL
         s = np.ldexp(1.0, np.where(tiny, -(np.frexp(modulus)[1] // 2), 0))
-        ip = np.where(tiny, np.vecdot(gv * s[:, None], fv * s[:, None]), ip)
+        ip = np.where(tiny, np.vecdot(gv * s[..., None], fv * s[..., None]), ip)
         alpha = np.where(tiny, alpha * s * s, alpha)
-    return gv * (alpha / ip).conj()[:, None]
+    return gv * (alpha / ip).conj()[..., None]
 
 
 def retract_to_constraint(pair: FramePair, spec: ConstraintSpec):

@@ -12,31 +12,36 @@ Two modes:
   one hand-written reverse-mode sweep.  The merit is bounded below by 0
   and vanishes exactly at critical pairs.
 
-Both use backtracking searches that halve the step (factor 0.5, up to
-30 halvings) until a trial strictly lowers the merit or the objective.
-CRITICAL_SEARCH starts each search at the Polyak step merit / ||grad||^2,
-since the merit's least value, 0, is known; POTENTIAL_DESCENT, whose
-objective has no known least value, at 1 / sqrt(2 max |eps_m|), where no
-pairing alpha_m (1 + t^2 eps_m) of the tangent ray has moved by more than
-alpha_m / 2 (``_run_single``).  Both scale with the problem.  Everything
-in the loop works from the d x d mixed operator M = TU*, in O(N d^2)
-time and O(N d + d^2) memory, never from the N x N cross Gram: every
-trial is priced at FP = Tr(M^2); the residual kernel
-``structure._merit_terms`` runs once per iterate, on the M and the FP that
-priced it (on every trial of CRITICAL_SEARCH, whose acceptance test is
-the merit), and its output is the loop's whole record of the iterate: the
-merit, FP, and the u = F M^T, G conj(M), ||f_m||^2 and <f_m, g_m> that
-the gradients and the tangent projection read, with no second forward
-pass; ``search`` reports on the last output and keeps its M on the pair
-it returns.  On small problems (d = 2, N = 4: arrays of 8 entries) the
-loop's cost is NumPy call overhead, so every row inner product and
-squared row norm is one ``np.vecdot`` call and every total of squares one
-``np.vdot`` call (no elementwise product, ``.conj()`` copy or
-``np.linalg.norm`` wrapper); ``np.vecdot(a, b)`` conjugates ``a``, so
-<x_m, y_m> is ``np.vecdot(y, x)``.  The retraction's degeneracy cut reads
-the same squared row norms sum_k |v_k|^2 the kernel divides by.  A pairing
-the retraction cannot rescale (<f_m, g_m> near 0), at the start or in a
-trial, ends the restart as DEGENERATE_RETRACTION; nothing is redrawn.
+Both backtrack along the ladder step, step / 2, ..., step / 2^29 to its
+first trial that strictly lowers the merit or the objective, starting at
+the Polyak step merit / ||grad||^2 (CRITICAL_SEARCH: the merit's least
+value, 0, is known) or at 1 / sqrt(2 max |eps_m|), where no pairing
+alpha_m (1 + t^2 eps_m) of the tangent ray has moved by more than
+alpha_m / 2 (POTENTIAL_DESCENT); both scale with the problem.  The loop
+works from the d x d mixed operator M = TU*, in O(N d^2) time and
+O(N d + d^2) memory, never from the N x N cross Gram: a trial is priced
+at FP = Tr(M^2), and in CRITICAL_SEARCH by the residual kernel
+``structure._merit_terms`` on that M, which descent runs only on the
+accepted trial.  The kernel's output is the loop's whole record of the
+iterate: merit, FP, and the u = F M^T, G conj(M), ||f_m||^2 and
+<f_m, g_m> the gradients and the tangent projection read; ``search``
+reports on the last output and keeps its M on the pair it returns.
+At small sizes a trial costs NumPy call overhead, so the ladder is priced
+K = min(4, max(1, _STACK_ELEMENTS // (N d))) trials at a time: one step,
+retraction, M and kernel pass or FP on (K, N, d) arrays, each trial's
+slice bit-identical to its (N, d) call; at K = 1 a lone (N, d) trial.
+A block costs the flops of K trials.  Per CRITICAL_SEARCH iteration over
+whole restarts (alpha = d/N, seeds 0-4 pooled, 1 BLAS thread) against
+K = 1, R / C:
+
+    (d, N)  (2, 4)     (8, 24)    (8, 48)    (16, 48)   (64, 192)
+    K = 2   0.83/0.84  0.81/0.99  0.84/0.98  0.88/1.04  1.38/1.31
+    K = 4   0.61/0.65  0.70/0.75  0.81/1.32  0.77/0.98  2.12/2.03
+
+so K = 4 pays up to N d = 192 over both fields: _STACK_ELEMENTS = 4 x 192.
+A pairing the retraction cannot rescale (<f_m, g_m> near 0), at the start
+or in a trial behind only rejected ones, ends the restart as
+DEGENERATE_RETRACTION; nothing is redrawn.
 Restarts are independent: restart k uses seed ``seed + k`` and
 the reported result never depends on execution order.
 """
@@ -70,6 +75,7 @@ DEGENERATE_RETRACTION = "DEGENERATE_RETRACTION"
 GRAD_TOL = 1e-8  # POTENTIAL_DESCENT converges at or below this tangent gradient norm
 MERIT_TOL = 1e-16  # CRITICAL_SEARCH converges at or below this merit
 _BACKTRACK_LIMIT = 30
+_STACK_ELEMENTS = 768  # a backtracking block stacks min(4, this // (N d)) trials, at least 1
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,7 @@ def merit(pair: FramePair):
     multiplier of each index eliminated by the same least-squares rule
     the checker uses.  Zero exactly at critical pairs."""
     pair.require_nonzero()
-    return structure._merit_terms(pair.f.vectors, pair.g.vectors).merit
+    return float(structure._merit_terms(pair.f.vectors, pair.g.vectors).merit)
 
 
 def _objective_part(fp, objective):
@@ -245,20 +251,29 @@ def _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist):
 
 
 def _accepted(fv, gv, best, critical, objective):
-    """The mode's acceptance test on a retracted trial against the current
-    iterate's kernel output ``best``: the trial's ``_merit_terms`` output
-    when it lowers the merit (CRITICAL_SEARCH) or the objective
-    (POTENTIAL_DESCENT), else None.  The trial's M = TU* is formed once; a
-    descent trial is priced at Tr(M^2) and the kernel runs, on that M,
-    only on the accepted one."""
-    tu = fv.T @ gv.conj()
+    """(F, G, kernel output) of a block's first trial, in ladder order, that
+    lowers the iterate's merit (CRITICAL_SEARCH) or objective (descent),
+    else None.  A block is (K, N, d) arrays, G cut before a degenerate
+    trial, or a lone (N, d) trial.  CRITICAL_SEARCH prices it in one kernel
+    pass and slices the accepted output, descent at Tr(M^2) per trial."""
+    fv = fv[:len(gv)]
+    tu = fv.swapaxes(-1, -2) @ gv.conj()
     if critical:
         terms = structure._merit_terms(fv, gv, tu)
-        return terms if terms.merit < best.merit else None
-    fp = potential._fp_of_gram(tu)
-    if _objective_part(fp, objective) < _objective_part(best.fp, objective):
-        return structure._merit_terms(fv, gv, tu, fp)
-    return None
+        lower = terms.merit < best.merit
+    else:
+        fp = potential._fp_of_gram(tu)
+        lower = _objective_part(fp, objective) < _objective_part(best.fp, objective)
+    if fv.ndim == 2:  # a lone trial
+        if lower:
+            return fv, gv, terms if critical else structure._merit_terms(fv, gv, tu, fp)
+        return None
+    j = int(lower.argmax())
+    if not lower[j]:
+        return None
+    if critical:
+        return fv[j], gv[j], structure._MeritTerms(*[x[j] for x in terms])
+    return fv[j], gv[j], structure._merit_terms(fv[j], gv[j], tu[j], fp[j])
 
 
 def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
@@ -269,6 +284,9 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
     if initial_pair is None:
         initial_pair = frames.random_pair(field_, d, spec.n, seed)
     critical = cfg.mode == CRITICAL_SEARCH
+    k = min(max(_STACK_ELEMENTS // (spec.n * d), 1), 4)  # trials priced per block
+    h = 0.5 ** np.arange(_BACKTRACK_LIMIT)  # the ladder in blocks of k, a lone trial at k = 1
+    blocks = [h[i:i + k, None, None] if k > 1 else h[i] for i in range(0, _BACKTRACK_LIMIT, k)]
     fv, gv = initial_pair.f.vectors, initial_pair.g.vectors
     terms = None
     obj_hist = []
@@ -278,8 +296,8 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
         return _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist)
 
     def record():
-        obj_hist.append(_objective_part(terms.fp, cfg.objective))
-        merit_hist.append(terms.merit)
+        obj_hist.append(float(_objective_part(terms.fp, cfg.objective)))
+        merit_hist.append(float(terms.merit))
 
     try:
         gv = frames._retraction(fv, gv, alpha)
@@ -316,17 +334,19 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
             else:  # the ray stays on S(alpha): a move as long as the pair itself
                 step = np.sqrt((np.vdot(fv, fv).real + np.vdot(gv, gv).real) / grad2)
 
-        for _ in range(_BACKTRACK_LIMIT):
-            f1 = fv - step * gf
+        for block in blocks:
+            t = step * block
+            f1 = fv - t * gf
             try:
-                g1 = frames._retraction(f1, gv - step * gg, alpha)
-            except DegeneratePairingError:
+                g1 = frames._retraction(f1, gv - t * gg, alpha)
+            except DegeneratePairingError:  # the block's first trial's pairing
                 return finish(DEGENERATE_RETRACTION)
             accepted = _accepted(f1, g1, terms, critical, cfg.objective)
             if accepted is not None:
-                fv, gv, terms = f1, g1, accepted
+                fv, gv, terms = accepted
                 break
-            step *= 0.5
+            if len(g1) < len(f1):  # a later trial's, behind only rejected ones
+                return finish(DEGENERATE_RETRACTION)
         else:
             # no step lowers the merit or objective: a round-off floor (the
             # merit of CRITICAL_SEARCH is above MERIT_TOL here)

@@ -40,8 +40,10 @@ def _fp_of_gram(x):
     """FP = Tr(X^2) = sum(X * X^T) for X the N x N cross Gram C, whose
     entries give the double sum sum_{m,n} <f_m, g_n> <f_n, g_m>
     (``fp_direct``), or the d x d mixed operator TU* by the trace identity
-    Tr(C^2) = Tr((TU*)^2) (every verdict and every search iterate)."""
-    return complex((x * x.T).sum())
+    Tr(C^2) = Tr((TU*)^2) (every verdict and every search iterate).  A
+    stack (K, d, d) gives an array of its K values, in the stack's dtype."""
+    fp = (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1))
+    return fp if fp.ndim else complex(fp)
 
 
 def fp_direct(pair: FramePair):

@@ -70,21 +70,26 @@ class _MeritTerms(NamedTuple):
 def _merit_terms(fv, gv, tu=None, fp=None):
     """The critical-pair equations on raw (N, d) arrays with nonzero rows,
     from M = TU* = F^T conj(G) (unless given), as a ``_MeritTerms``; ``fp``
-    is Tr(M^2) when the caller has already summed it from this M.
+    is Tr(M^2) when the caller has already summed it from this M.  A stack
+    (K, N, d) of trials gives each field a leading axis K, bit for bit.
     O(N d^2) time, O(N d + d^2) memory; the one kernel behind
     ``critical_report``, the optimizer's merit, FP and both its gradients."""
     if tu is None:
-        tu = fv.T @ gv.conj()
+        tu = fv.swapaxes(-1, -2) @ gv.conj()
     if fp is None:
         fp = potential._fp_of_gram(tu)
-    u = fv @ tu.T
+    u = fv @ tu.swapaxes(-1, -2)
     gm = gv @ tu.conj()
     f_norms2 = np.vecdot(fv, fv).real
     ip = np.vecdot(gv, fv)
     lam = np.vecdot(fv, u) / f_norms2
-    rf = u - lam[:, None] * fv
-    rg = gm - lam.conj()[:, None] * gv
-    merit = float(np.vdot(rf, rf).real + np.vdot(rg, rg).real)
+    rf = u - lam[..., None] * fv
+    rg = gm - lam.conj()[..., None] * gv
+    if rf.ndim == 2:
+        merit = np.vdot(rf, rf).real + np.vdot(rg, rg).real
+    else:  # each trial's residuals as one row of N d entries, summed as np.vdot sums them
+        rf2, rg2 = rf.reshape(len(rf), -1), rg.reshape(len(rg), -1)
+        merit = np.vecdot(rf2, rf2).real + np.vecdot(rg2, rg2).real
     return _MeritTerms(tu, u, gm, lam, lam - ip, rf, rg, f_norms2, ip, merit, fp)
 
 

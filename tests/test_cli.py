@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mixedframes import cli, fixtures, frames
+from mixedframes import cli, fixtures, frames, optimizer
 from mixedframes.errors import DegeneratePairingError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _non_json_constant(name):
@@ -414,6 +420,17 @@ def test_decompose_ambiguous_cluster_exits_2(capsys, tmp_path):
     assert out == ""
 
 
+def write_huge(tmp_path):
+    """FX-MB with F and G scaled by 1e100 and alpha by 1e200: a valid
+    document whose FP, about 4.5e400, is past float64."""
+    pair, spec = fixtures.fixture("FX-MB")
+    huge = frames.FramePair(frames.FrameSequence(pair.field, 1e100 * pair.f.vectors),
+                            frames.FrameSequence(pair.field, 1e100 * pair.g.vectors))
+    path = tmp_path / "huge.json"
+    path.write_text(frames.document_to_json(frames.pair_to_document(huge, 1e200 * spec.alpha)))
+    return path
+
+
 @pytest.mark.parametrize("argv,code", [
     (["check", "{huge}"], 3),
     (["potential", "{huge}"], 3),
@@ -437,12 +454,35 @@ def test_unreportable_input_exits_with_empty_stdout(capsys, tmp_path, argv, code
     unwritable --output 2, each with nothing on stdout.  The huge document
     is FX-MB with F and G scaled by 1e100 and alpha by 1e200: valid, but
     its FP is about 4.5e400."""
-    pair, spec = fixtures.fixture("FX-MB")
-    huge = frames.FramePair(frames.FrameSequence(pair.field, 1e100 * pair.f.vectors),
-                            frames.FrameSequence(pair.field, 1e100 * pair.g.vectors))
-    huge_path = tmp_path / "huge.json"
-    huge_path.write_text(frames.document_to_json(frames.pair_to_document(huge, 1e200 * spec.alpha)))
-    paths = {"huge": huge_path, "doc": write_fixture(tmp_path, "FX-MB"),
+    paths = {"huge": write_huge(tmp_path), "doc": write_fixture(tmp_path, "FX-MB"),
              "missing": tmp_path / "missing" / "x.json"}
     with np.errstate(over="ignore", invalid="ignore"):
         assert run(capsys, *[a.format(**paths) for a in argv]) == (code, "")
+
+
+@pytest.mark.parametrize("command", ["check", "potential", "corollary", "decompose"])
+def test_verdict_past_float64_exits_3_without_warnings(tmp_path, command):
+    """A verdict stops at its first float overflow or invalid operation:
+    on the huge document a fresh process, with Python's default warning
+    filters, exits 3 with nothing on stdout and no RuntimeWarning."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "mixedframes.cli", command,
+                           str(write_huge(tmp_path))],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_optimize_checks_output_before_searching(capsys, monkeypatch, tmp_path, target):
+    """An --output that cannot be written, in a missing directory or a
+    directory itself, exits 2 with nothing on stdout before any search."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(optimizer, "search", no_search)
+    path = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+    argv = ("optimize", "--alpha", "1,1,1", "--field", "R", "--d", "2", "--output", str(path))
+    assert run(capsys, *argv) == (2, "")

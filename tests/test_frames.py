@@ -166,6 +166,26 @@ def test_degeneracy_decisions_hold_across_scales(field, s):
             assert np.isfinite(frames._retraction(fv, gv, alpha)).all()
 
 
+def test_retraction_of_a_stack_stops_at_its_first_degenerate_trial(field):
+    """A stack (K, N, d) of trials is retracted up to its first trial with
+    a degenerate pairing, which comes back missing with every trial after
+    it: nothing divides by the orthogonal pairing, so nothing warns.  A
+    stack led by that trial, and the (N, d) call on it, raise at the
+    pairing's index."""
+    p = frames.random_pair(field, 2, 3, 0)
+    fv, gv = np.stack([p.f.vectors] * 3), np.stack([p.g.vectors] * 3)
+    gv[1, 2] = [-np.conj(fv[1, 2, 1]), np.conj(fv[1, 2, 0])]  # orthogonal to f_3
+    alpha = np.ones(3)
+    with np.errstate(all="raise"):
+        out = frames._retraction(fv, gv, alpha)
+        assert out.shape == (1, 3, 2)
+        assert out[0].tobytes() == frames._retraction(fv[0], gv[0], alpha).tobytes()
+        for lead in (fv[1:], gv[1:]), (fv[1], gv[1]):
+            with pytest.raises(DegeneratePairingError) as info:
+                frames._retraction(*lead, alpha)
+            assert info.value.index == 2
+
+
 def test_retraction_of_subnormal_pairing(field):
     """A random (2, 3) pair scaled by 1e-155 has pairings near 1e-310,
     subnormal; with alpha = 1e10 <f_m, g_m> the quotient is a moderate

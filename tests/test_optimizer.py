@@ -435,7 +435,7 @@ def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, field):
         warnings.simplefilter("error")
         optimizer.search(spec, field, 4, cfg, initial_pair=start)
     gv = original(fv, gv, spec.alpha)  # the retracted start
-    step = -trials[1][0, 2] / gf[0, 2]
+    step = -trials[1][0][0, 2] / gf[0, 2]  # the first trial of the first block
     size2 = (np.vdot(fv, fv) + np.vdot(gv, gv)).real
     want = np.sqrt(size2 / (np.vdot(gf, gf) + np.vdot(gg, gg)).real)
     assert np.isfinite(step)
@@ -459,7 +459,7 @@ def test_descent_is_scale_equivariant(monkeypatch, field_, objective):
     def recording(fv, gv, *args):
         accepted = original(fv, gv, *args)
         if accepted is not None:
-            iterates.append((fv, gv))
+            iterates.append(accepted[:2])
         return accepted
 
     monkeypatch.setattr(optimizer, "_accepted", recording)
@@ -489,27 +489,40 @@ def test_descent_is_scale_equivariant(monkeypatch, field_, objective):
             assert abs(got - s**4 * want) <= 1e-12 * s**4 * abs(want)
 
 
+def _counting_retraction(counts):
+    """``frames._retraction``, counting the trials it is given (a block
+    counts each of its trials) and those it does not retract: a raise
+    counts one, a block cut at a degenerate pairing the trials it drops."""
+    retraction = frames._retraction
+
+    def counting(fv, gv, alpha):
+        trials = len(fv) if fv.ndim == 3 else 1  # a block, or the start or a lone trial
+        counts["retractions"] += trials
+        try:
+            out = retraction(fv, gv, alpha)
+        except DegeneratePairingError:
+            counts["degenerate"] += 1
+            raise
+        counts["degenerate"] += trials - (len(out) if fv.ndim == 3 else 1)
+        return out
+
+    return counting
+
+
 def test_descent_prices_few_trials_per_iteration(monkeypatch):
     """Starting each backtracking search where no pairing moves by more
     than half of alpha_m, a descent at (16, 48) over C prices at most 3
     trials per iteration on average (about 14 from a fixed step of 0.25)
     and no trial meets a degenerate pairing."""
-    counts = {"trials": 0, "degenerate": 0}
-    accepted, retraction = optimizer._accepted, frames._retraction
+    counts = {"trials": 0, "retractions": 0, "degenerate": 0}
+    accepted = optimizer._accepted
 
-    def counting_accepted(*args):
-        counts["trials"] += 1
-        return accepted(*args)
-
-    def counting_retraction(fv, gv, alpha):
-        try:
-            return retraction(fv, gv, alpha)
-        except DegeneratePairingError:
-            counts["degenerate"] += 1
-            raise
+    def counting_accepted(fv, *args):
+        counts["trials"] += len(fv) if fv.ndim == 3 else 1  # a block, or a lone trial
+        return accepted(fv, *args)
 
     monkeypatch.setattr(optimizer, "_accepted", counting_accepted)
-    monkeypatch.setattr(frames, "_retraction", counting_retraction)
+    monkeypatch.setattr(frames, "_retraction", _counting_retraction(counts))
     cfg = optimizer.OptimizerConfig(mode=optimizer.POTENTIAL_DESCENT, seed=2, max_iters=30)
     res = optimizer.search(ConstraintSpec(np.ones(48)), Field.COMPLEX, 16, cfg)
     iterations = len(res.merit_history) - 1
@@ -522,19 +535,10 @@ def test_critical_search_meets_no_degenerate_pairing(monkeypatch):
     """On the problems of the critical-search benchmark (R, d = 2,
     alpha = 1/2 x 4, and C, d = 2, alpha = 1 x 3), 4 seeds each at 300
     iterations, no retraction of a start or a trial meets a degenerate
-    pairing, so no search ends DEGENERATE_RETRACTION."""
+    pairing, so no search ends DEGENERATE_RETRACTION.  A block of trials
+    counts each of its trials."""
     counts = {"retractions": 0, "degenerate": 0}
-    retraction = frames._retraction
-
-    def counting_retraction(fv, gv, alpha):
-        counts["retractions"] += 1
-        try:
-            return retraction(fv, gv, alpha)
-        except DegeneratePairingError:
-            counts["degenerate"] += 1
-            raise
-
-    monkeypatch.setattr(frames, "_retraction", counting_retraction)
+    monkeypatch.setattr(frames, "_retraction", _counting_retraction(counts))
     for field_, alpha in ((Field.REAL, np.full(4, 0.5)), (Field.COMPLEX, np.ones(3))):
         for seed in range(4):
             cfg = optimizer.OptimizerConfig(seed=seed, max_iters=300)
@@ -546,37 +550,106 @@ def test_critical_search_meets_no_degenerate_pairing(monkeypatch):
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
 def test_degenerate_trial_ends_restart_at_last_accepted_iterate(monkeypatch, mode):
-    """When the retraction of a trial meets a degenerate pairing, the
-    restart ends DEGENERATE_RETRACTION and returns the last accepted
-    iterate, with no critical report and no constraint residual."""
-    calls, last = {"retractions": 0}, {}
+    """When the retraction of a trial meets a degenerate pairing behind
+    only rejected trials, the restart ends DEGENERATE_RETRACTION and
+    returns the last accepted iterate, with no critical report and no
+    constraint residual.  Here every trial from the fifth on is
+    degenerate: the four before it are priced, and no trial after it."""
+    counts, last = {"retracted": 0, "priced": 0}, {}
     retraction, accepted = frames._retraction, optimizer._accepted
 
     def failing_retraction(fv, gv, alpha):
-        calls["retractions"] += 1
-        if calls["retractions"] == 6:
-            raise DegeneratePairingError("stub", index=0)
         out = retraction(fv, gv, alpha)
-        if calls["retractions"] == 1:  # the start
+        if fv.ndim == 2:  # the start
             last["f"], last["g"] = fv, out
-        return out
+            return out
+        keep = 4 - counts["retracted"]  # the block's trials before the fifth
+        counts["retracted"] += len(fv)
+        if keep <= 0:  # the block's first trial is degenerate
+            raise DegeneratePairingError("stub", index=0)
+        return out[:keep]
 
     def recording_accepted(fv, gv, *args):
-        terms = accepted(fv, gv, *args)
-        if terms is not None:
-            last["f"], last["g"] = fv, gv
-        return terms
+        counts["priced"] += len(gv)
+        hit = accepted(fv, gv, *args)
+        if hit is not None:
+            last["f"], last["g"] = hit[:2]
+        return hit
 
     monkeypatch.setattr(frames, "_retraction", failing_retraction)
     monkeypatch.setattr(optimizer, "_accepted", recording_accepted)
     cfg = optimizer.OptimizerConfig(mode=mode, seed=0, max_iters=50)
     res = optimizer.search(ConstraintSpec(np.ones(3)), Field.COMPLEX, 2, cfg)
-    assert calls["retractions"] == 6
+    assert counts["priced"] == 4
     assert res.status == optimizer.DEGENERATE_RETRACTION
     assert res.final_pair.f.vectors.tobytes() == last["f"].tobytes()
     assert res.final_pair.g.vectors.tobytes() == last["g"].tobytes()
     assert res.critical_report_final is None
     assert res.constraint_residual_final == float("inf")
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
+def test_backtracking_takes_the_first_accepted_or_degenerate_trial(monkeypatch, mode, k):
+    """The ladder step, step / 2, ... is priced k trials at a time and read
+    in ladder order.  If a plain run accepts trial a >= 1 of iteration i,
+    a degenerate trial a + 1 changes nothing (with k = 4 it is priced, in
+    trial a's block), and a degenerate trial a, behind only rejected ones,
+    ends the restart DEGENERATE_RETRACTION at the iterate of iteration i.
+    At k = 1 each trial is a lone (N, d) one, whose retraction raises."""
+    monkeypatch.setattr(optimizer, "_STACK_ELEMENTS", 6 * k)  # N d = 6
+    retraction, accepted = frames._retraction, optimizer._accepted
+    at = {}
+    taken = []  # per iteration: the ladder position of the accepted trial, its F and G
+
+    def cutting_retraction(fv, gv, alpha):
+        if not at["started"]:  # the start
+            at["started"] = True
+            return retraction(fv, gv, alpha)
+        size = len(fv) if fv.ndim == 3 else 1
+        at["first"], at["next"] = at["next"], at["next"] + size
+        if at["cut"] is not None and at["cut"][0] == len(taken):
+            position = at["cut"][1] - at["first"]
+            if 0 <= position < size:
+                at["cuts"] += 1
+                if position == 0:  # a lone trial, or the first of the block
+                    raise DegeneratePairingError("stub", index=0)
+                return retraction(fv, gv, alpha)[:position]
+        return retraction(fv, gv, alpha)
+
+    def recording_accepted(fv, gv, *args):
+        hit = accepted(fv, gv, *args)
+        if hit is not None:
+            j = 0 if gv.ndim == 2 else [g.tobytes() for g in gv].index(hit[1].tobytes())
+            taken.append((at["first"] + j, *hit[:2]))
+            at["next"] = 0
+        return hit
+
+    monkeypatch.setattr(frames, "_retraction", cutting_retraction)
+    monkeypatch.setattr(optimizer, "_accepted", recording_accepted)
+    cfg = optimizer.OptimizerConfig(mode=mode, seed=2, max_iters=30)
+
+    def run(cut):
+        at.update(started=False, next=0, cut=cut, cuts=0)
+        taken.clear()
+        return optimizer.search(ConstraintSpec(np.ones(3)), Field.COMPLEX, 2, cfg), list(taken)
+
+    plain, steps = run(None)
+    # the first iteration past the first whose accepted trial is not first, nor last in its block
+    i = next(i for i, (a, _, _) in enumerate(steps) if i > 0 and a >= 1 and a % 4 < 3)
+    a = steps[i][0]
+
+    res, _ = run((i, a + 1))
+    assert at["cuts"] == (k == 4)
+    assert (res.status, res.merit_history) == (plain.status, plain.merit_history)
+    assert res.final_pair.g.vectors.tobytes() == plain.final_pair.g.vectors.tobytes()
+
+    res, _ = run((i, a))
+    assert at["cuts"] == 1
+    assert res.status == optimizer.DEGENERATE_RETRACTION
+    assert res.merit_history == plain.merit_history[:i + 1]
+    assert res.final_pair.f.vectors.tobytes() == steps[i - 1][1].tobytes()
+    assert res.final_pair.g.vectors.tobytes() == steps[i - 1][2].tobytes()
 
 
 def test_restart_ranking_prefers_dual():

@@ -137,10 +137,10 @@ def test_descent_trial_potential_matches_direct_form(field, d, extra, seed):
     operator, is the direct double sum over the cross Gram."""
     n = d + extra * d
     pair, _ = retracted_random(field, d, n, seed)
-    # a current iterate of infinite merit and FP accepts every trial
+    # a current iterate of infinite merit and FP accepts every trial, here a lone one
     best = SimpleNamespace(merit=np.inf, fp=complex(np.inf))
     fp = optimizer._accepted(pair.f.vectors, pair.g.vectors, best, False,
-                             optimizer.REAL_PART).fp
+                             optimizer.REAL_PART)[2].fp
     want = potential.fp_direct(pair).value
     assert abs(fp - want) <= 1e-12 * (1.0 + abs(want))
 
@@ -363,6 +363,41 @@ def test_row_contractions_match_elementwise_forms(field, shape, seed):
         assert close(got, want, want)
     want = np.linalg.norm(terms.tu)
     assert close(report.mixed_norm, want, want)
+
+
+@fixed(60)
+@given(FIELDS, SHAPES, st.integers(1, 4), st.integers(0, 10_000))
+def test_stacked_trials_match_one_trial_at_a_time(field, shape, k, seed):
+    """The retraction and the residual kernel on a stack (k, N, d) of
+    trials give, byte for byte, their (N, d) calls on each trial.  In
+    trial 0, f_m is scaled by 1e-150 and g_m by 1e-160: a subnormal
+    pairing, so the retraction's rescaled rows are stacked too, with a
+    normal ||f_m||^2 for the kernel to divide by."""
+    d, n = shape
+    pairs = [frames.random_pair(field, d, n, seed + i) for i in range(k)]
+    fv = np.stack([p.f.vectors for p in pairs])
+    gv = np.stack([p.g.vectors for p in pairs])
+    rng = np.random.default_rng(seed)
+    m = rng.integers(n)
+    fv[0, m] *= 1e-150
+    gv[0, m] *= 1e-160
+    assert abs(np.vecdot(gv[0, m], fv[0, m])) < np.finfo(np.float64).smallest_normal
+    alpha = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    if field is Field.COMPLEX:
+        alpha = alpha * np.exp(2j * np.pi * rng.uniform(size=n))
+    alpha[m] *= 1e-300  # so trial 0's rescaled g_m stays near 1e-150
+
+    gr = frames._retraction(fv, gv, alpha)
+    assert len(gr) == k
+    for i in range(k):
+        assert gr[i].tobytes() == frames._retraction(fv[i], gv[i], alpha).tobytes()
+    stacked = structure._merit_terms(fv, gr)
+    for i in range(k):
+        for name, got, want in zip(stacked._fields, stacked, structure._merit_terms(fv[i], gr[i])):
+            # a stack's FP keeps its dtype, real over R; the (N, d) call's is a Python complex
+            dtype = complex if name == "fp" else None
+            got, want = np.asarray(got[i], dtype), np.asarray(want, dtype)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_row_products_pair_f_against_conjugated_g():

@@ -6,6 +6,9 @@ so two checkouts can be compared.  Everything runs in process at 1 BLAS thread.
 * ``outcomes``: one restart at max_iters 2000 per CriticalSearch.PROBLEMS x seeds 0-15 and
   Descent.PROBLEMS x seeds 0-2, tabled (problem, seed, status, iterations, ``is_dual_pair`` at
   1e-6) and tallied per mode; hashed over (problem, seed, status, dual), which no machine moves.
+  Each mode's tally closes with its work, counted by wrapping ``structure._merit_terms``: the
+  kernel passes, and the trials they price (a pass on a stack of K trials prices K; descent
+  prices its trials from FP and passes only the start and each accepted trial).
 * ``search``: CriticalSearch.PROBLEMS x seeds 0-3 at 300 iterations, Descent.PROBLEMS x seeds
   0-4 at 40: status, histories, final F/G bytes, the report's c and residual bytes with
   repr((is_critical, tol, mixed_norm)), and repr((constraint_residual_final, dual_deviation)).
@@ -32,7 +35,7 @@ ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 import numpy as np  # noqa: E402  (loads only once the thread count is set)
-from mixedframes import cli, fixtures, frames, optimizer  # noqa: E402
+from mixedframes import cli, fixtures, frames, optimizer, structure  # noqa: E402
 from perfbench.workloads import (Analyze, CriticalSearch, Descent, _sub_rng,  # noqa: E402
                                  analyze_pipeline, plant_critical_pair)
 
@@ -70,9 +73,18 @@ def _searches(problems, seeds, max_iters):
 
 def outcomes():
     h = hashlib.sha256()
+    kernel, work = structure._merit_terms, collections.Counter()
+
+    def counting(fv, *args):
+        work["passes"] += 1
+        work["trials"] += len(fv) if fv.ndim == 3 else 1
+        return kernel(fv, *args)
+
+    structure._merit_terms = counting
     for mode, problems, seeds in (("critical", CriticalSearch.PROBLEMS, range(16)),
                                   ("descent", Descent.PROBLEMS, range(3))):
         tally, iterations = collections.Counter(), 0
+        work.clear()
         for label, seed, res in _searches(problems, seeds, 2000):
             dual, _ = frames.is_dual_pair(res.final_pair, tol=1e-6)
             iters = max(len(res.merit_history) - 1, 0)
@@ -82,7 +94,10 @@ def outcomes():
             tally["dual"] += dual
             iterations += iters
         counts = ", ".join(f"{key} {n}" for key, n in sorted(tally.items()))
-        print(f"{mode}: {counts}, iterations {iterations}")
+        print(f"{mode}: {counts}, iterations {iterations}, kernel passes {work['passes']} "
+              f"({work['passes'] / iterations:.2f} per iteration), trials {work['trials']} "
+              f"({work['trials'] / iterations:.2f} per iteration)")
+    structure._merit_terms = kernel
     return h.hexdigest()
 
 
