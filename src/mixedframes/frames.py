@@ -138,6 +138,11 @@ class ConstraintSpec:
     def n(self):
         return self.alpha.size
 
+    def require_length(self, n):
+        """DimensionMismatchError unless alpha has one entry per vector of a pair with N = n."""
+        if self.n != n:
+            raise DimensionMismatchError(f"alpha has length {self.n}, pair has N = {n}")
+
     def require_nonzero(self):
         """Structure-theorem operations need alpha_m != 0 for every m."""
         zeros = np.flatnonzero(self.alpha == 0)
@@ -177,8 +182,7 @@ def is_dual_pair(pair: FramePair, tol=1e-10):
 
 def constraint_residual(pair: FramePair, spec: ConstraintSpec):
     """Entrywise |<f_m, g_m> - alpha_m|."""
-    if spec.n != pair.n:
-        raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")
+    spec.require_length(pair.n)
     return np.abs(np.vecdot(pair.g.vectors, pair.f.vectors) - spec.alpha)
 
 
@@ -273,8 +277,7 @@ def retract_to_constraint(pair: FramePair, spec: ConstraintSpec):
     DegeneratePairingError when some |<f_m, g_m>| falls below
     1e-10 ||f_m|| ||g_m||: that pairing cannot be rescaled.
     """
-    if spec.n != pair.n:
-        raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")
+    spec.require_length(pair.n)
     spec.require_nonzero()
     alpha = spec.require_field(pair.field)
     pair.require_nonzero()
@@ -294,10 +297,11 @@ def retract_to_constraint(pair: FramePair, spec: ConstraintSpec):
 # ---------------------------------------------------------------------------
 
 
-def _encode_scalar(z, field):
+def _encode(a, field):
+    """An array's entries as nested lists: numbers over R, [re, im] over C."""
     if field is Field.REAL:
-        return float(z.real)
-    return [float(z.real), float(z.imag)]
+        return a.real.tolist()
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _decode_scalar(obj, field, what):
@@ -319,12 +323,11 @@ def pair_to_document(pair: FramePair, alpha=None):
         "field": field.value,
         "d": pair.d,
         "N": pair.n,
-        "F": [[_encode_scalar(z, field) for z in row] for row in pair.f.vectors],
-        "G": [[_encode_scalar(z, field) for z in row] for row in pair.g.vectors],
+        "F": _encode(pair.f.vectors, field),
+        "G": _encode(pair.g.vectors, field),
     }
     if alpha is not None:
-        a = np.asarray(alpha, dtype=np.complex128).ravel()
-        doc["alpha"] = [_encode_scalar(z, field) for z in a]
+        doc["alpha"] = _encode(np.asarray(alpha, dtype=np.complex128).ravel(), field)
     return doc
 
 

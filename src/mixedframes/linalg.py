@@ -53,19 +53,16 @@ class EigenResult:
     """Spectrum of a general (non-Hermitian) matrix.
 
     ``values`` holds all eigenvalues with multiplicity, sorted by
-    descending real part, then descending imaginary part.  ``vectors``
-    holds the matching unit-norm right eigenvectors as columns.
-    ``backward_residual`` is max_k ||A v_k - lambda_k v_k|| / (1 + ||A||_F).
-    Both arrays are read-only.
+    descending real part, then descending imaginary part, read-only.
+    ``backward_residual`` is max_k ||A v_k - lambda_k v_k|| / (1 + ||A||_F)
+    over the unit-norm right eigenvectors v_k, which are not kept.
     """
 
     values: np.ndarray
-    vectors: np.ndarray
     backward_residual: float
 
     def __post_init__(self):
-        for a in (self.values, self.vectors):
-            a.setflags(write=False)
+        self.values.setflags(write=False)
 
     @property
     def spectral_radius(self):
@@ -107,10 +104,10 @@ def eig_general(a, tol=DEFAULT_EIG_TOL):
     # column k of A V - V diag(values) is A v_k - lambda_k v_k
     residual = float(np.linalg.norm(a @ vectors - vectors * values, axis=0).max())
     residual /= 1.0 + float(np.linalg.norm(a))
-    return EigenResult(values=values, vectors=vectors, backward_residual=residual).within(tol)
+    return EigenResult(values=values, backward_residual=residual).within(tol)
 
 
-def orthonormal_span_basis(rows, rank_tol=1e-12):
+def orthonormal_span_basis(rows, rank_tol):
     """Orthonormal basis of the span of the rows of a 2-D array, from one SVD.
 
     The numerical rank counts the singular values above

@@ -48,7 +48,7 @@ the reported result never depends on execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,8 +108,8 @@ class SearchResult:
     constraint_residual_final: float
     critical_report_final: structure.CriticalPairReport
     status: str
-    restart_seed: int = 0
-    dual_deviation: float = field(default=np.inf)
+    restart_seed: int
+    dual_deviation: float
 
 
 def fp_gradient(pair: FramePair, objective=REAL_PART):
@@ -223,33 +223,6 @@ def _merit_gradient(fv, gv, alpha, terms):
     return f_bar, g_bar
 
 
-def _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist):
-    """The search result, with the one FramePair the run returns built
-    (and validated) from the final arrays, seeded with their TU*, and its
-    critical report taken from their kernel output ``terms``."""
-    pair = FramePair(FrameSequence(field_, fv), FrameSequence(field_, gv))
-    if terms is not None:
-        pair._derived("TU*", lambda: terms.tu)
-    report, residual = None, float("inf")
-    if status != DEGENERATE_RETRACTION:
-        try:
-            report = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms)
-        except MixedFramesError:
-            pass  # e.g. round-off pushed a diverged iterate off the constraint
-        residual = float(np.abs(terms.ip - spec.alpha).max())
-    _, deviation = frames.is_dual_pair(pair)
-    return SearchResult(
-        final_pair=pair,
-        objective_history=obj_hist,
-        merit_history=merit_hist,
-        constraint_residual_final=residual,
-        critical_report_final=report,
-        status=status,
-        restart_seed=seed,
-        dual_deviation=deviation,
-    )
-
-
 def _accepted(fv, gv, best, critical, objective):
     """(F, G, kernel output) of a block's first trial, in ladder order, that
     lowers the iterate's merit (CRITICAL_SEARCH) or objective (descent),
@@ -278,7 +251,7 @@ def _accepted(fv, gv, best, critical, objective):
 
 def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
     """One restart on raw (N, d) arrays, alpha in the field's dtype: past
-    the start, only ``_finish`` builds a FramePair.  The loop's state is
+    the start, only ``finish`` builds a FramePair.  The loop's state is
     the iterate (F, G) and its kernel output ``terms``; a degenerate
     pairing of the start or of a trial ends it as DEGENERATE_RETRACTION."""
     if initial_pair is None:
@@ -293,7 +266,31 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
     merit_hist = []
 
     def finish(status):
-        return _finish(fv, gv, terms, field_, spec, status, seed, obj_hist, merit_hist)
+        """The search result, with the one FramePair the run returns built
+        (and validated) from the final arrays, seeded with their TU*, and
+        its critical report taken from their kernel output ``terms``."""
+        pair = FramePair(FrameSequence(field_, fv), FrameSequence(field_, gv))
+        if terms is not None:
+            pair._derived("TU*", lambda: terms.tu)
+        report, residual = None, float("inf")
+        if status != DEGENERATE_RETRACTION:
+            try:
+                report = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL,
+                                                    terms)
+            except MixedFramesError:
+                pass  # e.g. round-off pushed a diverged iterate off the constraint
+            residual = float(np.abs(terms.ip - spec.alpha).max())
+        _, deviation = frames.is_dual_pair(pair)
+        return SearchResult(
+            final_pair=pair,
+            objective_history=obj_hist,
+            merit_history=merit_hist,
+            constraint_residual_final=residual,
+            critical_report_final=report,
+            status=status,
+            restart_seed=seed,
+            dual_deviation=deviation,
+        )
 
     def record():
         obj_hist.append(float(_objective_part(terms.fp, cfg.objective)))

@@ -23,7 +23,6 @@ import numpy as np
 from . import frames, linalg, potential
 from .errors import (
     ClusterAmbiguityError,
-    DimensionMismatchError,
     NotCriticalError,
     NumericalFailureError,
     ZeroAlphaError,
@@ -164,9 +163,8 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
     spectral_radius = float(np.max(np.abs(lam)))
     radius = cluster_tol * (1.0 + spectral_radius)
     clusters = linalg.cluster_complex(lam, radius)
-    distances = np.abs(lam[:, None] - lam[None, :])
     for idx in clusters:
-        diameter = float(distances[np.ix_(idx, idx)].max())
+        diameter = float(np.abs(lam[idx][:, None] - lam[idx]).max())
         if diameter > radius:
             raise ClusterAmbiguityError(
                 f"eigenvalue cluster {sorted(i + 1 for i in idx)} has diameter "
@@ -219,8 +217,7 @@ def check_generalized_biorthogonal(pair: FramePair, spec: ConstraintSpec, idx):
 
     An empty index set and a singleton's off-diagonal part are vacuous.
     """
-    if spec.n != pair.n:
-        raise DimensionMismatchError(f"alpha has length {spec.n}, pair has N = {pair.n}")
+    spec.require_length(pair.n)
     idx = _index_set(pair, idx)
     for m in idx:
         if spec.alpha[m] == 0:
@@ -422,7 +419,7 @@ def corollary_check(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_COROLLARY
     d = pair.d
     eig = potential._spectrum(pair)
     all_real = bool(potential._real_and_imaginary(eig.values, tol)[0].all())
-    fp = fp_value = potential._fp_of_gram(frames.mixed_operator(pair))
+    fp = potential._fp_of_gram(frames.mixed_operator(pair))
     fp_equals_d = abs(fp - d) <= tol * (1.0 + d)
     _, sum_eq_d, re_ge_d = _alpha_sum_conditions(spec.alpha, d, tol)
     dual, deviation = frames.is_dual_pair(pair, tol)
@@ -436,7 +433,7 @@ def corollary_check(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_COROLLARY
 
     return CorollaryReport(
         spectrum_all_real=all_real,
-        fp_value=fp_value,
+        fp_value=fp,
         fp_equals_d=bool(fp_equals_d),
         re_alpha_sum_ge_d=bool(re_ge_d),
         alpha_sum_equals_d=bool(sum_eq_d),

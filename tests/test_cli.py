@@ -249,6 +249,44 @@ def test_non_finite_alpha_exits_2(capsys, alpha):
     assert "alpha contains NaN or Inf entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["", "1,,2", "abc"])
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--field", "R", "--d", "2", "--alpha"],
+    ["corollary", "--d", "2", "--N", "3", "--alpha-only"],
+], ids=["optimize", "corollary-alpha-only"])
+def test_unparsable_alpha_exits_2(capsys, argv, alpha):
+    code = cli.main([*argv, alpha])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"could not parse alpha list {alpha!r}" in captured.err
+
+
+def test_optimize_restarts_matches_library_search(capsys):
+    """--restarts 2 runs seeds 0, 1 and 2; the report is deterministic and
+    names the restart the library's search picks (here not the base)."""
+    argv = ("optimize", "--alpha", "1,1", "--field", "C", "--d", "2", "--restarts", "2")
+    code, out = run(capsys, *argv)
+    assert run(capsys, *argv) == (code, out)
+    cfg = optimizer.OptimizerConfig(restarts=2)
+    res = optimizer.search(frames.ConstraintSpec(np.ones(2)), frames.Field.COMPLEX, 2, cfg)
+    assert code == 0 and res.restart_seed == 2
+    assert json.loads(out)["outputs"]["search"]["restart_seed"] == res.restart_seed
+
+
+def test_optimize_imaginary_objective(capsys):
+    """--objective imag descends Im FP: over C every accepted step lowers
+    it, over R it is identically 0, so the start is CONVERGED."""
+    argv = ("optimize", "--alpha", "1,1", "--d", "2", "--mode", "potential", "--objective", "imag")
+    code, out = run(capsys, *argv, "--field", "C")
+    history = json.loads(out)["outputs"]["search"]["objective_history"]
+    assert code == 1 and len(history) > 2
+    assert all(b < a for a, b in zip(history, history[1:]))
+    code, out = run(capsys, *argv, "--field", "R")
+    search = json.loads(out)["outputs"]["search"]
+    assert code == 0 and search["status"] == "CONVERGED"
+    assert search["iterations"] == 0 and search["objective_history"] == [0.0]
+
+
 def test_optimize_degenerate_start_reports_nulls(capsys, monkeypatch):
     """A start whose retraction meets a degenerate pairing ends the search
     with no iterate: the report's merit, objective, constraint residual

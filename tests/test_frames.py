@@ -52,6 +52,33 @@ def test_sequence_owns_its_vectors():
     assert alpha.flags.writeable and spec.alpha[0] == 1.0
 
 
+def test_constraint_spec_needs_alpha():
+    with pytest.raises(DimensionMismatchError, match="alpha must be nonempty"):
+        ConstraintSpec([])
+
+
+@pytest.mark.parametrize("d,n", [(0, 3), (2, 0), (-1, 3), (2, -1)])
+def test_random_pair_rejects_dimension_below_1(d, n):
+    """Named by the generator's own check, not by a zero-width array or by
+    NumPy's negative-shape error."""
+    with pytest.raises(DimensionMismatchError, match="need d >= 1 and N >= 1"):
+        frames.random_pair(Field.REAL, d, n, 0)
+
+
+@pytest.mark.parametrize("n_alpha", [2, 6])
+def test_alpha_length_is_checked_before_use(field, n_alpha):
+    """constraint_residual and retract_to_constraint refuse an alpha whose
+    length is not N, by the one ConstraintSpec rule, before any
+    broadcast against the pair's rows."""
+    pair = frames.random_pair(field, 2, 4, 3)
+    spec = ConstraintSpec(np.ones(n_alpha))
+    message = f"alpha has length {n_alpha}, pair has N = 4"
+    with pytest.raises(DimensionMismatchError, match=message):
+        frames.constraint_residual(pair, spec)
+    with pytest.raises(DimensionMismatchError, match=message):
+        frames.retract_to_constraint(pair, spec)
+
+
 def test_pair_validation():
     f = FrameSequence(Field.REAL, np.eye(2))
     g3 = FrameSequence(Field.REAL, np.eye(3))
@@ -310,6 +337,23 @@ def test_document_rejects_malformed(mutate):
     doc = frames.pair_to_document(pair, np.ones(3))
     mutate(doc)
     with pytest.raises(MixedFramesError):
+        frames.pair_from_document(doc)
+
+
+@pytest.mark.parametrize("doc", [[], "R", None], ids=["array", "string", "null"])
+def test_document_must_be_an_object(doc):
+    with pytest.raises(MixedFramesError, match="must be a JSON object"):
+        frames.pair_from_document(doc)
+
+
+@pytest.mark.parametrize("entry,message", [
+    ([1], r"expected a \[re, im\] pair over C"),
+    ([1, "x"], r"\[re, im\] entries must be numbers"),
+])
+def test_document_rejects_malformed_complex_scalar(entry, message):
+    doc = frames.pair_to_document(frames.random_pair(Field.COMPLEX, 2, 3, 8))
+    doc["G"][1][0] = entry
+    with pytest.raises(MixedFramesError, match=message):
         frames.pair_from_document(doc)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from mixedframes import linalg
 from mixedframes.errors import (
+    DimensionMismatchError,
     NonFiniteError,
     NumericalFailureError,
     ZeroVectorError,
@@ -14,6 +15,12 @@ def test_ensure_finite_rejects_nan_and_inf():
         linalg.ensure_finite(np.array([1.0, np.nan]))
     with pytest.raises(NonFiniteError):
         linalg.ensure_finite(np.array([1.0 + 1j * np.inf], dtype=np.complex128))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
+def test_eig_rejects_non_square(shape):
+    with pytest.raises(DimensionMismatchError, match="nonempty square matrix"):
+        linalg.eig_general(np.ones(shape))
 
 
 def test_eig_sorted_and_accurate():
@@ -94,7 +101,7 @@ def test_orthonormal_span_basis_rank():
         base = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
         coeffs = rng.standard_normal((r + 2, r))
         vectors = list(coeffs @ base)
-        basis, rank = linalg.orthonormal_span_basis(vectors)
+        basis, rank = linalg.orthonormal_span_basis(vectors, rank_tol=1e-12)
         assert rank == np.linalg.matrix_rank(np.array(vectors), tol=1e-10)
         gram = basis.conj() @ basis.T
         assert np.allclose(gram, np.eye(rank), atol=1e-12)
@@ -105,9 +112,9 @@ def test_orthonormal_span_basis_rank():
 
 
 def test_orthonormal_span_basis_edge_cases():
-    basis, rank = linalg.orthonormal_span_basis(np.zeros((0, 3)))
+    basis, rank = linalg.orthonormal_span_basis(np.zeros((0, 3)), rank_tol=1e-12)
     assert rank == 0 and basis.shape == (0, 3)
-    basis, rank = linalg.orthonormal_span_basis([np.zeros(3)])
+    basis, rank = linalg.orthonormal_span_basis([np.zeros(3)], rank_tol=1e-12)
     assert rank == 0 and basis.shape == (0, 3)
 
 

@@ -213,6 +213,8 @@ def test_merit_zero_exactly_at_critical_pairs():
 def test_config_validation():
     with pytest.raises(ValueError):
         optimizer.OptimizerConfig(mode="WANDER")
+    with pytest.raises(ValueError, match="unknown objective 'x'"):
+        optimizer.OptimizerConfig(objective="x")
     with pytest.raises(ValueError):
         optimizer.OptimizerConfig(divergence_bound=float("nan"))
     with pytest.raises(ValueError):

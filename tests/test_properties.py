@@ -76,7 +76,7 @@ def low_rank_rows(draw):
 @fixed(60)
 @given(low_rank_rows())
 def test_orthonormal_span_basis_properties(rows):
-    basis, rank = linalg.orthonormal_span_basis(rows)
+    basis, rank = linalg.orthonormal_span_basis(rows, rank_tol=1e-12)
     assert rank == np.linalg.matrix_rank(rows)
     assert basis.shape == (rank, rows.shape[1])
     assert np.abs(basis.conj() @ basis.T - np.eye(rank)).max(initial=0.0) <= 1e-12
@@ -85,7 +85,7 @@ def test_orthonormal_span_basis_properties(rows):
     norms = np.linalg.norm(rows, axis=1)
     assert np.all(np.linalg.norm(residual, axis=1) <= 1e-10 * np.maximum(1.0, norms))
     # a list of vectors and the 2-D array of the same rows agree
-    list_basis, list_rank = linalg.orthonormal_span_basis(list(rows))
+    list_basis, list_rank = linalg.orthonormal_span_basis(list(rows), rank_tol=1e-12)
     assert list_rank == rank and np.array_equal(list_basis, basis)
 
 
