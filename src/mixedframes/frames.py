@@ -35,11 +35,15 @@ class Field(enum.Enum):
 
 
 def _validate_vectors(vectors, field):
-    v = np.array(vectors, dtype=np.complex128)  # a copy: the caller's array stays theirs
+    v = np.asarray(vectors)
+    if field is Field.REAL and v.dtype.kind in "biuf":  # already real: no complex round trip
+        v = np.array(v, dtype=np.float64, order="C")  # a copy: the caller's array stays theirs
+    else:
+        v = np.array(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise DimensionMismatchError(f"vectors must form an (N, d) array, got shape {v.shape}")
     ensure_finite(v, "frame vectors")
-    if field is Field.REAL:
+    if field is Field.REAL and v.dtype.kind == "c":
         if v.imag.any():
             raise NonFiniteError("REAL-field frame has nonzero imaginary parts")
         v = v.real.copy()

@@ -25,7 +25,11 @@ at FP = Tr(M^2), and in CRITICAL_SEARCH by the residual kernel
 accepted trial.  The kernel's output is the loop's whole record of the
 iterate: merit, FP, and the u = F M^T, G conj(M), ||f_m||^2 and
 <f_m, g_m> the gradients and the tangent projection read; ``search``
-reports on the last output and keeps its M on the pair it returns.
+reports on the last output and keeps on the pair it returns its M and,
+for a later search to resume from, the rest a start needs (``_Resume``:
+u, G conj(M) and the N-vectors, two N x d arrays more per result).
+A search on the same alpha from that pair skips the start's retraction
+and kernel pass and continues the run bit for bit.
 At small sizes a trial costs NumPy call overhead, so the ladder is priced
 K = min(4, max(1, _STACK_ELEMENTS // (N d))) trials at a time: one step,
 retraction, M and kernel pass or FP on (K, N, d) arrays, each trial's
@@ -49,6 +53,7 @@ the reported result never depends on execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +81,11 @@ GRAD_TOL = 1e-8  # POTENTIAL_DESCENT converges at or below this tangent gradient
 MERIT_TOL = 1e-16  # CRITICAL_SEARCH converges at or below this merit
 _BACKTRACK_LIMIT = 30
 _STACK_ELEMENTS = 768  # a backtracking block stacks min(4, this // (N d)) trials, at least 1
+_LADDER = 0.5 ** np.arange(_BACKTRACK_LIMIT)
+_LADDER.setflags(write=False)
+# the ladder in blocks of K = 1, ..., 4 trials, each a lone trial's scalar at K = 1
+_LADDER_BLOCKS = {k: [_LADDER[i:i + k, None, None] if k > 1 else _LADDER[i]
+                      for i in range(0, _BACKTRACK_LIMIT, k)] for k in range(1, 5)}
 
 
 @dataclass(frozen=True)
@@ -178,6 +188,31 @@ def merit(pair: FramePair):
     return float(structure._merit_terms(pair.f.vectors, pair.g.vectors).merit)
 
 
+class _Resume(NamedTuple):
+    """What ``finish`` keeps on the pair a search returns, so that ``search``
+    continues from it without a retraction or kernel pass: the alpha it lies
+    on and its arrays' kernel output, less TU* (kept as the pair's own) and
+    rf, rg and c (rebuilt from the rest by ``_resumed``)."""
+
+    alpha: np.ndarray
+    u: np.ndarray
+    gm: np.ndarray
+    lam: np.ndarray
+    f_norms2: np.ndarray
+    ip: np.ndarray
+    merit: float
+    fp: complex
+
+
+def _resumed(pair, kept):
+    """The ``_merit_terms`` output of a search result's arrays from its
+    ``_Resume``, bit for bit: rf, rg and c by the kernel's own expressions."""
+    rf, rg = structure._residuals(pair.f.vectors, pair.g.vectors, kept.u, kept.gm, kept.lam)
+    return structure._MeritTerms(frames.mixed_operator(pair), kept.u, kept.gm, kept.lam,
+                                 kept.lam - kept.ip, rf, rg, kept.f_norms2, kept.ip, kept.merit,
+                                 kept.fp)
+
+
 def _objective_part(fp, objective):
     return fp.real if objective == REAL_PART else fp.imag
 
@@ -253,13 +288,13 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
     """One restart on raw (N, d) arrays, alpha in the field's dtype: past
     the start, only ``finish`` builds a FramePair.  The loop's state is
     the iterate (F, G) and its kernel output ``terms``; a degenerate
-    pairing of the start or of a trial ends it as DEGENERATE_RETRACTION."""
+    pairing of the start or of a trial ends it as DEGENERATE_RETRACTION.
+    A start that a search on this alpha returned is its ``finish``'s
+    iterate, so the run continues from its kept ``_Resume``."""
     if initial_pair is None:
         initial_pair = frames.random_pair(field_, d, spec.n, seed)
     critical = cfg.mode == CRITICAL_SEARCH
-    k = min(max(_STACK_ELEMENTS // (spec.n * d), 1), 4)  # trials priced per block
-    h = 0.5 ** np.arange(_BACKTRACK_LIMIT)  # the ladder in blocks of k, a lone trial at k = 1
-    blocks = [h[i:i + k, None, None] if k > 1 else h[i] for i in range(0, _BACKTRACK_LIMIT, k)]
+    blocks = _LADDER_BLOCKS[min(max(_STACK_ELEMENTS // (spec.n * d), 1), 4)]
     fv, gv = initial_pair.f.vectors, initial_pair.g.vectors
     terms = None
     obj_hist = []
@@ -267,11 +302,15 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
 
     def finish(status):
         """The search result, with the one FramePair the run returns built
-        (and validated) from the final arrays, seeded with their TU*, and
-        its critical report taken from their kernel output ``terms``."""
+        (and validated) from the final arrays, seeded with their TU* and
+        ``_Resume``, and its critical report taken from their kernel
+        output ``terms``."""
         pair = FramePair(FrameSequence(field_, fv), FrameSequence(field_, gv))
         if terms is not None:
             pair._derived("TU*", lambda: terms.tu)
+            pair._derived("resume", lambda: _Resume(alpha, terms.u, terms.gm, terms.lam,
+                                                    terms.f_norms2, terms.ip, terms.merit,
+                                                    terms.fp))
         report, residual = None, float("inf")
         if status != DEGENERATE_RETRACTION:
             try:
@@ -296,14 +335,18 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
         obj_hist.append(float(_objective_part(terms.fp, cfg.objective)))
         merit_hist.append(float(terms.merit))
 
-    try:
-        gv = frames._retraction(fv, gv, alpha)
-    except DegeneratePairingError:
-        return finish(DEGENERATE_RETRACTION)
-    ensure_finite(gv, "frame vectors")  # the rescaling of a tiny pairing can overflow
-    terms = structure._merit_terms(fv, gv)
-    if np.isnan(terms.merit) or np.isnan(terms.fp):  # no NaN trial is ever accepted
-        raise NumericalFailureError(f"the start's merit {terms.merit} or FP {terms.fp} is NaN")
+    kept = initial_pair._memo.get("resume")
+    if kept is not None and np.array_equal(kept.alpha, alpha):
+        terms = _resumed(initial_pair, kept)
+    else:
+        try:
+            gv = frames._retraction(fv, gv, alpha)
+        except DegeneratePairingError:
+            return finish(DEGENERATE_RETRACTION)
+        ensure_finite(gv, "frame vectors")  # the rescaling of a tiny pairing can overflow
+        terms = structure._merit_terms(fv, gv)
+        if np.isnan(terms.merit) or np.isnan(terms.fp):  # no NaN trial is ever accepted
+            raise NumericalFailureError(f"the start's merit {terms.merit} or FP {terms.fp} is NaN")
 
     for _ in range(cfg.max_iters):
         record()
@@ -371,6 +414,14 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
     Restart k draws its starting pair from seed ``cfg.seed + k``; an
     explicitly supplied ``initial_pair`` is used for the base restart
     only.  Results are ranked by (status, duality deviation, merit).
+
+    A result's ``final_pair`` resumes its run: a search on the same alpha
+    from it continues bit for bit, so slices resumed from each other's
+    ``final_pair`` give the histories, final pair and report of one whole
+    run, with no retraction or kernel pass at a slice's start.  For this
+    each result's pair keeps two N x d arrays (F M^T and G conj(M)) and
+    three N-vectors besides its M.  Any other start, copies of that pair
+    included, is retracted onto S(alpha) first.
 
     The inputs are checked here, once: alpha must be nonzero, and real
     over R (MixedFramesError), and ``initial_pair`` must have the field,

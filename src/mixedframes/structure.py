@@ -82,14 +82,19 @@ def _merit_terms(fv, gv, tu=None, fp=None):
     f_norms2 = np.vecdot(fv, fv).real
     ip = np.vecdot(gv, fv)
     lam = np.vecdot(fv, u) / f_norms2
-    rf = u - lam[..., None] * fv
-    rg = gm - lam.conj()[..., None] * gv
+    rf, rg = _residuals(fv, gv, u, gm, lam)
     if rf.ndim == 2:
         merit = np.vdot(rf, rf).real + np.vdot(rg, rg).real
     else:  # each trial's residuals as one row of N d entries, summed as np.vdot sums them
         rf2, rg2 = rf.reshape(len(rf), -1), rg.reshape(len(rg), -1)
         merit = np.vecdot(rf2, rf2).real + np.vecdot(rg2, rg2).real
     return _MeritTerms(tu, u, gm, lam, lam - ip, rf, rg, f_norms2, ip, merit, fp)
+
+
+def _residuals(fv, gv, u, gm, lam):
+    """The kernel's residuals r_f = u - lam f and r_g = G conj(M) - conj(lam) G
+    from its products and Rayleigh quotients."""
+    return u - lam[..., None] * fv, gm - lam.conj()[..., None] * gv
 
 
 def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_TOL):

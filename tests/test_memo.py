@@ -95,14 +95,31 @@ def _run(pair, spec, order):
 def test_search_result_pair_keeps_the_last_tu(monkeypatch, field, mode):
     """search stores the last iterate's TU* on the pair it returns: TU* and
     the duality deviation of that pair build nothing, its critical report
-    runs the kernel again on the stored TU* (so it checks the search's own
-    report), and all three equal bit for bit the same calls on a fresh
-    pair of copies of its vectors."""
+    runs the kernel again on the stored TU* and never reads the state kept
+    for resuming the search (so it checks the search's own report), and
+    all three equal bit for bit the same calls on a fresh pair of copies
+    of its vectors."""
     spec = ConstraintSpec(np.linspace(0.5, 2.0, 6))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=2, max_iters=5)
     res = optimizer.search(spec, field, 3, cfg)
-    built, kernels = [], []
+    assert set(res.final_pair._memo) == {"TU*", "resume"}
+    built, kernels, read = [], [], []
     derived, kernel = FramePair._derived, structure._merit_terms
+
+    class Watched(dict):
+        def __contains__(self, key):
+            read.append(key)
+            return super().__contains__(key)
+
+        def __getitem__(self, key):
+            read.append(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.append(key)
+            return super().get(key, default)
+
+    object.__setattr__(res.final_pair, "_memo", Watched(res.final_pair._memo))
 
     def counting_derived(self, key, build):
         return derived(self, key, lambda: (built.append(key), build())[1])
@@ -115,7 +132,7 @@ def test_search_result_pair_keeps_the_last_tu(monkeypatch, field, mode):
                       frames.is_dual_pair(pair)))
 
     got = calls(res.final_pair)
-    assert built == ["terms"] and len(kernels) == 1
+    assert built == ["terms"] and len(kernels) == 1 and "resume" not in read
     assert kernels[0][2] is frames.mixed_operator(res.final_pair)
     fresh = FramePair(FrameSequence(field, res.final_pair.f.vectors.copy()),
                       FrameSequence(field, res.final_pair.g.vectors.copy()))

@@ -777,3 +777,112 @@ def test_converged_result_passes_structure_checks():
     assert cls.f_eigen_residuals.max() <= 1e-4
     dec = structure.decompose(res.final_pair, spec, critical_tol=1e-6)
     assert dec.dim_span >= 1
+
+
+def _sliced(spec, field_, d, cfg, width):
+    """``search`` run as slices of ``width`` iterations, each resumed from the
+    previous slice's ``final_pair`` (as the benchmark's chains resume), and
+    stitched into one result: the histories without each slice's repeated
+    start, the last slice's pair and report."""
+    merit, objective, start = [], [], None
+    while True:
+        left = cfg.max_iters - max(len(merit) - 1, 0)
+        run = dataclasses.replace(cfg, max_iters=min(width, left))
+        res = optimizer.search(spec, field_, d, run, initial_pair=start)
+        merit += res.merit_history[len(merit) > 0:]
+        objective += res.objective_history[len(objective) > 0:]
+        if (res.status != optimizer.MAX_ITERS or len(res.merit_history) - 1 < width
+                or len(merit) - 1 == cfg.max_iters):
+            return dataclasses.replace(res, merit_history=merit, objective_history=objective)
+        start = res.final_pair
+
+
+def _result_bits(res):
+    """Everything a SearchResult reports, as comparable bytes and values."""
+    pair, rep = res.final_pair, res.critical_report_final
+    return (res.status, res.restart_seed, res.merit_history, res.objective_history,
+            pair.f.vectors.tobytes(), pair.g.vectors.tobytes(),
+            rep and (rep.c.tobytes(), rep.f_residuals.tobytes(), rep.g_residuals.tobytes(),
+                     rep.is_critical, rep.tol, rep.mixed_norm),
+            res.constraint_residual_final, res.dual_deviation)
+
+
+# (d, N, K): the ladder priced 4 trials at a time, and one at a time
+RESUME_SHAPES = [(2, 4, 4), (16, 48, 1)]
+
+
+@pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
+@pytest.mark.parametrize("d,n,k", RESUME_SHAPES, ids=["K4", "K1"])
+def test_slices_resumed_from_final_pair_equal_one_whole_run(field, mode, d, n, k):
+    """A search resumed from the final pair of the last continues it bit
+    for bit: slices of 1 and 3 iterations stitch into the whole run's
+    histories, final F and G and report."""
+    assert min(max(optimizer._STACK_ELEMENTS // (n * d), 1), 4) == k
+    spec = ConstraintSpec(np.full(n, d / n))
+    cfg = optimizer.OptimizerConfig(mode=mode, seed=5, max_iters=12)
+    whole = optimizer.search(spec, field, d, cfg)
+    assert len(whole.merit_history) > 4  # the run spans several slices
+    for width in (1, 3):
+        assert _result_bits(_sliced(spec, field, d, cfg, width)) == _result_bits(whole)
+
+
+@pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
+def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mode):
+    """A search resumed from a result on the same alpha neither retracts
+    its start nor runs the kernel on it; resuming the same pair twice
+    gives the same result, and leaves the pair's kept state as it was."""
+    spec = ConstraintSpec(np.full(4, 0.5))
+    cfg = optimizer.OptimizerConfig(mode=mode, seed=3, max_iters=3)
+    pair = optimizer.search(spec, field, 2, cfg).final_pair
+    kept = [a.tobytes() if isinstance(a, np.ndarray) else a for a in pair._memo["resume"]]
+    retracted, starts = [], []
+    retraction, kernel = frames._retraction, structure._merit_terms
+
+    def counting_retraction(fv, gv, alpha):
+        retracted.append(fv is pair.f.vectors)
+        return retraction(fv, gv, alpha)
+
+    def counting_kernel(fv, gv, *rest):
+        starts.append(not rest)  # only a start's pass forms its own TU*
+        return kernel(fv, gv, *rest)
+
+    monkeypatch.setattr(frames, "_retraction", counting_retraction)
+    monkeypatch.setattr(structure, "_merit_terms", counting_kernel)
+    first = optimizer.search(spec, field, 2, cfg, initial_pair=pair)
+    assert retracted and not any(retracted) and starts and not any(starts)
+    assert _result_bits(optimizer.search(spec, field, 2, cfg, initial_pair=pair)) == \
+        _result_bits(first)
+    assert [a.tobytes() if isinstance(a, np.ndarray) else a
+            for a in pair._memo["resume"]] == kept
+
+
+@pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
+def test_other_starts_are_retracted(monkeypatch, field, mode):
+    """Only the pair a search returned, on the alpha it searched, resumes:
+    that pair on another alpha, a pair of copies of its vectors and its
+    swapped pair (which keeps no state) are retracted like any start and
+    give the result of a start that never carried state."""
+    spec = ConstraintSpec(np.full(4, 0.5))
+    cfg = optimizer.OptimizerConfig(mode=mode, seed=3, max_iters=3)
+    pair = optimizer.search(spec, field, 2, cfg).final_pair
+    swapped = pair.swapped()
+    assert "resume" in pair._memo and "resume" not in swapped._memo
+    copies = FramePair(FrameSequence(field, pair.f.vectors.copy()),
+                       FrameSequence(field, pair.g.vectors.copy()))
+    retracted = []
+    retraction = frames._retraction
+
+    def counting_retraction(fv, gv, alpha):
+        retracted.append(fv)
+        return retraction(fv, gv, alpha)
+
+    monkeypatch.setattr(frames, "_retraction", counting_retraction)
+    other = ConstraintSpec(np.array([0.5, 0.5, 0.5, 0.25]))
+    for start, on in ((pair, other), (copies, spec), (swapped, spec)):
+        stateless = FramePair(FrameSequence(field, start.f.vectors.copy()),
+                              FrameSequence(field, start.g.vectors.copy()))
+        retracted.clear()
+        res = optimizer.search(on, field, 2, cfg, initial_pair=start)
+        assert retracted[0] is start.f.vectors
+        assert _result_bits(res) == _result_bits(
+            optimizer.search(on, field, 2, cfg, initial_pair=stateless))

@@ -220,8 +220,10 @@ DTYPE = {Field.REAL: np.float64, Field.COMPLEX: np.complex128}
 @given(FIELDS, st.integers(2, 4), st.integers(1, 5), st.integers(0, 10_000))
 def test_dtype_follows_field(field, d, n, seed):
     """Every way a pair enters stores read-only vectors of its field's
-    dtype, what is derived from a real pair stays real, and the JSON
-    document is the one complex storage wrote."""
+    dtype (an int list and a complex array with zero imaginary parts
+    among them, each with the bits complex storage gives), what is
+    derived from a real pair stays real, and the JSON document is the one
+    complex storage wrote."""
     dtype = DTYPE[field]
     raw = frames.random_pair(field, d, n, seed)
     pair, spec = retracted_random(field, d, n, seed)
@@ -244,6 +246,13 @@ def test_dtype_follows_field(field, d, n, seed):
         frames.pair_from_document(frames.document_from_json(text))[0],
     ]
     entered += [fixtures.fixture(name)[0] for name in fixtures.FIXTURE_NAMES]
+    ints = np.rint(8 * fv.real).astype(np.int64).tolist()
+    zero_imag = fv.real + 0j
+    for given_ in (ints, zero_imag):
+        seq = FrameSequence(field, given_)
+        stored = np.array(given_, dtype=np.complex128)
+        assert seq.vectors.tobytes() == (stored.real if field is Field.REAL else stored).tobytes()
+        entered.append(FramePair(seq, seq))
     for p in entered:
         if p.field is field:
             for v in (p.f.vectors, p.g.vectors):

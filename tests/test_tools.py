@@ -7,7 +7,8 @@ DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
 
 
 def test_digest_prints_three_digests():
-    """tools/digest.py runs to the end and closes with its three sha256
+    """tools/digest.py runs to the end, so its 2-iteration slices resumed
+    from final_pair hashed like whole runs, and closes with its three sha256
     lines; their values depend on the host's floating point, so they are
     not pinned here.  Each mode's tally line ends with the kernel passes
     and the trials they priced, each also per iteration."""

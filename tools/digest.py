@@ -12,6 +12,9 @@ so two checkouts can be compared.  Everything runs in process at 1 BLAS thread.
 * ``search``: CriticalSearch.PROBLEMS x seeds 0-3 at 300 iterations, Descent.PROBLEMS x seeds
   0-4 at 40: status, histories, final F/G bytes, the report's c and residual bytes with
   repr((is_critical, tol, mixed_norm)), and repr((constraint_residual_final, dual_deviation)).
+  The same runs are made again as 2-iteration slices, each resumed from the last one's
+  ``final_pair``; unless those hash the same (a resumed search continues bit for bit), the
+  script exits 1 and prints no ``search`` line.
 * ``reports``: 240 seeded ``plant_critical_pair`` pairs over the Analyze cases through
   ``perfbench.workloads.analyze_pipeline``, by ``_feed``; then the CLI's exit code and stdout:
   ``potential``, ``check``, ``decompose`` and ``corollary`` on the six fixtures, the last three
@@ -43,6 +46,7 @@ COMMANDS = ("potential", "check", "decompose", "corollary")
 SCALE = 1e3  # FX-MB scaled: F, G times SCALE and alpha times SCALE^2
 NON_CRITICAL = (("R", 2, 4, 11), ("C", 3, 5, 0))  # field, d, N, seed, retracted onto alpha = 1
 ALPHA_ONLY = (("1,1", "2", "3"), ("1,0.5", "2", "3"), ("1+0.5i,1-0.5i,-i,i", "2", "4"))
+SLICE = 2  # iterations per resumed slice, as in the benchmark's critical-search and descent
 OPTIMIZE = [("--field", field, "--mode", mode, "--seed", str(seed))
             for field in "RC" for mode in ("critical", "potential") for seed in range(3)]
 
@@ -63,12 +67,30 @@ def _feed(h, obj):
         h.update(repr(obj).encode())
 
 
-def _searches(problems, seeds, max_iters):
-    """(label, seed, result) of one ``optimizer.search`` per problem and seed."""
+def _searches(problems, seeds, max_iters, run=optimizer.search):
+    """(label, seed, result) of one ``run`` (``optimizer.search`` or ``_sliced``) per problem
+    and seed."""
     for label, field_, d, alpha, cfg in problems:
         for seed in seeds:
-            run = dataclasses.replace(cfg, seed=seed, max_iters=max_iters)
-            yield label, seed, optimizer.search(frames.ConstraintSpec(alpha), field_, d, run)
+            one = dataclasses.replace(cfg, seed=seed, max_iters=max_iters)
+            yield label, seed, run(frames.ConstraintSpec(alpha), field_, d, one)
+
+
+def _sliced(spec, field_, d, cfg):
+    """``optimizer.search`` in slices of SLICE iterations, each resumed from the last one's
+    ``final_pair``, stitched into one result: the histories without each slice's repeated
+    start, the last slice's pair and report."""
+    merit, objective, start = [], [], None
+    while True:
+        left = cfg.max_iters - max(len(merit) - 1, 0)
+        run = dataclasses.replace(cfg, max_iters=min(SLICE, left))
+        res = optimizer.search(spec, field_, d, run, initial_pair=start)
+        merit += res.merit_history[len(merit) > 0:]
+        objective += res.objective_history[len(objective) > 0:]
+        if (res.status != optimizer.MAX_ITERS or len(res.merit_history) - 1 < SLICE
+                or len(merit) - 1 == cfg.max_iters):
+            return dataclasses.replace(res, merit_history=merit, objective_history=objective)
+        start = res.final_pair
 
 
 def outcomes():
@@ -102,20 +124,26 @@ def outcomes():
 
 
 def search():
-    h = hashlib.sha256()
-    for problems, seeds, iters in ((CriticalSearch.PROBLEMS, range(4), 300),
-                                   (Descent.PROBLEMS, range(5), 40)):
-        for _, _, res in _searches(problems, seeds, iters):
-            rep, pair = res.critical_report_final, res.final_pair
-            parts = [res.status, repr(res.merit_history), repr(res.objective_history),
-                     pair.f.vectors, pair.g.vectors]
-            if rep is not None:
-                parts += [rep.c, rep.f_residuals, rep.g_residuals,
-                          repr((rep.is_critical, rep.tol, rep.mixed_norm))]
-            parts.append(repr((res.constraint_residual_final, res.dual_deviation)))
-            for part in parts:
-                h.update(part.encode() if isinstance(part, str) else part.tobytes())
-    return h.hexdigest()
+    digests = []
+    for run in (optimizer.search, _sliced):
+        h = hashlib.sha256()
+        for problems, seeds, iters in ((CriticalSearch.PROBLEMS, range(4), 300),
+                                       (Descent.PROBLEMS, range(5), 40)):
+            for _, _, res in _searches(problems, seeds, iters, run):
+                rep, pair = res.critical_report_final, res.final_pair
+                parts = [res.status, repr(res.merit_history), repr(res.objective_history),
+                         pair.f.vectors, pair.g.vectors]
+                if rep is not None:
+                    parts += [rep.c, rep.f_residuals, rep.g_residuals,
+                              repr((rep.is_critical, rep.tol, rep.mixed_norm))]
+                parts.append(repr((res.constraint_residual_final, res.dual_deviation)))
+                for part in parts:
+                    h.update(part.encode() if isinstance(part, str) else part.tobytes())
+        digests.append(h.hexdigest())
+    if digests[1] != digests[0]:
+        sys.exit(f"search: {SLICE}-iteration slices resumed from final_pair hash {digests[1]}, "
+                 f"whole runs {digests[0]}")
+    return digests[0]
 
 
 def reports():
