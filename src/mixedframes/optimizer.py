@@ -25,11 +25,10 @@ at FP = Tr(M^2), and in CRITICAL_SEARCH by the residual kernel
 accepted trial.  The kernel's output is the loop's whole record of the
 iterate: merit, FP, and the u = F M^T, G conj(M), ||f_m||^2 and
 <f_m, g_m> the gradients and the tangent projection read; ``search``
-reports on the last output and keeps on the pair it returns its M and,
-for a later search to resume from, the rest a start needs (``_Resume``:
-u, G conj(M) and the N-vectors, two N x d arrays more per result).
-A search on the same alpha from that pair skips the start's retraction
-and kernel pass and continues the run bit for bit.
+reports on the last output and keeps it, with alpha, on the pair it
+returns (four N x d arrays, M and the N-vectors per result), so a search
+on the same alpha from that pair takes it as its start's: it skips the
+start's retraction and kernel pass and continues the run bit for bit.
 At small sizes a trial costs NumPy call overhead, so the ladder is priced
 K = min(4, max(1, _STACK_ELEMENTS // (N d))) trials at a time: one step,
 retraction, M and kernel pass or FP on (K, N, d) arrays, each trial's
@@ -53,7 +52,6 @@ the reported result never depends on execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -102,12 +100,12 @@ class OptimizerConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.objective not in (REAL_PART, IMAG_PART):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        for name, least in (("max_iters", 1), ("seed", 0), ("restarts", 0)):
+            value = getattr(self, name)  # a bool is no count; a NumPy integer is
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not self.divergence_bound > 0:  # also rejects NaN
             raise ValueError("divergence_bound must be positive")
-        if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -188,31 +186,6 @@ def merit(pair: FramePair):
     return float(structure._merit_terms(pair.f.vectors, pair.g.vectors).merit)
 
 
-class _Resume(NamedTuple):
-    """What ``finish`` keeps on the pair a search returns, so that ``search``
-    continues from it without a retraction or kernel pass: the alpha it lies
-    on and its arrays' kernel output, less TU* (kept as the pair's own) and
-    rf, rg and c (rebuilt from the rest by ``_resumed``)."""
-
-    alpha: np.ndarray
-    u: np.ndarray
-    gm: np.ndarray
-    lam: np.ndarray
-    f_norms2: np.ndarray
-    ip: np.ndarray
-    merit: float
-    fp: complex
-
-
-def _resumed(pair, kept):
-    """The ``_merit_terms`` output of a search result's arrays from its
-    ``_Resume``, bit for bit: rf, rg and c by the kernel's own expressions."""
-    rf, rg = structure._residuals(pair.f.vectors, pair.g.vectors, kept.u, kept.gm, kept.lam)
-    return structure._MeritTerms(frames.mixed_operator(pair), kept.u, kept.gm, kept.lam,
-                                 kept.lam - kept.ip, rf, rg, kept.f_norms2, kept.ip, kept.merit,
-                                 kept.fp)
-
-
 def _objective_part(fp, objective):
     return fp.real if objective == REAL_PART else fp.imag
 
@@ -290,7 +263,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
     the iterate (F, G) and its kernel output ``terms``; a degenerate
     pairing of the start or of a trial ends it as DEGENERATE_RETRACTION.
     A start that a search on this alpha returned is its ``finish``'s
-    iterate, so the run continues from its kept ``_Resume``."""
+    iterate, so the run continues from the kernel output kept on it."""
     if initial_pair is None:
         initial_pair = frames.random_pair(field_, d, spec.n, seed)
     critical = cfg.mode == CRITICAL_SEARCH
@@ -301,16 +274,13 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
     merit_hist = []
 
     def finish(status):
-        """The search result, with the one FramePair the run returns built
-        (and validated) from the final arrays, seeded with their TU* and
-        ``_Resume``, and its critical report taken from their kernel
-        output ``terms``."""
+        """The search result: the one FramePair the run returns, built (and
+        validated) from the final arrays and seeded with their TU* and, to
+        resume from, the flat tuple (alpha, *terms); its report from ``terms``."""
         pair = FramePair(FrameSequence(field_, fv), FrameSequence(field_, gv))
         if terms is not None:
             pair._derived("TU*", lambda: terms.tu)
-            pair._derived("resume", lambda: _Resume(alpha, terms.u, terms.gm, terms.lam,
-                                                    terms.f_norms2, terms.ip, terms.merit,
-                                                    terms.fp))
+            pair._derived("resume", lambda: (alpha, *terms))
         report, residual = None, float("inf")
         if status != DEGENERATE_RETRACTION:
             try:
@@ -336,8 +306,8 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
         merit_hist.append(float(terms.merit))
 
     kept = initial_pair._memo.get("resume")
-    if kept is not None and np.array_equal(kept.alpha, alpha):
-        terms = _resumed(initial_pair, kept)
+    if kept is not None and np.array_equal(kept[0], alpha):
+        terms = structure._MeritTerms(*kept[1:])
     else:
         try:
             gv = frames._retraction(fv, gv, alpha)
@@ -418,10 +388,10 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
     A result's ``final_pair`` resumes its run: a search on the same alpha
     from it continues bit for bit, so slices resumed from each other's
     ``final_pair`` give the histories, final pair and report of one whole
-    run, with no retraction or kernel pass at a slice's start.  For this
-    each result's pair keeps two N x d arrays (F M^T and G conj(M)) and
-    three N-vectors besides its M.  Any other start, copies of that pair
-    included, is retracted onto S(alpha) first.
+    run, with no retraction or kernel pass at a slice's start, from the
+    last kernel output each result's pair keeps: M, four N x d arrays (F M^T,
+    G conj(M), r_f, r_g) and three N-vectors.  Any other start, copies of
+    that pair included, is retracted onto S(alpha) first.
 
     The inputs are checked here, once: alpha must be nonzero, and real
     over R (MixedFramesError), and ``initial_pair`` must have the field,

@@ -57,7 +57,6 @@ class _MeritTerms(NamedTuple):
     u: np.ndarray  # F M^T: row m is TU* f_m
     gm: np.ndarray  # G conj(M): row m is UT* g_m
     lam: np.ndarray  # Rayleigh quotients <u_m, f_m> / ||f_m||^2
-    c: np.ndarray  # lam - <f_m, g_m>, least-squares multiplier of TU* f_m - <f_m, g_m> f_m
     rf: np.ndarray  # u - lam f
     rg: np.ndarray  # G conj(M) - conj(lam) g
     f_norms2: np.ndarray  # ||f_m||^2
@@ -82,19 +81,14 @@ def _merit_terms(fv, gv, tu=None, fp=None):
     f_norms2 = np.vecdot(fv, fv).real
     ip = np.vecdot(gv, fv)
     lam = np.vecdot(fv, u) / f_norms2
-    rf, rg = _residuals(fv, gv, u, gm, lam)
+    rf = u - lam[..., None] * fv
+    rg = gm - lam.conj()[..., None] * gv
     if rf.ndim == 2:
         merit = np.vdot(rf, rf).real + np.vdot(rg, rg).real
     else:  # each trial's residuals as one row of N d entries, summed as np.vdot sums them
         rf2, rg2 = rf.reshape(len(rf), -1), rg.reshape(len(rg), -1)
         merit = np.vecdot(rf2, rf2).real + np.vecdot(rg2, rg2).real
-    return _MeritTerms(tu, u, gm, lam, lam - ip, rf, rg, f_norms2, ip, merit, fp)
-
-
-def _residuals(fv, gv, u, gm, lam):
-    """The kernel's residuals r_f = u - lam f and r_g = G conj(M) - conj(lam) G
-    from its products and Rayleigh quotients."""
-    return u - lam[..., None] * fv, gm - lam.conj()[..., None] * gv
+    return _MeritTerms(tu, u, gm, lam, rf, rg, f_norms2, ip, merit, fp)
 
 
 def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_TOL):
@@ -111,9 +105,9 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
 
 def _critical_report(pair, spec, tol, terms=None):
     """``critical_report``, from the ``_merit_terms`` output ``terms`` of
-    the pair's own arrays when the caller already holds it (the search's
-    last iterate, which is not kept on the pair), else from the pair's
-    kernel pass, run once per pair."""
+    the pair's own arrays when the caller (the search's ``finish``) holds
+    it, else from the pair's kernel pass, run once per pair and never from
+    the output a search result keeps to resume: it checks the search's."""
     frames.require_membership(pair, spec)
     pair.require_nonzero()
     if terms is None:
@@ -126,7 +120,7 @@ def _critical_report(pair, spec, tol, terms=None):
     mixed_norm = float(np.sqrt(np.vdot(terms.tu, terms.tu).real))
     is_critical = max(f_res.max(), g_res.max()) <= tol * (1.0 + mixed_norm)
     return CriticalPairReport(
-        c=terms.c,
+        c=terms.lam - terms.ip,  # least-squares multiplier of TU* f_m - <f_m, g_m> f_m
         f_residuals=f_res,
         g_residuals=g_res,
         is_critical=bool(is_critical),

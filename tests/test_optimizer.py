@@ -221,6 +221,15 @@ def test_config_validation():
         optimizer.OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):
         optimizer.OptimizerConfig(restarts=-1)
+    # a count that is no integer, a bool or a negative seed fails here, naming
+    # its field, not inside search's range or SeedSequence
+    for name, value in (("max_iters", 2.5), ("restarts", 0.5), ("seed", 1.5), ("seed", -1),
+                        ("max_iters", True), ("restarts", False), ("seed", np.bool_(True)),
+                        ("seed", "3"), ("restarts", None)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            optimizer.OptimizerConfig(**{name: value})
+    cfg = optimizer.OptimizerConfig(max_iters=np.int64(3), seed=np.uint8(1), restarts=np.int32(1))
+    assert optimizer.search(ConstraintSpec(np.ones(2)), Field.REAL, 1, cfg).restart_seed in (1, 2)
     cfg = optimizer.OptimizerConfig(seed=5, restarts=2)
     assert optimizer.OptimizerConfig(**dataclasses.asdict(cfg)) == cfg
 
@@ -826,6 +835,17 @@ def test_slices_resumed_from_final_pair_equal_one_whole_run(field, mode, d, n, k
         assert _result_bits(_sliced(spec, field, d, cfg, width)) == _result_bits(whole)
 
 
+def _kept_bits(pair):
+    """The state a search result keeps to resume from, alpha and the last
+    kernel output, as bytes and values; each of its arrays must be read-only."""
+    alpha, *terms = pair._memo["resume"]
+    assert terms[0] is pair._memo["TU*"]
+    arrays = [alpha] + [x for x in terms if isinstance(x, np.ndarray)]
+    assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
+    scalars = [repr(x) for x in terms if not isinstance(x, np.ndarray)]
+    return [a.tobytes() for a in arrays] + scalars
+
+
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
 def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mode):
     """A search resumed from a result on the same alpha neither retracts
@@ -834,7 +854,7 @@ def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mo
     spec = ConstraintSpec(np.full(4, 0.5))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=3, max_iters=3)
     pair = optimizer.search(spec, field, 2, cfg).final_pair
-    kept = [a.tobytes() if isinstance(a, np.ndarray) else a for a in pair._memo["resume"]]
+    kept = _kept_bits(pair)
     retracted, starts = [], []
     retraction, kernel = frames._retraction, structure._merit_terms
 
@@ -852,8 +872,7 @@ def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mo
     assert retracted and not any(retracted) and starts and not any(starts)
     assert _result_bits(optimizer.search(spec, field, 2, cfg, initial_pair=pair)) == \
         _result_bits(first)
-    assert [a.tobytes() if isinstance(a, np.ndarray) else a
-            for a in pair._memo["resume"]] == kept
+    assert _kept_bits(pair) == kept
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
@@ -886,3 +905,37 @@ def test_other_starts_are_retracted(monkeypatch, field, mode):
         assert retracted[0] is start.f.vectors
         assert _result_bits(res) == _result_bits(
             optimizer.search(on, field, 2, cfg, initial_pair=stateless))
+
+
+def test_degenerate_and_converged_results_resume_as_they_ended(monkeypatch, field):
+    """A result whose start was degenerate keeps no state to resume from: a
+    search from its pair retracts that pair again and ends
+    DEGENERATE_RETRACTION again.  A CONVERGED result resumed ends CONVERGED
+    after 0 iterations, with its pair's bytes and its report unchanged."""
+    f = FrameSequence(field, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    g = FrameSequence(field, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    spec, cfg = ConstraintSpec(np.ones(2)), optimizer.OptimizerConfig(seed=4, max_iters=50)
+    res = optimizer.search(spec, field, 2, cfg, initial_pair=FramePair(f, g))
+    assert res.status == optimizer.DEGENERATE_RETRACTION and "resume" not in res.final_pair._memo
+    retracted = []
+    retraction = frames._retraction
+
+    def counting_retraction(fv, gv, alpha):
+        retracted.append(fv is res.final_pair.f.vectors)
+        return retraction(fv, gv, alpha)
+
+    monkeypatch.setattr(frames, "_retraction", counting_retraction)
+    again = optimizer.search(spec, field, 2, cfg, initial_pair=res.final_pair)
+    assert retracted == [True] and again.status == optimizer.DEGENERATE_RETRACTION
+
+    spec = ConstraintSpec(np.full(4, 0.5) if field is Field.REAL else np.ones(3))
+    cfg = optimizer.OptimizerConfig(seed=0, max_iters=2000)
+    res = optimizer.search(spec, field, 2, cfg)
+    assert res.status == optimizer.CONVERGED and len(res.merit_history) > 1
+    retracted.clear()
+    resumed = optimizer.search(spec, field, 2, cfg, initial_pair=res.final_pair)
+    assert retracted == [] and resumed.status == optimizer.CONVERGED
+    assert resumed.merit_history == res.merit_history[-1:]  # 0 iterations
+    assert _result_bits(dataclasses.replace(resumed, merit_history=res.merit_history,
+                                            objective_history=res.objective_history)) == \
+        _result_bits(res)
