@@ -117,10 +117,18 @@ def orthonormal_span_basis(rows, rank_tol):
     arithmetic and give a real basis.  Returns ``(basis, rank)`` where
     ``basis`` has shape (rank, dim).  A failed SVD raises
     NumericalFailureError.
+
+    Rows that outnumber their dimension are first reduced to the dim x dim
+    R factor of their QR decomposition, which has the same singular values
+    and right singular vectors (Chan, ACM TOMS 8, 1982), so no n x dim left
+    factor is formed: O(n dim^2) time and O(n dim) memory.  LAPACK's gesdd
+    takes that path itself from n >= 11 dim / 6 (17 dim / 9 for complex
+    rows), and there the basis is bit for bit that of the direct SVD.
     """
     rows = _real_if_possible(rows, "span vector")
     try:
-        _, sigma, vh = np.linalg.svd(rows, full_matrices=False)
+        square = np.linalg.qr(rows, mode="r") if len(rows) > rows.shape[-1] else rows
+        _, sigma, vh = np.linalg.svd(square, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"span basis SVD failed: {exc}", residual=np.inf) from exc
     cut = rank_tol * max(1.0, np.linalg.norm(rows, axis=1).max(initial=0.0))
@@ -143,6 +151,16 @@ def lstsq_scalar(target, direction):
     return complex(np.vdot(d, t) / denom)
 
 
+def _row_blocks(n_rows, row_len):
+    """Slices of consecutive rows, max(1, 2**16 // row_len) rows each, that
+    cover n_rows rows of row_len entries: a pairwise array formed one such
+    block at a time holds at most max(row_len, 2**16) entries (1 MB of
+    complex128 per 2**16), whatever n_rows is.  Only memory depends on the
+    block size, never a result."""
+    step = max(1, 2**16 // max(row_len, 1))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
 def cluster_complex(values, radius):
     """Single-linkage clustering of complex numbers at the given radius.
 
@@ -150,20 +168,24 @@ def cluster_complex(values, radius):
     ascending.  Two values land in one cluster iff they are connected by
     a chain of steps each of length <= radius: the clusters are the
     connected components of the graph |values_i - values_j| <= radius.
+
+    Each cluster grows from its smallest unassigned index by breadth-first
+    search, each step comparing only the newly reached values against the
+    still-unassigned ones, in ``_row_blocks``: a step over a frontier F and
+    the rest R costs O(|F| |R|) time, O(N^2) over a whole clustering at
+    worst (a chain) and O(N) for a few tight clusters, and O(N) memory; no
+    N x N array is formed.
     """
     values = np.asarray(values, dtype=np.complex128).ravel()
-    adjacent = np.abs(values[:, None] - values[None, :]) <= radius
-    unassigned = np.ones(values.size, dtype=bool)
+    rest = np.arange(values.size)  # the unassigned indices, ascending
     groups = []
-    for i in range(values.size):
-        if not unassigned[i]:
-            continue
-        member = np.zeros(values.size, dtype=bool)
-        member[i] = True
-        frontier = member
-        while frontier.any():
-            frontier = adjacent[frontier].any(axis=0) & ~member
-            member |= frontier
-        unassigned &= ~member
-        groups.append(np.flatnonzero(member).tolist())
+    while rest.size:
+        members, frontier, rest = [rest[:1]], rest[:1], rest[1:]
+        while frontier.size and rest.size:
+            near = np.zeros(rest.size, dtype=bool)
+            for block in _row_blocks(frontier.size, rest.size):
+                near |= (np.abs(values[frontier[block], None] - values[rest]) <= radius).any(axis=0)
+            frontier, rest = rest[near], rest[~near]
+            members.append(frontier)
+        groups.append(np.sort(np.concatenate(members)).tolist())
     return groups

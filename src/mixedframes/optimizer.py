@@ -283,12 +283,13 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
             pair._derived("resume", lambda: (alpha, *terms))
         report, residual = None, float("inf")
         if status != DEGENERATE_RETRACTION:
+            gap = np.abs(terms.ip - spec.alpha)
             try:
                 report = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL,
-                                                    terms)
+                                                    terms, gap)
             except MixedFramesError:
                 pass  # e.g. round-off pushed a diverged iterate off the constraint
-            residual = float(np.abs(terms.ip - spec.alpha).max())
+            residual = float(gap.max())
         _, deviation = frames.is_dual_pair(pair)
         return SearchResult(
             final_pair=pair,
@@ -409,8 +410,9 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
                 f"N = {spec.n}"
             )
         initial_pair.require_nonzero()
-    results = []
-    for k in range(cfg.restarts + 1):
-        start = initial_pair if k == 0 else None
-        results.append(_run_single(spec, alpha, field_, d, cfg, cfg.seed + k, initial_pair=start))
-    return min(results, key=_result_key)
+    # min over a generator keeps a running best: a restart's result is dropped
+    # as soon as it loses, so at most two are held whatever ``restarts`` is
+    runs = (_run_single(spec, alpha, field_, d, cfg, cfg.seed + k,
+                        initial_pair=initial_pair if k == 0 else None)
+            for k in range(cfg.restarts + 1))
+    return min(runs, key=_result_key)

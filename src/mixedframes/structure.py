@@ -103,16 +103,23 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
     return _critical_report(pair, spec, tol)
 
 
-def _critical_report(pair, spec, tol, terms=None):
+def _critical_report(pair, spec, tol, terms=None, gap=None):
     """``critical_report``, from the ``_merit_terms`` output ``terms`` of
     the pair's own arrays when the caller (the search's ``finish``) holds
     it, else from the pair's kernel pass, run once per pair and never from
-    the output a search result keeps to resume: it checks the search's."""
-    frames.require_membership(pair, spec)
-    pair.require_nonzero()
+    the output a search result keeps to resume: it checks the search's.
+    With ``terms`` comes gap = |ip - alpha| from its ip = <f_m, g_m>, and
+    membership is read from gap and the nonzero f_m from its ||f_m||^2."""
     if terms is None:
+        frames.require_membership(pair, spec)
+        pair.require_nonzero()
         fv, gv = pair.f.vectors, pair.g.vectors
         terms = pair._derived("terms", lambda: _merit_terms(fv, gv, frames.mixed_operator(pair)))
+    else:
+        spec.require_length(pair.n)
+        frames._require_membership(gap)
+        gv = pair.g.vectors
+        frames._require_nonzero_rows(terms.f_norms2, np.vecdot(gv, gv).real)
     linalg.ensure_finite(terms.u, "TU* f_m")
     f_res = np.sqrt(np.vecdot(terms.rf, terms.rf).real)
     g_res = np.sqrt(np.vecdot(terms.rg, terms.rg).real)
@@ -150,6 +157,18 @@ class EigenClassification:
 
 def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_CLUSTER_TOL,
              critical_tol=DEFAULT_CRITICAL_TOL):
+    """The eigenvalue groups of a critical pair.
+
+    NotCriticalError unless ``critical_report`` finds the pair critical at
+    critical_tol; then lam_m = alpha_m + c_m are clustered by
+    ``linalg.cluster_complex`` at radius cluster_tol (1 + max_m |lam_m|),
+    and a cluster wider than that radius (a chain of shorter steps) raises
+    ClusterAmbiguityError.  A cluster's diameter is first bounded by the
+    diagonal of its bounding box, in O(|S|); only a cluster whose box is
+    wider than the radius is measured pair by pair, in row blocks, for the
+    error's message.  Beyond the report's O(N d^2), the clustering's time;
+    O(N d) memory, with no N x N or |S| x |S| array.
+    """
     report = critical_report(pair, spec, tol=critical_tol)
     if not report.is_critical:
         raise NotCriticalError(
@@ -163,7 +182,14 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
     radius = cluster_tol * (1.0 + spectral_radius)
     clusters = linalg.cluster_complex(lam, radius)
     for idx in clusters:
-        diameter = float(np.abs(lam[idx][:, None] - lam[idx]).max())
+        z = lam[idx]
+        re, im = z.real, z.imag
+        # the diagonal of the cluster's bounding box bounds its diameter (rounding is
+        # monotone), so only a wider box needs the pairwise maximum, taken in row blocks
+        if np.hypot(re.max() - re.min(), im.max() - im.min()) <= radius:
+            continue
+        diameter = max(float(np.abs(z[rows, None] - z).max())
+                       for rows in linalg._row_blocks(z.size, z.size))
         if diameter > radius:
             raise ClusterAmbiguityError(
                 f"eigenvalue cluster {sorted(i + 1 for i in idx)} has diameter "
@@ -190,12 +216,21 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
     )
 
 
-def _block_residual(pair, rows, cols, target=0.0):
+def _block_residual(pair, rows, cols, diagonal=None):
     """max |C[rows, cols] - target|, 0 for an empty block: each residual of
     the structure theorem is one block (<f_m, g_n>) of the cross Gram C
-    against its target, and only that block of C is formed."""
-    block = pair.f.vectors[rows] @ pair.g.vectors[cols].conj().T
-    return float(np.abs(block - target).max(initial=0.0))
+    against its target, zero, or diag(``diagonal``) for a square block
+    (rows = cols).  Only that block of C is formed, in the row blocks of
+    ``linalg._row_blocks``, each against its rows of the target: O((|rows|
+    + |cols|) d) memory, with no |rows| x |cols| array past 2**16 entries."""
+    fv, gh = pair.f.vectors[rows], pair.g.vectors[cols].conj().T
+    worst = 0.0
+    for block in linalg._row_blocks(len(rows), len(cols)):
+        c = fv[block] @ gh
+        if diagonal is not None:  # row k of the block is row block.start + k of the target
+            c = c - np.eye(len(c), len(cols), block.start) * diagonal[block, None]
+        worst = max(worst, float(np.abs(c).max(initial=0.0)))
+    return worst
 
 
 def _index_set(pair, idx):
@@ -224,7 +259,7 @@ def check_generalized_biorthogonal(pair: FramePair, spec: ConstraintSpec, idx):
                 f"alpha_{m + 1} = 0: generalized biorthogonality needs nonzero alpha",
                 index=m,
             )
-    return _block_residual(pair, idx, idx, np.diag(spec.alpha[idx]))
+    return _block_residual(pair, idx, idx, spec.alpha[idx])
 
 
 def check_a_generalized_dual(pair: FramePair, idx, a, rank_tol=DEFAULT_RANK_TOL):
@@ -327,14 +362,14 @@ def decompose(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_
         )
     a = complex(np.sum(spec.alpha[group])) / dim_span
 
-    bio_res = _block_residual(pair, complement, complement, np.diag(spec.alpha[complement]))
+    bio_res = _block_residual(pair, complement, complement, spec.alpha[complement])
     dual_res = _a_dual_residual(fv, gv, f_basis, g_basis, a)
     cross = max(_block_residual(pair, group, complement), _block_residual(pair, complement, group))
 
     # C_jj / lambda = (<f_l/w, g_m/conj(w)>), w^2 = lambda, against I: |C_jj - lambda I| / |lambda|
     normalized = [
         NormalizedGroup(list(idx), lam, principal_sqrt(lam),
-                        _block_residual(pair, idx, idx, lam * np.eye(len(idx))) / abs(lam))
+                        _block_residual(pair, idx, idx, np.full(len(idx), lam)) / abs(lam))
         for j, (idx, lam) in enumerate(zip(cls.index_sets, cls.distinct_eigenvalues))
         if j != j_min
     ]

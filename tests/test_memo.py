@@ -339,10 +339,12 @@ def test_only_the_double_sums_form_the_cross_gram(monkeypatch, case):
 def test_verdicts_memory_is_linear_in_n(field):
     """At (d, N) = (8, 4000) an N x N array is 128 MB over R and 256 MB
     over C.  None of these verdicts allocates one: each reads TU*, which
-    is formed anew on every fresh copy of the pair."""
+    is formed anew on every fresh copy of the pair, and ``decompose``
+    clusters 4,000 eigenvalues, bounds the diameter of a 3,996-member
+    cluster and takes the span bases of 3,996 rows without one."""
     pair, spec = planted_pair(field, 4, 4, 3996, 11)
     for run in (potential.bound_report, structure.corollary_check, structure.critical_report,
-                potential.scaled_identity_check):
+                potential.scaled_identity_check, structure.decompose):
         fresh = fresh_copy(pair)
         tracemalloc.start()
         try:
@@ -351,3 +353,62 @@ def test_verdicts_memory_is_linear_in_n(field):
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20, run.__name__
+
+
+def test_cluster_complex_memory_is_linear_in_n():
+    """Two tight clusters of 2,000 values each, 1.5 radii apart: the search
+    reaches all of the first cluster in one step, and its next step
+    compares those 2,000 values against the 2,000 left, 64 MB as one
+    array; in row blocks it stays within 16 MB."""
+    rng = np.random.default_rng(3)
+    values = np.where(np.arange(4000) % 2, 1.5, 0.0)
+    values = values + 1e-3 * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))
+    tracemalloc.start()
+    try:
+        groups = linalg.cluster_complex(values, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert groups == [list(range(0, 4000, 2)), list(range(1, 4000, 2))]
+    assert peak <= 16 * 2**20
+
+
+def test_search_memory_does_not_grow_with_restarts():
+    """``search`` keeps a running best, so 15 more restarts hold at most
+    one more result at a time: POTENTIAL_DESCENT over C at (d, N) =
+    (64, 192), where one kept result (its pair, TU* and kernel output)
+    is about 1 MB."""
+    spec = ConstraintSpec(np.ones(192))
+    peaks = []
+    for restarts in (0, 15):
+        cfg = optimizer.OptimizerConfig(mode=optimizer.POTENTIAL_DESCENT, max_iters=3,
+                                        restarts=restarts)
+        tracemalloc.start()
+        try:
+            optimizer.search(spec, Field.COMPLEX, 64, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def _three_row_blocks(n_rows, row_len):
+    return [slice(start, start + 3) for start in range(0, n_rows, 3)]
+
+
+@pytest.mark.parametrize("case", ["FX-MIX", "two-block-R", "two-block-C", "planted-R", "planted-C"])
+def test_row_blocks_change_no_result(monkeypatch, case):
+    """Blocks of three rows give the clusters and the classification of
+    whole blocks bit for bit, and residuals that still match the full
+    cross Gram: ``linalg._row_blocks`` sets memory only."""
+    if case.startswith("planted"):
+        pair, spec = planted_pair(Field.REAL if case.endswith("R") else Field.COMPLEX, 3, 3, 40, 5)
+    else:
+        pair, spec = critical_case(case)
+    whole = structure.decompose(fresh_copy(pair), spec)
+    monkeypatch.setattr(linalg, "_row_blocks", _three_row_blocks)
+    blocked = structure.decompose(fresh_copy(pair), spec)
+    assert _bits(blocked.classification) == _bits(whole.classification)
+    for name in ("group", "complement", "a", "dim_span"):
+        assert getattr(blocked, name) == getattr(whole, name), name
+    _check_against_the_full_gram(fresh_copy(pair), spec)

@@ -8,6 +8,7 @@ run draws the same cases and the suite stays fast.
 
 import json
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,12 +52,29 @@ CLUSTER_VALUES = st.tuples(
 ).map(lambda t: [complex(a * t[1], b * t[1]) for a, b in t[0]])
 
 
+def _one_row_blocks(n_rows, row_len):
+    return [slice(start, start + 1) for start in range(n_rows)]
+
+
+_SHUFFLE = np.random.default_rng(7).permutation(120)
+
+
 @fixed(300)
 @given(CLUSTER_VALUES)
 @example([0.0, 0.9, 1.8, 2.7, 5.0, 5.0 + 0.9j])  # two chains
 @example([3.0, 0.0, 2.0, 1.0])  # a chain visited out of order
+@example([0.0, 1.0, 2.0, 3.0, 1j, 1 + 1j, 5.0, 6.0 + 1e-15])  # steps exactly at the radius
+@example([2.0, 7.0, 2.0, 2.0, 7.0, 2.0 + 1j, 7.0])  # duplicates
+@example([0.01 * k + 20.0 * (k % 2) for k in range(120)])  # two clusters of 60, interleaved
+@example([0.9 * float(k) for k in _SHUFFLE])  # a chain of 120, shuffled
+@example([1.0j * k * (k % 3 != 1) for k in _SHUFFLE])  # a chain and a point, shuffled
 def test_cluster_complex_matches_single_linkage(values):
-    assert linalg.cluster_complex(values, 1.0) == naive_single_linkage(values, 1.0)
+    """Against every pair, and again with the search's comparisons taken one
+    frontier row at a time: the row blocks set memory, never a cluster."""
+    expected = naive_single_linkage(values, 1.0)
+    assert linalg.cluster_complex(values, 1.0) == expected
+    with mock.patch.object(linalg, "_row_blocks", _one_row_blocks):
+        assert linalg.cluster_complex(values, 1.0) == expected
 
 
 @st.composite
@@ -87,6 +105,44 @@ def test_orthonormal_span_basis_properties(rows):
     # a list of vectors and the 2-D array of the same rows agree
     list_basis, list_rank = linalg.orthonormal_span_basis(list(rows), rank_tol=1e-12)
     assert list_rank == rank and np.array_equal(list_basis, basis)
+
+
+@st.composite
+def tall_low_rank_rows(draw):
+    """(n, d) rows, d <= 8 and d < n <= 4000, spanning a random subspace of
+    rank below d, real or complex."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.one_of(st.integers(d + 1, 2 * d + 2), st.integers(d + 1, 4000)))
+    r = draw(st.integers(0, d - 1))
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gauss(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    base = np.linalg.qr(gauss(d, d))[0][:r]
+    return gauss(n, r) @ base * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+
+
+@fixed(60)
+@given(tall_low_rank_rows())
+@example(np.zeros((4000, 8)))
+def test_tall_span_basis_matches_the_direct_svd(rows):
+    """The R-factor basis of tall rank-deficient rows against one SVD of the
+    rows themselves: the same rank, and bit for bit the same basis where
+    LAPACK's gesdd takes the QR path itself (n >= 11 d / 6 over R, 17 d / 9
+    over C), else the same orthogonal projector to 1e-12."""
+    n, d = rows.shape
+    basis, rank = linalg.orthonormal_span_basis(rows, rank_tol=1e-10)
+    _, sigma, vh = np.linalg.svd(rows, full_matrices=False)
+    assert rank == np.count_nonzero(sigma > 1e-10 * max(1.0, np.linalg.norm(rows, axis=1).max()))
+    # gesdd's threshold, INT(d * 11 / 6), and zgesdd's, INT(d * 17 / 9)
+    if n >= (17 * d // 9 if np.iscomplexobj(rows) else 11 * d // 6):
+        assert np.array_equal(basis, vh[:rank])
+    else:
+        projector = basis.conj().T @ basis
+        assert np.abs(projector - vh[:rank].conj().T @ vh[:rank]).max() <= 1e-12
 
 
 @fixed(60)

@@ -1,13 +1,15 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from conftest import retracted_random
-from mixedframes import fixtures, frames, structure
+from mixedframes import fixtures, frames, linalg, structure
 from mixedframes.errors import (
     ClusterAmbiguityError,
     DimensionMismatchError,
+    MixedFramesError,
     NotCriticalError,
     NumericalFailureError,
     ZeroAlphaError,
@@ -62,6 +64,42 @@ def test_critical_report_rejects_zero_vector():
     with pytest.raises(ZeroVectorError) as info:
         structure.critical_report(pair, spec)
     assert info.value.index == 1
+
+
+def _kernel_case(case):
+    """A pair and spec for the report a search's finish builds from its
+    own kernel output: critical, off S(alpha), a zero f_m, a zero g_m."""
+    if case in ("critical", "off-constraint"):
+        pair, spec = fixtures.fixture("FX-MIX")
+        return pair, ConstraintSpec(spec.alpha * (1.01 if case == "off-constraint" else 1.0))
+    zero = np.array([[1.0], [0.0]])
+    f, g = (zero, np.ones((2, 1))) if case == "zero-f" else (np.ones((2, 1)), zero)
+    pair = FramePair(FrameSequence(Field.REAL, f), FrameSequence(Field.REAL, g))
+    return pair, ConstraintSpec(np.diag(frames.cross_gram(pair)))
+
+
+@pytest.mark.parametrize("case", ["critical", "off-constraint", "zero-f", "zero-g"])
+def test_report_from_kernel_terms_matches_critical_report(case):
+    """Given the kernel output and gap = |ip - alpha| read from it, the
+    report checks membership and the nonzero rows from them and raises
+    what ``critical_report`` raises, with the same message, or returns
+    its report bit for bit."""
+    pair, spec = _kernel_case(case)
+    fv, gv = pair.f.vectors, pair.g.vectors
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero f_m divides by ||f_m||^2
+        terms = structure._merit_terms(fv, gv)
+    gap = np.abs(terms.ip - spec.alpha)
+    try:
+        want = structure.critical_report(pair, spec)
+    except MixedFramesError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms, gap)
+        assert case != "critical"
+        return
+    got = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms, gap)
+    for name in ("c", "f_residuals", "g_residuals", "is_critical", "tol", "mixed_norm"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert case == "critical"
 
 
 def test_eigenvalue_relation():
@@ -171,6 +209,31 @@ def test_cluster_chain_wider_than_radius_is_ambiguous():
     assert structure.critical_report(pair, spec).is_critical
     with pytest.raises(ClusterAmbiguityError, match="diameter"):
         structure.classify(pair, spec)
+    _assert_ambiguous_with_full_diameter(pair, spec)
+
+
+def _assert_ambiguous_with_full_diameter(pair, spec):
+    """classify refuses the pair's one cluster, naming the diameter as the
+    maximum of |lam_l - lam_m| over all pairs of its members."""
+    lam = spec.alpha + structure.critical_report(pair, spec).c
+    diameter = np.abs(lam[:, None] - lam).max()
+    radius = linalg.DEFAULT_CLUSTER_TOL * (1.0 + np.abs(lam).max())
+    message = f"has diameter {diameter:.3e} > clustering radius {radius:.3e}"
+    with pytest.raises(ClusterAmbiguityError, match=re.escape(message)):
+        structure.classify(pair, spec)
+
+
+def test_long_cluster_chain_is_ambiguous():
+    """The chain above with 300 eigenvalues: its bounding box is wider than
+    the radius, so its 300 x 300 pairwise maximum is taken, in two row
+    blocks, and named in the error."""
+    lam = 1.0 + 1.5e-6 * np.arange(300)
+    pair = FramePair(FrameSequence(Field.REAL, np.eye(300)),
+                     FrameSequence(Field.REAL, np.diag(lam)))
+    spec = ConstraintSpec(lam)
+    assert structure.critical_report(pair, spec).is_critical
+    assert len(linalg._row_blocks(300, 300)) == 2
+    _assert_ambiguous_with_full_diameter(pair, spec)
 
 
 def test_a_generalized_dual_per_cluster():

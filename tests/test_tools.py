@@ -6,9 +6,9 @@ from pathlib import Path
 DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
 
 
-def test_digest_prints_three_digests():
+def test_digest_prints_four_digests():
     """tools/digest.py runs to the end, so its 2-iteration slices resumed
-    from final_pair hashed like whole runs, and closes with its three sha256
+    from final_pair hashed like whole runs, and closes with its four sha256
     lines; their values depend on the host's floating point, so they are
     not pinned here.  Each mode's tally line ends with the kernel passes
     and the trials they priced, each also per iteration."""
@@ -16,8 +16,8 @@ def test_digest_prints_three_digests():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    names = [re.fullmatch(r"(\w+) [0-9a-f]{64}", line) for line in lines[-3:]]
-    assert [m and m[1] for m in names] == ["outcomes", "search", "reports"]
+    names = [re.fullmatch(r"(\w+) [0-9a-f]{64}", line) for line in lines[-4:]]
+    assert [m and m[1] for m in names] == ["outcomes", "search", "reports", "tall"]
     work = r", iterations (\d+), kernel passes (\d+) \((\d+\.\d\d) per iteration\), " \
            r"trials (\d+) \((\d+\.\d\d) per iteration\)"
     for mode in ("critical", "descent"):

@@ -1,4 +1,4 @@
-"""Print the restart table and three sha256 digests of the library's and the CLI's behaviour.
+"""Print the restart table and four sha256 digests of the library's and the CLI's behaviour.
 
 ``python tools/digest.py [ROOT]``; ROOT (default: this script's checkout) selects the source tree,
 so two checkouts can be compared.  Everything runs in process at 1 BLAS thread.
@@ -21,6 +21,9 @@ so two checkouts can be compared.  Everything runs in process at 1 BLAS thread.
   on FX-MB with F and G scaled by 1000 (its FP meets the bound to one ulp at 4.5e12),
   ``decompose`` on two seeded non-critical pairs (the NotCriticalError payload), ``corollary
   --alpha-only`` on valid inputs and ``optimize`` in both modes over R and C at seeds 0-2.
+* ``tall``: ``structure.decompose`` on seeded ``plant_critical_pair`` pairs at (d, N) = (8, 400)
+  and (8, 4000) over R and C, by ``_feed``: tall span bases and clusters of thousands of
+  eigenvalues, sizes the other lines never reach.
 """
 
 import collections
@@ -47,6 +50,7 @@ SCALE = 1e3  # FX-MB scaled: F, G times SCALE and alpha times SCALE^2
 NON_CRITICAL = (("R", 2, 4, 11), ("C", 3, 5, 0))  # field, d, N, seed, retracted onto alpha = 1
 ALPHA_ONLY = (("1,1", "2", "3"), ("1,0.5", "2", "3"), ("1+0.5i,1-0.5i,-i,i", "2", "4"))
 SLICE = 2  # iterations per resumed slice, as in the benchmark's critical-search and descent
+TALL = ((8, 400), (8, 4000))  # (d, N) of the planted pairs the ``tall`` line decomposes
 OPTIMIZE = [("--field", field, "--mode", mode, "--seed", str(seed))
             for field in "RC" for mode in ("critical", "potential") for seed in range(3)]
 
@@ -188,6 +192,15 @@ def reports():
     return h.hexdigest()
 
 
+def tall():
+    h = hashlib.sha256()
+    for k, (field_, (d, n)) in enumerate((f, size) for f in Analyze.FIELDS for size in TALL):
+        pair, spec, _, _ = plant_critical_pair(_sub_rng(0, 2, k), field_, d, n)
+        _feed(h, structure.decompose(pair, spec))
+    return h.hexdigest()
+
+
 print(f"outcomes {outcomes()}")
 print(f"search {search()}")
 print(f"reports {reports()}")
+print(f"tall {tall()}")
