@@ -115,20 +115,13 @@ class FramePair:
 
     def require_nonzero(self):
         """Rescaling and the critical-pair equations need f_m != 0 and
-        g_m != 0 for every m; the first zero vector (f before g) is named."""
-        fv, gv = self.f.vectors, self.g.vectors
-        _require_nonzero_rows(np.vecdot(fv, fv).real, np.vecdot(gv, gv).real)
-
-
-def _require_nonzero_rows(f_norms2, g_norms2):
-    """``FramePair.require_nonzero`` from the squared row norms ||f_m||^2
-    and ||g_m||^2, the kernel's denominators: a row too small to square
-    is zero too."""
-    for name, norms2 in (("f", f_norms2), ("g", g_norms2)):
-        zero = norms2 == 0
-        if zero.any():
-            m = int(np.flatnonzero(zero)[0])
-            raise ZeroVectorError(f"{name}_{m + 1} is the zero vector", index=m)
+        g_m != 0 for every m; the first zero vector (f before g) is named.
+        A row too small to square is zero too: ||f_m||^2 is a denominator."""
+        for name, seq in (("f", self.f), ("g", self.g)):
+            zero = np.vecdot(seq.vectors, seq.vectors).real == 0
+            if zero.any():
+                m = int(np.flatnonzero(zero)[0])
+                raise ZeroVectorError(f"{name}_{m + 1} is the zero vector", index=m)
 
 
 @dataclass(frozen=True)
@@ -202,13 +195,10 @@ MEMBERSHIP_TOL = 1e-8
 
 
 def require_membership(pair: FramePair, spec: ConstraintSpec):
-    return _require_membership(constraint_residual(pair, spec))
-
-
-def _require_membership(residual):
-    """The largest entry of a pair's ``constraint_residual``, or
-    ConstraintViolationError when it exceeds MEMBERSHIP_TOL."""
-    worst = float(residual.max())
+    """The largest entry of ``constraint_residual(pair, spec)`` (which
+    checks alpha's length first), or ConstraintViolationError when it
+    exceeds MEMBERSHIP_TOL."""
+    worst = float(constraint_residual(pair, spec).max())
     if worst > MEMBERSHIP_TOL:
         raise ConstraintViolationError(
             f"pair violates the prescribed products: max residual {worst:.3e} > "

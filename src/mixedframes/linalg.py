@@ -24,8 +24,7 @@ from .errors import (
     ZeroVectorError,
 )
 
-#: Relative radius of eigenvalue clustering: values within
-#: tol * (1 + spectral radius) of each other fall into one cluster.
+#: The tol of ``cluster_radius`` unless a caller sets its own.
 DEFAULT_CLUSTER_TOL = 1e-6
 
 #: Bound on an eigendecomposition's relative backward residual.
@@ -159,6 +158,12 @@ def _row_blocks(n_rows, row_len):
     block size, never a result."""
     step = max(1, 2**16 // max(row_len, 1))
     return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def cluster_radius(values, tol=DEFAULT_CLUSTER_TOL):
+    """The radius tol * (1 + max |values|) at which ``structure.classify``
+    and ``potential.bound_report`` cluster a nonempty set of eigenvalues."""
+    return tol * (1.0 + float(np.max(np.abs(values))))
 
 
 def cluster_complex(values, radius):

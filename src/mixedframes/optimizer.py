@@ -283,13 +283,12 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
             pair._derived("resume", lambda: (alpha, *terms))
         report, residual = None, float("inf")
         if status != DEGENERATE_RETRACTION:
-            gap = np.abs(terms.ip - spec.alpha)
             try:
                 report = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL,
-                                                    terms, gap)
+                                                    terms)
             except MixedFramesError:
                 pass  # e.g. round-off pushed a diverged iterate off the constraint
-            residual = float(gap.max())
+            residual = float(np.abs(terms.ip - spec.alpha).max())
         _, deviation = frames.is_dual_pair(pair)
         return SearchResult(
             final_pair=pair,

@@ -137,8 +137,7 @@ def bound_report(pair: FramePair, spec: ConstraintSpec):
             residual=decomp_gap,
         )
 
-    radius = linalg.DEFAULT_CLUSTER_TOL * (1.0 + eig.spectral_radius)
-    single_cluster = len(linalg.cluster_complex(values, radius)) == 1
+    single_cluster = len(linalg.cluster_complex(values, linalg.cluster_radius(values))) == 1
 
     margin = 1e-9 * (1.0 + abs(bound))
     if spectrum_class == ALL_REAL and fp.real < bound.real - margin:

@@ -103,23 +103,17 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
     return _critical_report(pair, spec, tol)
 
 
-def _critical_report(pair, spec, tol, terms=None, gap=None):
+def _critical_report(pair, spec, tol, terms=None):
     """``critical_report``, from the ``_merit_terms`` output ``terms`` of
     the pair's own arrays when the caller (the search's ``finish``) holds
     it, else from the pair's kernel pass, run once per pair and never from
     the output a search result keeps to resume: it checks the search's.
-    With ``terms`` comes gap = |ip - alpha| from its ip = <f_m, g_m>, and
-    membership is read from gap and the nonzero f_m from its ||f_m||^2."""
+    Either way it first checks alpha's length, S(alpha), then f_m, g_m != 0."""
+    frames.require_membership(pair, spec)
+    pair.require_nonzero()
     if terms is None:
-        frames.require_membership(pair, spec)
-        pair.require_nonzero()
         fv, gv = pair.f.vectors, pair.g.vectors
         terms = pair._derived("terms", lambda: _merit_terms(fv, gv, frames.mixed_operator(pair)))
-    else:
-        spec.require_length(pair.n)
-        frames._require_membership(gap)
-        gv = pair.g.vectors
-        frames._require_nonzero_rows(terms.f_norms2, np.vecdot(gv, gv).real)
     linalg.ensure_finite(terms.u, "TU* f_m")
     f_res = np.sqrt(np.vecdot(terms.rf, terms.rf).real)
     g_res = np.sqrt(np.vecdot(terms.rg, terms.rg).real)
@@ -178,8 +172,7 @@ def classify(pair: FramePair, spec: ConstraintSpec, cluster_tol=linalg.DEFAULT_C
         )
 
     lam = spec.alpha + report.c
-    spectral_radius = float(np.max(np.abs(lam)))
-    radius = cluster_tol * (1.0 + spectral_radius)
+    radius = linalg.cluster_radius(lam, cluster_tol)
     clusters = linalg.cluster_complex(lam, radius)
     for idx in clusters:
         z = lam[idx]
@@ -253,12 +246,11 @@ def check_generalized_biorthogonal(pair: FramePair, spec: ConstraintSpec, idx):
     """
     spec.require_length(pair.n)
     idx = _index_set(pair, idx)
-    for m in idx:
-        if spec.alpha[m] == 0:
-            raise ZeroAlphaError(
-                f"alpha_{m + 1} = 0: generalized biorthogonality needs nonzero alpha",
-                index=m,
-            )
+    zeros = np.flatnonzero(spec.alpha[idx] == 0)
+    if zeros.size:  # the first zero alpha_m in sorted idx
+        m = idx[zeros[0]]
+        raise ZeroAlphaError(f"alpha_{m + 1} = 0: generalized biorthogonality needs nonzero alpha",
+                             index=m)
     return _block_residual(pair, idx, idx, spec.alpha[idx])
 
 

@@ -80,23 +80,21 @@ def _kernel_case(case):
 
 @pytest.mark.parametrize("case", ["critical", "off-constraint", "zero-f", "zero-g"])
 def test_report_from_kernel_terms_matches_critical_report(case):
-    """Given the kernel output and gap = |ip - alpha| read from it, the
-    report checks membership and the nonzero rows from them and raises
-    what ``critical_report`` raises, with the same message, or returns
-    its report bit for bit."""
+    """Given the kernel output, the report checks the pair as
+    ``critical_report`` does and raises what it raises, with the same
+    message, or returns its report bit for bit."""
     pair, spec = _kernel_case(case)
     fv, gv = pair.f.vectors, pair.g.vectors
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero f_m divides by ||f_m||^2
         terms = structure._merit_terms(fv, gv)
-    gap = np.abs(terms.ip - spec.alpha)
     try:
         want = structure.critical_report(pair, spec)
     except MixedFramesError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms, gap)
+            structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms)
         assert case != "critical"
         return
-    got = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms, gap)
+    got = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms)
     for name in ("c", "f_residuals", "g_residuals", "is_critical", "tol", "mixed_norm"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert case == "critical"
@@ -153,6 +151,13 @@ def test_generalized_biorthogonal():
         structure.check_generalized_biorthogonal(
             pair, ConstraintSpec(np.array([1.0, 0.0])), [0, 1]
         )
+    # the first zero alpha_m in sorted idx is named, whatever order idx is given in
+    pair, _ = fixtures.fixture("FX-MIX")
+    with pytest.raises(ZeroAlphaError, match="alpha_2 = 0: generalized biorthogonality") as info:
+        structure.check_generalized_biorthogonal(
+            pair, ConstraintSpec(np.array([1.0, 0.0, 2.0, 0.0])), [3, 0, 1]
+        )
+    assert info.value.index == 1
 
 
 def test_generalized_biorthogonal_is_the_blockwise_max():
