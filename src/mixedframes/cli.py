@@ -17,6 +17,7 @@ pairs; indices in reports are 1-based.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -157,7 +158,16 @@ def _json(x, name=None):
     return float(x)
 
 
-def _search_json(res: optimizer.SearchResult):
+def _final_report(res: optimizer.SearchResult, spec):
+    """``structure.critical_report`` of a search result's final pair, or None
+    after a degenerate pairing or when that pair fails the report's checks."""
+    if res.status != optimizer.DEGENERATE_RETRACTION:
+        with contextlib.suppress(MixedFramesError):  # e.g. a diverged iterate off S(alpha)
+            return structure.critical_report(res.final_pair, spec)
+    return None
+
+
+def _search_json(res: optimizer.SearchResult, spec):
     return {
         "status": res.status,
         "iterations": max(len(res.merit_history) - 1, 0),
@@ -170,7 +180,7 @@ def _search_json(res: optimizer.SearchResult):
         "constraint_residual_final": (res.constraint_residual_final
                                       if np.isfinite(res.constraint_residual_final) else None),
         "dual_deviation": res.dual_deviation,
-        "critical_report": _json(res.critical_report_final),
+        "critical_report": _json(_final_report(res, spec)),
     }
 
 
@@ -304,7 +314,7 @@ def cmd_optimize(args):
         raise MixedFramesError(f"cannot write {args.output}: not a file in a writable directory")
     result = optimizer.search(spec, field_, args.d, cfg)
 
-    outputs = {"search": _search_json(result),
+    outputs = {"search": _search_json(result, spec),
                "final_pair": frames.pair_to_document(result.final_pair, spec.alpha)}
     output = (args.output, frames.document_to_json(outputs["final_pair"])) if args.output else None
     tols = {"grad_tol": optimizer.GRAD_TOL, "merit_tol": optimizer.MERIT_TOL,

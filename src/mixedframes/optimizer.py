@@ -25,10 +25,10 @@ at FP = Tr(M^2), and in CRITICAL_SEARCH by the residual kernel
 accepted trial.  The kernel's output is the loop's whole record of the
 iterate: merit, FP, and the u = F M^T, G conj(M), ||f_m||^2 and
 <f_m, g_m> the gradients and the tangent projection read; ``search``
-reports on the last output and keeps it, with alpha, on the pair it
-returns (four N x d arrays, M and the N-vectors per result), so a search
-on the same alpha from that pair takes it as its start's: it skips the
-start's retraction and kernel pass and continues the run bit for bit.
+keeps the last output, with alpha, on the pair it returns (four N x d
+arrays, M and the N-vectors per result), so a search on the same alpha
+from that pair takes it as its start's: it skips the start's retraction
+and kernel pass and continues the run bit for bit.
 At small sizes a trial costs NumPy call overhead, so the ladder is priced
 K = min(4, max(1, _STACK_ELEMENTS // (N d))) trials at a time: one step,
 retraction, M and kernel pass or FP on (K, N, d) arrays, each trial's
@@ -59,7 +59,6 @@ from . import frames, potential, structure
 from .errors import (
     DegeneratePairingError,
     DimensionMismatchError,
-    MixedFramesError,
     NumericalFailureError,
 )
 from .frames import ConstraintSpec, Field, FramePair, FrameSequence
@@ -114,7 +113,6 @@ class SearchResult:
     objective_history: list
     merit_history: list
     constraint_residual_final: float
-    critical_report_final: structure.CriticalPairReport
     status: str
     restart_seed: int
     dual_deviation: float
@@ -276,26 +274,19 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
     def finish(status):
         """The search result: the one FramePair the run returns, built (and
         validated) from the final arrays and seeded with their TU* and, to
-        resume from, the flat tuple (alpha, *terms); its report from ``terms``."""
+        resume from, the flat tuple (alpha, *terms)."""
         pair = FramePair(FrameSequence(field_, fv), FrameSequence(field_, gv))
         if terms is not None:
             pair._derived("TU*", lambda: terms.tu)
             pair._derived("resume", lambda: (alpha, *terms))
-        report, residual = None, float("inf")
-        if status != DEGENERATE_RETRACTION:
-            try:
-                report = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL,
-                                                    terms)
-            except MixedFramesError:
-                pass  # e.g. round-off pushed a diverged iterate off the constraint
-            residual = float(np.abs(terms.ip - spec.alpha).max())
+        residual = (float("inf") if status == DEGENERATE_RETRACTION
+                    else float(np.abs(terms.ip - spec.alpha).max()))
         _, deviation = frames.is_dual_pair(pair)
         return SearchResult(
             final_pair=pair,
             objective_history=obj_hist,
             merit_history=merit_hist,
             constraint_residual_final=residual,
-            critical_report_final=report,
             status=status,
             restart_seed=seed,
             dual_deviation=deviation,
@@ -387,11 +378,13 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
 
     A result's ``final_pair`` resumes its run: a search on the same alpha
     from it continues bit for bit, so slices resumed from each other's
-    ``final_pair`` give the histories, final pair and report of one whole
-    run, with no retraction or kernel pass at a slice's start, from the
-    last kernel output each result's pair keeps: M, four N x d arrays (F M^T,
+    ``final_pair`` give the histories and final pair of one whole run,
+    with no retraction or kernel pass at a slice's start, from the last
+    kernel output each result's pair keeps: M, four N x d arrays (F M^T,
     G conj(M), r_f, r_g) and three N-vectors.  Any other start, copies of
-    that pair included, is retracted onto S(alpha) first.
+    that pair included, is retracted onto S(alpha) first.  No critical
+    report is built: ``structure.critical_report(result.final_pair, spec)``
+    is the last iterate's, from one kernel pass on the kept M.
 
     The inputs are checked here, once: alpha must be nonzero, and real
     over R (MixedFramesError), and ``initial_pair`` must have the field,

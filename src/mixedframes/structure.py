@@ -99,21 +99,15 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
     independently fitted constant: the Lagrange analysis forces conjugate
     multipliers, and fitting the g side separately would mask a
     violation of that coupling.
+
+    It checks alpha's length, S(alpha), then f_m, g_m != 0, and runs the
+    kernel once per pair on its memoized TU* (on a search's final pair, the
+    last iterate's), never reading the state a search result keeps to resume.
     """
-    return _critical_report(pair, spec, tol)
-
-
-def _critical_report(pair, spec, tol, terms=None):
-    """``critical_report``, from the ``_merit_terms`` output ``terms`` of
-    the pair's own arrays when the caller (the search's ``finish``) holds
-    it, else from the pair's kernel pass, run once per pair and never from
-    the output a search result keeps to resume: it checks the search's.
-    Either way it first checks alpha's length, S(alpha), then f_m, g_m != 0."""
     frames.require_membership(pair, spec)
     pair.require_nonzero()
-    if terms is None:
-        fv, gv = pair.f.vectors, pair.g.vectors
-        terms = pair._derived("terms", lambda: _merit_terms(fv, gv, frames.mixed_operator(pair)))
+    fv, gv = pair.f.vectors, pair.g.vectors
+    terms = pair._derived("terms", lambda: _merit_terms(fv, gv, frames.mixed_operator(pair)))
     linalg.ensure_finite(terms.u, "TU* f_m")
     f_res = np.sqrt(np.vecdot(terms.rf, terms.rf).real)
     g_res = np.sqrt(np.vecdot(terms.rg, terms.rg).real)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixedframes import cli, fixtures, frames, optimizer
+from mixedframes import cli, fixtures, frames, optimizer, structure
 from mixedframes.errors import DegeneratePairingError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -303,6 +303,32 @@ def test_optimize_degenerate_start_reports_nulls(capsys, monkeypatch):
     assert search["constraint_residual_final"] is None
     assert search["iterations"] == 0
     assert search["merit_history"] == search["objective_history"] == []
+
+
+def test_optimize_degenerate_trial_reports_null_critical_report(capsys, monkeypatch):
+    """A restart that ends DEGENERATE_RETRACTION after accepted iterates
+    prints a null critical report, although critical_report accepts its
+    final pair: the retraction raises from its fifth call on, here after
+    the start and three backtracking blocks."""
+    retraction, calls = frames._retraction, []
+
+    def failing(fv, gv, alpha):
+        calls.append(1)
+        if len(calls) >= 5:
+            raise DegeneratePairingError("stub", index=0)
+        return retraction(fv, gv, alpha)
+
+    monkeypatch.setattr(frames, "_retraction", failing)
+    code, out = run(capsys, "optimize", "--alpha", "1,1,1", "--field", "C", "--d", "2")
+    search = json.loads(out)["outputs"]["search"]
+    assert code == 3 and search["status"] == "DEGENERATE_RETRACTION"
+    assert search["critical_report"] is None and search["constraint_residual_final"] is None
+    calls.clear()
+    spec = frames.ConstraintSpec(np.ones(3))
+    res = optimizer.search(spec, frames.Field.COMPLEX, 2, optimizer.OptimizerConfig())
+    assert res.status == optimizer.DEGENERATE_RETRACTION
+    assert len(res.merit_history) - 1 == search["iterations"] >= 1
+    assert structure.critical_report(res.final_pair, spec).tol > 0  # it raises nothing
 
 
 def test_optimize_trivial_converges(capsys, tmp_path):

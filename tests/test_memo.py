@@ -95,8 +95,8 @@ def _run(pair, spec, order):
 def test_search_result_pair_keeps_the_last_tu(monkeypatch, field, mode):
     """search stores the last iterate's TU* on the pair it returns: TU* and
     the duality deviation of that pair build nothing, its critical report
-    runs the kernel again on the stored TU* and never reads the state kept
-    for resuming the search (so it checks the search's own report), and
+    runs the kernel once on the stored TU* and never reads the state kept
+    for resuming the search (so it checks the search's last iterate), and
     all three equal bit for bit the same calls on a fresh pair of copies
     of its vectors."""
     spec = ConstraintSpec(np.linspace(0.5, 2.0, 6))
@@ -138,7 +138,6 @@ def test_search_result_pair_keeps_the_last_tu(monkeypatch, field, mode):
                       FrameSequence(field, res.final_pair.g.vectors.copy()))
     assert calls(fresh) == got
     assert built == ["terms", "TU*", "terms"] and len(kernels) == 2
-    assert got[1] == _bits(res.critical_report_final)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

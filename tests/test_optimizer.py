@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 import warnings
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import retracted_random
-from mixedframes import fixtures, frames, optimizer, potential, structure
+from mixedframes import cli, fixtures, frames, optimizer, potential, structure
 from mixedframes.errors import (
     DegeneratePairingError,
     DimensionMismatchError,
@@ -241,8 +242,7 @@ def test_critical_search_converges():
     assert res.status == optimizer.CONVERGED
     assert res.merit_history[-1] <= 1e-10
     assert res.constraint_residual_final <= 1e-10
-    assert res.critical_report_final is not None
-    assert res.critical_report_final.is_critical
+    assert structure.critical_report(res.final_pair, spec).is_critical
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -369,26 +369,46 @@ REPORT_CASES = [
 
 @pytest.mark.parametrize("mode,field_,d,alpha,seed,max_iters,bound,status", REPORT_CASES,
                          ids=[f"{c[0]}-{c[-1]}" for c in REPORT_CASES])
-def test_search_report_equals_critical_report(mode, field_, d, alpha, seed, max_iters, bound,
-                                              status):
-    """The report a search takes from its last iterate's kernel output is
-    the report critical_report computes afresh on the returned pair."""
+def test_search_report_equals_critical_report(capsys, mode, field_, d, alpha, seed, max_iters,
+                                              bound, status):
+    """The critical report ``optimize`` prints for a search is
+    critical_report of the pair the library's search returns, to the last
+    bit of every float."""
+    flag = "critical" if mode == optimizer.CRITICAL_SEARCH else "potential"
+    argv = ["optimize", "--alpha", ",".join(repr(float(a)) for a in alpha),
+            "--field", field_.value, "--d", str(d), "--mode", flag, "--seed", str(seed),
+            "--max-iters", str(max_iters), "--divergence-bound", repr(bound)]
+    cli.main(argv)
+    printed = json.loads(capsys.readouterr().out)["outputs"]["search"]
     spec = ConstraintSpec(alpha)
     cfg = optimizer.OptimizerConfig(mode=mode, seed=seed, max_iters=max_iters,
                                     divergence_bound=bound)
     res = optimizer.search(spec, field_, d, cfg)
-    assert res.status == status
-    want = structure.critical_report(res.final_pair, spec, tol=structure.DEFAULT_CRITICAL_TOL)
-    got = res.critical_report_final
-    for name in ("c", "f_residuals", "g_residuals", "is_critical", "tol", "mixed_norm"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert res.status == printed["status"] == status
+    want = cli._json(structure.critical_report(res.final_pair, spec))
+    assert printed["critical_report"] == json.loads(json.dumps(want))
+
+
+@pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
+def test_search_builds_no_critical_report(monkeypatch, mode):
+    """No restart of a search builds a CriticalPairReport, the winner's
+    included: the report is critical_report of the returned pair."""
+    built = []
+    report = structure.CriticalPairReport
+    monkeypatch.setattr(structure, "CriticalPairReport",
+                        lambda *a, **k: (built.append(1), report(*a, **k))[1])
+    spec = ConstraintSpec(np.ones(3))
+    cfg = optimizer.OptimizerConfig(mode=mode, seed=0, max_iters=20, divergence_bound=1e6,
+                                    restarts=3)
+    res = optimizer.search(spec, Field.COMPLEX, 2, cfg)
+    assert built == []
+    assert structure.critical_report(res.final_pair, spec) is not None and built == [1]
 
 
 def test_descent_runs_kernel_once_per_iterate(monkeypatch):
     """A descent prices its trials from TU*: the residual kernel runs once
     on the start and once per accepted iterate, on the TU* and the FP
-    that priced it, and the finish reuses the last output instead of
-    running it again."""
+    that priced it, and the finish runs it no more."""
     calls = []
     priced = []
     original = structure._merit_terms
@@ -413,7 +433,6 @@ def test_descent_runs_kernel_once_per_iterate(monkeypatch):
         assert len(calls) == 1 + k
         assert calls == [False] + [True] * k
         assert priced == calls
-        assert res.critical_report_final is not None
 
 
 def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, field):
@@ -563,9 +582,9 @@ def test_critical_search_meets_no_degenerate_pairing(monkeypatch):
 def test_degenerate_trial_ends_restart_at_last_accepted_iterate(monkeypatch, mode):
     """When the retraction of a trial meets a degenerate pairing behind
     only rejected trials, the restart ends DEGENERATE_RETRACTION and
-    returns the last accepted iterate, with no critical report and no
-    constraint residual.  Here every trial from the fifth on is
-    degenerate: the four before it are priced, and no trial after it."""
+    returns the last accepted iterate, with no constraint residual.  Here
+    every trial from the fifth on is degenerate: the four before it are
+    priced, and no trial after it."""
     counts, last = {"retracted": 0, "priced": 0}, {}
     retraction, accepted = frames._retraction, optimizer._accepted
 
@@ -595,7 +614,6 @@ def test_degenerate_trial_ends_restart_at_last_accepted_iterate(monkeypatch, mod
     assert res.status == optimizer.DEGENERATE_RETRACTION
     assert res.final_pair.f.vectors.tobytes() == last["f"].tobytes()
     assert res.final_pair.g.vectors.tobytes() == last["g"].tobytes()
-    assert res.critical_report_final is None
     assert res.constraint_residual_final == float("inf")
 
 
@@ -731,8 +749,8 @@ def test_potential_descent_d1_is_constant():
 
 def test_degenerate_start_recovers():
     """An orthogonal starting pairing has no rescaling onto S(alpha): it
-    ends its restart as DEGENERATE_RETRACTION, with no report and an
-    infinite constraint residual, and is not redrawn.  With a further
+    ends its restart as DEGENERATE_RETRACTION, with an infinite
+    constraint residual, and is not redrawn.  With a further
     restart the search recovers: restart 1's result wins."""
     f = FrameSequence(Field.REAL, np.array([[1.0, 0.0], [0.0, 1.0]]))
     g = FrameSequence(Field.REAL, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -740,7 +758,6 @@ def test_degenerate_start_recovers():
     cfg = optimizer.OptimizerConfig(seed=4, max_iters=2000)
     res = optimizer.search(spec, Field.REAL, 2, cfg, initial_pair=FramePair(f, g))
     assert res.status == optimizer.DEGENERATE_RETRACTION
-    assert res.critical_report_final is None
     assert res.constraint_residual_final == np.inf
 
     res = optimizer.search(spec, Field.REAL, 2, dataclasses.replace(cfg, restarts=1),
@@ -792,7 +809,7 @@ def _sliced(spec, field_, d, cfg, width):
     """``search`` run as slices of ``width`` iterations, each resumed from the
     previous slice's ``final_pair`` (as the benchmark's chains resume), and
     stitched into one result: the histories without each slice's repeated
-    start, the last slice's pair and report."""
+    start, the last slice's pair."""
     merit, objective, start = [], [], None
     while True:
         left = cfg.max_iters - max(len(merit) - 1, 0)
@@ -806,13 +823,15 @@ def _sliced(spec, field_, d, cfg, width):
         start = res.final_pair
 
 
-def _result_bits(res):
-    """Everything a SearchResult reports, as comparable bytes and values."""
-    pair, rep = res.final_pair, res.critical_report_final
+def _result_bits(res, spec):
+    """Everything a SearchResult reports, and the critical report of its
+    final pair, as comparable bytes and values."""
+    pair = res.final_pair
+    rep = structure.critical_report(pair, spec)
     return (res.status, res.restart_seed, res.merit_history, res.objective_history,
             pair.f.vectors.tobytes(), pair.g.vectors.tobytes(),
-            rep and (rep.c.tobytes(), rep.f_residuals.tobytes(), rep.g_residuals.tobytes(),
-                     rep.is_critical, rep.tol, rep.mixed_norm),
+            rep.c.tobytes(), rep.f_residuals.tobytes(), rep.g_residuals.tobytes(),
+            rep.is_critical, rep.tol, rep.mixed_norm,
             res.constraint_residual_final, res.dual_deviation)
 
 
@@ -825,14 +844,14 @@ RESUME_SHAPES = [(2, 4, 4), (16, 48, 1)]
 def test_slices_resumed_from_final_pair_equal_one_whole_run(field, mode, d, n, k):
     """A search resumed from the final pair of the last continues it bit
     for bit: slices of 1 and 3 iterations stitch into the whole run's
-    histories, final F and G and report."""
+    histories, final F and G and the report of that pair."""
     assert min(max(optimizer._STACK_ELEMENTS // (n * d), 1), 4) == k
     spec = ConstraintSpec(np.full(n, d / n))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=5, max_iters=12)
     whole = optimizer.search(spec, field, d, cfg)
     assert len(whole.merit_history) > 4  # the run spans several slices
     for width in (1, 3):
-        assert _result_bits(_sliced(spec, field, d, cfg, width)) == _result_bits(whole)
+        assert _result_bits(_sliced(spec, field, d, cfg, width), spec) == _result_bits(whole, spec)
 
 
 def _kept_bits(pair):
@@ -870,8 +889,8 @@ def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mo
     monkeypatch.setattr(structure, "_merit_terms", counting_kernel)
     first = optimizer.search(spec, field, 2, cfg, initial_pair=pair)
     assert retracted and not any(retracted) and starts and not any(starts)
-    assert _result_bits(optimizer.search(spec, field, 2, cfg, initial_pair=pair)) == \
-        _result_bits(first)
+    assert _result_bits(optimizer.search(spec, field, 2, cfg, initial_pair=pair), spec) == \
+        _result_bits(first, spec)
     assert _kept_bits(pair) == kept
 
 
@@ -903,8 +922,8 @@ def test_other_starts_are_retracted(monkeypatch, field, mode):
         retracted.clear()
         res = optimizer.search(on, field, 2, cfg, initial_pair=start)
         assert retracted[0] is start.f.vectors
-        assert _result_bits(res) == _result_bits(
-            optimizer.search(on, field, 2, cfg, initial_pair=stateless))
+        assert _result_bits(res, on) == _result_bits(
+            optimizer.search(on, field, 2, cfg, initial_pair=stateless), on)
 
 
 def test_degenerate_and_converged_results_resume_as_they_ended(monkeypatch, field):
@@ -937,5 +956,5 @@ def test_degenerate_and_converged_results_resume_as_they_ended(monkeypatch, fiel
     assert retracted == [] and resumed.status == optimizer.CONVERGED
     assert resumed.merit_history == res.merit_history[-1:]  # 0 iterations
     assert _result_bits(dataclasses.replace(resumed, merit_history=res.merit_history,
-                                            objective_history=res.objective_history)) == \
-        _result_bits(res)
+                                            objective_history=res.objective_history),
+                        spec) == _result_bits(res, spec)

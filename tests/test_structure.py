@@ -67,8 +67,9 @@ def test_critical_report_rejects_zero_vector():
 
 
 def _kernel_case(case):
-    """A pair and spec for the report a search's finish builds from its
-    own kernel output: critical, off S(alpha), a zero f_m, a zero g_m."""
+    """A pair and spec for the report on a pair a search returns, which
+    carries its last kernel output: critical, off S(alpha), a zero f_m,
+    a zero g_m."""
     if case in ("critical", "off-constraint"):
         pair, spec = fixtures.fixture("FX-MIX")
         return pair, ConstraintSpec(spec.alpha * (1.01 if case == "off-constraint" else 1.0))
@@ -80,21 +81,25 @@ def _kernel_case(case):
 
 @pytest.mark.parametrize("case", ["critical", "off-constraint", "zero-f", "zero-g"])
 def test_report_from_kernel_terms_matches_critical_report(case):
-    """Given the kernel output, the report checks the pair as
-    ``critical_report`` does and raises what it raises, with the same
-    message, or returns its report bit for bit."""
+    """On a pair seeded, as a search seeds the pair it returns, with the
+    TU* and the resume state of its kernel output, ``critical_report``
+    checks the pair as on a fresh pair and raises what it raises, with the
+    same message, or returns its report bit for bit."""
     pair, spec = _kernel_case(case)
     fv, gv = pair.f.vectors, pair.g.vectors
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero f_m divides by ||f_m||^2
         terms = structure._merit_terms(fv, gv)
+    seeded = FramePair(FrameSequence(pair.field, fv.copy()), FrameSequence(pair.field, gv.copy()))
+    seeded._derived("TU*", lambda: terms.tu)
+    seeded._derived("resume", lambda: (spec.alpha, *terms))
     try:
         want = structure.critical_report(pair, spec)
     except MixedFramesError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms)
+            structure.critical_report(seeded, spec)
         assert case != "critical"
         return
-    got = structure._critical_report(pair, spec, structure.DEFAULT_CRITICAL_TOL, terms)
+    got = structure.critical_report(seeded, spec)
     for name in ("c", "f_residuals", "g_residuals", "is_critical", "tol", "mixed_norm"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert case == "critical"

@@ -10,8 +10,10 @@ so two checkouts can be compared.  Everything runs in process at 1 BLAS thread.
   kernel passes, and the trials they price (a pass on a stack of K trials prices K; descent
   prices its trials from FP and passes only the start and each accepted trial).
 * ``search``: CriticalSearch.PROBLEMS x seeds 0-3 at 300 iterations, Descent.PROBLEMS x seeds
-  0-4 at 40: status, histories, final F/G bytes, the report's c and residual bytes with
-  repr((is_critical, tol, mixed_norm)), and repr((constraint_residual_final, dual_deviation)).
+  0-4 at 40: status, histories, final F/G bytes, the c and residual bytes with
+  repr((is_critical, tol, mixed_norm)) of the final pair's ``structure.critical_report`` as
+  ``optimize`` prints it (none after a degenerate pairing or a failed check), and
+  repr((constraint_residual_final, dual_deviation)).
   The same runs are made again as 2-iteration slices, each resumed from the last one's
   ``final_pair``; unless those hash the same (a resumed search continues bit for bit), the
   script exits 1 and prints no ``search`` line.
@@ -72,18 +74,19 @@ def _feed(h, obj):
 
 
 def _searches(problems, seeds, max_iters, run=optimizer.search):
-    """(label, seed, result) of one ``run`` (``optimizer.search`` or ``_sliced``) per problem
-    and seed."""
+    """(label, seed, spec, result) of one ``run`` (``optimizer.search`` or ``_sliced``) per
+    problem and seed."""
     for label, field_, d, alpha, cfg in problems:
+        spec = frames.ConstraintSpec(alpha)
         for seed in seeds:
             one = dataclasses.replace(cfg, seed=seed, max_iters=max_iters)
-            yield label, seed, run(frames.ConstraintSpec(alpha), field_, d, one)
+            yield label, seed, spec, run(spec, field_, d, one)
 
 
 def _sliced(spec, field_, d, cfg):
     """``optimizer.search`` in slices of SLICE iterations, each resumed from the last one's
     ``final_pair``, stitched into one result: the histories without each slice's repeated
-    start, the last slice's pair and report."""
+    start, the last slice's pair."""
     merit, objective, start = [], [], None
     while True:
         left = cfg.max_iters - max(len(merit) - 1, 0)
@@ -111,7 +114,7 @@ def outcomes():
                                   ("descent", Descent.PROBLEMS, range(3))):
         tally, iterations = collections.Counter(), 0
         work.clear()
-        for label, seed, res in _searches(problems, seeds, 2000):
+        for label, seed, _, res in _searches(problems, seeds, 2000):
             dual, _ = frames.is_dual_pair(res.final_pair, tol=1e-6)
             iters = max(len(res.merit_history) - 1, 0)
             print(f"{mode} {label} seed {seed}: {res.status} iterations {iters} dual {dual}")
@@ -133,8 +136,8 @@ def search():
         h = hashlib.sha256()
         for problems, seeds, iters in ((CriticalSearch.PROBLEMS, range(4), 300),
                                        (Descent.PROBLEMS, range(5), 40)):
-            for _, _, res in _searches(problems, seeds, iters, run):
-                rep, pair = res.critical_report_final, res.final_pair
+            for _, _, spec, res in _searches(problems, seeds, iters, run):
+                rep, pair = cli._final_report(res, spec), res.final_pair
                 parts = [res.status, repr(res.merit_history), repr(res.objective_history),
                          pair.f.vectors, pair.g.vectors]
                 if rep is not None:
