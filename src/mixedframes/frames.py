@@ -61,6 +61,20 @@ class FrameSequence:
     def __post_init__(self):
         object.__setattr__(self, "vectors", _validate_vectors(self.vectors, self.field))
 
+    @classmethod
+    def _adopt(cls, field, vectors, finite):
+        """A sequence over an (N, d) array of the field's dtype that the
+        caller made and hands over: frozen in place, with no copy, and
+        scanned for finiteness (NonFiniteError) unless ``finite`` says the
+        caller already knows every entry is finite."""
+        if not finite:
+            ensure_finite(vectors, "frame vectors")
+        vectors.setflags(write=False)
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "field", field)
+        object.__setattr__(seq, "vectors", vectors)
+        return seq
+
     @property
     def d(self):
         return self.vectors.shape[1]

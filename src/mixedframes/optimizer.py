@@ -9,8 +9,10 @@ Two modes:
 * CRITICAL_SEARCH descends the merit function (summed squared residuals
   of the critical-pair equations, multipliers eliminated by least
   squares) composed with the retraction, along its exact gradient from
-  one hand-written reverse-mode sweep.  The merit is bounded below by 0
-  and vanishes exactly at critical pairs.
+  one hand-written reverse-mode sweep, which takes the retraction's
+  rescaling as 1 and r_f,m as orthogonal to f_m, as they are on S(alpha)
+  to round-off.  The merit is bounded below by 0 and vanishes exactly at
+  critical pairs.
 
 Both backtrack along the ladder step, step / 2, ..., step / 2^29 to its
 first trial that strictly lowers the merit or the objective, starting at
@@ -27,8 +29,11 @@ iterate: merit, FP, and the u = F M^T, G conj(M), ||f_m||^2 and
 <f_m, g_m> the gradients and the tangent projection read; ``search``
 keeps the last output, with alpha, on the pair it returns (four N x d
 arrays, M and the N-vectors per result), so a search on the same alpha
-from that pair takes it as its start's: it skips the start's retraction
-and kernel pass and continues the run bit for bit.
+from that pair takes it as its start's: it skips the start's zero-row
+check, retraction and kernel pass and continues the run bit for bit.
+That pair's vectors are the loop's last arrays, frozen in place; they
+are scanned for inf and NaN only if the last merit is not finite, as a
+non-finite entry would make it.
 At small sizes a trial costs NumPy call overhead, so the ladder is priced
 K = min(4, max(1, _STACK_ELEMENTS // (N d))) trials at a time: one step,
 retraction, M and kernel pass or FP on (K, N, d) arrays, each trial's
@@ -51,6 +56,7 @@ the reported result never depends on execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,32 +204,31 @@ def _merit_gradient(fv, gv, alpha, terms):
     of one hand-written reverse-mode pass: each ``x_bar`` below is
     dL/dRe x + i dL/dIm x for the intermediate x, so a product y = a * b
     sends y_bar * conj(b) to a_bar and y = conj(x) sends conj(y_bar) to
-    x_bar.  The forward is not run again: on S(alpha) the retraction
-    ``frames._retraction`` leaves G as it is, so its output G_r is G, and
-    only q = alpha / ip is formed for its derivative, from the kernel's
-    ip = <f_m, g_m>.  The sweep runs through M = TU* like the kernel, in
-    O(N d^2) time and O(N d + d^2) memory.
+    x_bar.  The forward is not run again, and the sweep takes two facts
+    of the point it starts from, each exact up to round-off: on S(alpha)
+    the retraction ``frames._retraction`` rescales G by q = alpha / ip = 1,
+    so its output G_r is G and ip = <f_m, g_m> enters only through
+    alpha; and at the least-squares lam, r_f,m is orthogonal to f_m, so
+    r_f sends nothing to lam.  The sweep runs through M = TU* like the
+    kernel, in O(N d^2) time and O(N d + d^2) memory.
     """
-    tu, u, lam, rf, rg, f_norms2, ip = (terms.tu, terms.u, terms.lam, terms.rf, terms.rg,
-                                        terms.f_norms2, terms.ip)
-    q = alpha / ip
+    tu, u, lam, rf, rg, f_norms2 = terms.tu, terms.u, terms.lam, terms.rf, terms.rg, terms.f_norms2
+    lam_c = lam.conj()
 
     # backward through r_f = u - lam f, r_g = G_r conj(M) - conj(lam) G_r
     # and lam = num / |f|^2 with num_m = sum_k u_m[k] conj(f_m[k])
     rf_bar, rg_bar = 2.0 * rf, 2.0 * rg
-    lam_bar = -np.vecdot(fv, rf_bar) - np.vecdot(rg_bar, gv)
+    lam_bar = -np.vecdot(rg_bar, gv)
     num_bar = lam_bar / f_norms2
-    norms2_bar = -np.real(lam_bar * lam.conj()) / f_norms2
+    norms2_bar = -np.real(lam_bar * lam_c) / f_norms2
     u_bar = rf_bar + num_bar[:, None] * fv
     # through u = F M^T, r_g and M = F^T conj(G_r)
     tu_bar = u_bar.T @ fv.conj() + gv.T @ rg_bar.conj()
-    f_bar = (num_bar.conj()[:, None] * u - lam.conj()[:, None] * rf_bar
+    f_bar = (num_bar.conj()[:, None] * u - lam_c[:, None] * rf_bar
              + 2.0 * norms2_bar[:, None] * fv + u_bar @ tu.conj() + gv @ tu_bar.T)
-    gr_bar = rg_bar @ tu.T - lam[:, None] * rg_bar + fv @ tu_bar.conj()
-    # through the retraction G_r = G * conj(q), q = alpha / <f_m, g_m>
-    g_bar = gr_bar * q[:, None]
-    q_bar = np.vecdot(gr_bar, gv)
-    ip_bar = -q_bar * (q / ip).conj()
+    g_bar = rg_bar @ tu.T - lam[:, None] * rg_bar + fv @ tu_bar.conj()
+    # through the retraction G_r = G * conj(alpha / <f_m, g_m>) at q = 1
+    ip_bar = -np.vecdot(g_bar, gv) / alpha.conj()
     f_bar += ip_bar[:, None] * gv
     g_bar += ip_bar.conj()[:, None] * fv
     return f_bar, g_bar
@@ -255,33 +260,46 @@ def _accepted(fv, gv, best, critical, objective):
     return fv[j], gv[j], structure._merit_terms(fv[j], gv[j], tu[j], fp[j])
 
 
-def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
+def _resume_terms(pair, alpha):
+    """The kernel output kept on ``pair`` by the search on ``alpha`` that
+    returned it, as a ``_MeritTerms``; None for any other pair or alpha."""
+    kept = pair._memo.get("resume")
+    if kept is not None and np.array_equal(kept[0], alpha):
+        return structure._MeritTerms(*kept[1:])
+    return None
+
+
+def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None):
     """One restart on raw (N, d) arrays, alpha in the field's dtype: past
     the start, only ``finish`` builds a FramePair.  The loop's state is
     the iterate (F, G) and its kernel output ``terms``; a degenerate
     pairing of the start or of a trial ends it as DEGENERATE_RETRACTION.
-    A start that a search on this alpha returned is its ``finish``'s
-    iterate, so the run continues from the kernel output kept on it."""
+    Given ``terms``, the start's kept kernel output (``_resume_terms``),
+    the run continues from it with no retraction or kernel pass."""
     if initial_pair is None:
         initial_pair = frames.random_pair(field_, d, spec.n, seed)
     critical = cfg.mode == CRITICAL_SEARCH
     blocks = _LADDER_BLOCKS[min(max(_STACK_ELEMENTS // (spec.n * d), 1), 4)]
     fv, gv = initial_pair.f.vectors, initial_pair.g.vectors
-    terms = None
     obj_hist = []
     merit_hist = []
 
     def finish(status):
-        """The search result: the one FramePair the run returns, built (and
-        validated) from the final arrays and seeded with their TU* and, to
-        resume from, the flat tuple (alpha, *terms)."""
-        pair = FramePair(FrameSequence(field_, fv), FrameSequence(field_, gv))
+        """The search result: the one FramePair the run returns, frozen in
+        place from the final arrays and seeded with their TU* and, to
+        resume from, the flat tuple (alpha, *terms).  A finite kernel merit
+        vouches for F and G: an inf or NaN entry would reach it through
+        ||f_m||^2, the retraction or TU*.  Otherwise they are scanned."""
+        finite = terms is not None and math.isfinite(terms.merit)
+        pair = FramePair(FrameSequence._adopt(field_, fv, finite),
+                         FrameSequence._adopt(field_, gv, finite))
         if terms is not None:
             pair._derived("TU*", lambda: terms.tu)
             pair._derived("resume", lambda: (alpha, *terms))
         residual = (float("inf") if status == DEGENERATE_RETRACTION
                     else float(np.abs(terms.ip - spec.alpha).max()))
-        _, deviation = frames.is_dual_pair(pair)
+        # ||TU* - I||_F as frames.is_dual_pair reads it, from the seeded TU*
+        deviation = float(np.linalg.norm(frames.mixed_operator(pair) - np.eye(d)))
         return SearchResult(
             final_pair=pair,
             objective_history=obj_hist,
@@ -296,10 +314,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None):
         obj_hist.append(float(_objective_part(terms.fp, cfg.objective)))
         merit_hist.append(float(terms.merit))
 
-    kept = initial_pair._memo.get("resume")
-    if kept is not None and np.array_equal(kept[0], alpha):
-        terms = structure._MeritTerms(*kept[1:])
-    else:
+    if terms is None:
         try:
             gv = frames._retraction(fv, gv, alpha)
         except DegeneratePairingError:
@@ -379,21 +394,24 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
     A result's ``final_pair`` resumes its run: a search on the same alpha
     from it continues bit for bit, so slices resumed from each other's
     ``final_pair`` give the histories and final pair of one whole run,
-    with no retraction or kernel pass at a slice's start, from the last
-    kernel output each result's pair keeps: M, four N x d arrays (F M^T,
-    G conj(M), r_f, r_g) and three N-vectors.  Any other start, copies of
-    that pair included, is retracted onto S(alpha) first.  No critical
+    with no zero-row check, retraction or kernel pass at a slice's start,
+    from the last kernel output each result's pair keeps: M, four N x d
+    arrays (F M^T, G conj(M), r_f, r_g) and three N-vectors.  The rows of
+    such a start need no check: its <f_m, g_m> are alpha_m != 0 to
+    round-off.  Any other start, copies of that pair included, is checked
+    and retracted onto S(alpha) first.  No critical
     report is built: ``structure.critical_report(result.final_pair, spec)``
     is the last iterate's, from one kernel pass on the kept M.
 
     The inputs are checked here, once: alpha must be nonzero, and real
     over R (MixedFramesError), and ``initial_pair`` must have the field,
-    d and N of the search (DimensionMismatchError) and no zero f_m or g_m
-    (ZeroVectorError).  A start whose merit or FP is NaN (a problem past
+    d and N of the search (DimensionMismatchError) and, unless it resumes,
+    no zero f_m or g_m (ZeroVectorError).  A start whose merit or FP is NaN (a problem past
     float64) raises NumericalFailureError.
     """
     spec.require_nonzero()
     alpha = spec.require_field(field_)
+    resume = None
     if initial_pair is not None:
         if (initial_pair.field, initial_pair.d, initial_pair.n) != (field_, d, spec.n):
             raise DimensionMismatchError(
@@ -401,10 +419,13 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
                 f"N = {initial_pair.n}; the search is over {field_.value} with d = {d}, "
                 f"N = {spec.n}"
             )
-        initial_pair.require_nonzero()
+        resume = _resume_terms(initial_pair, alpha)
+        if resume is None:  # a resumed start's <f_m, g_m> is alpha_m != 0: no row is zero
+            initial_pair.require_nonzero()
     # min over a generator keeps a running best: a restart's result is dropped
     # as soon as it loses, so at most two are held whatever ``restarts`` is
     runs = (_run_single(spec, alpha, field_, d, cfg, cfg.seed + k,
-                        initial_pair=initial_pair if k == 0 else None)
+                        initial_pair=initial_pair if k == 0 else None,
+                        terms=resume if k == 0 else None)
             for k in range(cfg.restarts + 1))
     return min(runs, key=_result_key)

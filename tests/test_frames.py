@@ -52,6 +52,23 @@ def test_sequence_owns_its_vectors():
     assert alpha.flags.writeable and spec.alpha[0] == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adopted_sequence_is_scanned_unless_known_finite(field, bad):
+    """The constructor a search's result uses freezes the array it is
+    handed, with no copy; unless the caller vouches that it is finite
+    (a search's finite last merit), a non-finite entry (over C, in the
+    imaginary part) raises."""
+    dtype = np.float64 if field is Field.REAL else np.complex128
+    a = np.eye(2, dtype=dtype)
+    seq = FrameSequence._adopt(field, a, finite=True)
+    assert seq.vectors is a and not a.flags.writeable and seq.field is field
+    assert (seq.d, seq.n) == (2, 2)
+    b = np.eye(2, dtype=dtype)
+    b[1, 0] = bad if field is Field.REAL else complex(0.0, bad)
+    with pytest.raises(NonFiniteError):
+        FrameSequence._adopt(field, b, finite=False)
+
+
 def test_constraint_spec_needs_alpha():
     with pytest.raises(DimensionMismatchError, match="alpha must be nonempty"):
         ConstraintSpec([])

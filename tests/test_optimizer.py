@@ -333,8 +333,9 @@ def test_search_rejects_zero_vector_start():
 
 def test_search_loop_builds_no_frame_sequences(monkeypatch):
     """The search loop runs on raw arrays: a CRITICAL_SEARCH on criterion
-    9's problem constructs as many FrameSequences in 50 iterations as in 5
-    (the random start and the returned pair)."""
+    9's problem constructs the random start's two FrameSequences in 5
+    iterations and in 50, and no others: the returned pair adopts the
+    loop's last arrays without validating them again."""
     original = FrameSequence.__post_init__
     built = []
 
@@ -352,7 +353,22 @@ def test_search_loop_builds_no_frame_sequences(monkeypatch):
         assert res.status == optimizer.MAX_ITERS
         assert len(res.merit_history) == max_iters + 1
         counts.append(len(built))
-    assert counts[0] == counts[1]
+    assert counts == [2, 2]
+
+
+@pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
+def test_final_pair_vectors_are_read_only(field, mode):
+    """The returned pair's vectors are the loop's last arrays, frozen: no
+    write reaches them, in a result resumed from it too."""
+    spec = ConstraintSpec(np.full(4, 0.5))
+    cfg = optimizer.OptimizerConfig(mode=mode, seed=3, max_iters=3)
+    res = optimizer.search(spec, field, 2, cfg)
+    resumed = optimizer.search(spec, field, 2, cfg, initial_pair=res.final_pair)
+    for pair in (res.final_pair, resumed.final_pair):
+        for v in (pair.f.vectors, pair.g.vectors):
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0, 0] = 0.0
 
 
 # (mode, field, d, alpha, seed, max_iters, divergence_bound, status): criterion
@@ -867,15 +883,17 @@ def _kept_bits(pair):
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
 def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mode):
-    """A search resumed from a result on the same alpha neither retracts
-    its start nor runs the kernel on it; resuming the same pair twice
-    gives the same result, and leaves the pair's kept state as it was."""
+    """A search resumed from a result on the same alpha neither checks its
+    start's rows (its <f_m, g_m> are alpha_m != 0), retracts it nor runs
+    the kernel on it; resuming the same pair twice gives the same result,
+    and leaves the pair's kept state as it was."""
     spec = ConstraintSpec(np.full(4, 0.5))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=3, max_iters=3)
     pair = optimizer.search(spec, field, 2, cfg).final_pair
     kept = _kept_bits(pair)
-    retracted, starts = [], []
+    retracted, starts, checked = [], [], []
     retraction, kernel = frames._retraction, structure._merit_terms
+    require_nonzero = FramePair.require_nonzero
 
     def counting_retraction(fv, gv, alpha):
         retracted.append(fv is pair.f.vectors)
@@ -887,8 +905,10 @@ def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mo
 
     monkeypatch.setattr(frames, "_retraction", counting_retraction)
     monkeypatch.setattr(structure, "_merit_terms", counting_kernel)
+    monkeypatch.setattr(FramePair, "require_nonzero",
+                        lambda self: (checked.append(self), require_nonzero(self))[1])
     first = optimizer.search(spec, field, 2, cfg, initial_pair=pair)
-    assert retracted and not any(retracted) and starts and not any(starts)
+    assert retracted and not any(retracted) and starts and not any(starts) and checked == []
     assert _result_bits(optimizer.search(spec, field, 2, cfg, initial_pair=pair), spec) == \
         _result_bits(first, spec)
     assert _kept_bits(pair) == kept
@@ -897,8 +917,9 @@ def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mo
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
 def test_other_starts_are_retracted(monkeypatch, field, mode):
     """Only the pair a search returned, on the alpha it searched, resumes:
-    that pair on another alpha, a pair of copies of its vectors and its
-    swapped pair (which keeps no state) are retracted like any start and
+    that pair on another alpha, a pair of copies of its vectors, a pair
+    rebuilt from its sequences and its swapped pair (the last two keep no
+    state) have their rows checked and are retracted like any start, and
     give the result of a start that never carried state."""
     spec = ConstraintSpec(np.full(4, 0.5))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=3, max_iters=3)
@@ -907,21 +928,25 @@ def test_other_starts_are_retracted(monkeypatch, field, mode):
     assert "resume" in pair._memo and "resume" not in swapped._memo
     copies = FramePair(FrameSequence(field, pair.f.vectors.copy()),
                        FrameSequence(field, pair.g.vectors.copy()))
-    retracted = []
-    retraction = frames._retraction
+    retracted, checked = [], []
+    retraction, require_nonzero = frames._retraction, FramePair.require_nonzero
 
     def counting_retraction(fv, gv, alpha):
         retracted.append(fv)
         return retraction(fv, gv, alpha)
 
     monkeypatch.setattr(frames, "_retraction", counting_retraction)
+    monkeypatch.setattr(FramePair, "require_nonzero",
+                        lambda self: (checked.append(self), require_nonzero(self))[1])
     other = ConstraintSpec(np.array([0.5, 0.5, 0.5, 0.25]))
-    for start, on in ((pair, other), (copies, spec), (swapped, spec)):
+    rebuilt = FramePair(pair.f, pair.g)
+    for start, on in ((pair, other), (copies, spec), (rebuilt, spec), (swapped, spec)):
         stateless = FramePair(FrameSequence(field, start.f.vectors.copy()),
                               FrameSequence(field, start.g.vectors.copy()))
         retracted.clear()
+        checked.clear()
         res = optimizer.search(on, field, 2, cfg, initial_pair=start)
-        assert retracted[0] is start.f.vectors
+        assert retracted[0] is start.f.vectors and checked[0] is start
         assert _result_bits(res, on) == _result_bits(
             optimizer.search(on, field, 2, cfg, initial_pair=stateless), on)
 

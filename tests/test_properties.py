@@ -168,14 +168,17 @@ def test_critical_report_matches_per_index_fit(field, d, ratio, seed):
 # from seed 3 over 20 iterations, as recorded once each backtracking search
 # started at the Polyak step merit / ||grad||^2 and the gradient came from
 # the iterate's kernel output (float64 for a real pair), each row product
-# and squared row norm one np.vecdot; the search must reproduce it bit for bit.
+# and squared row norm one np.vecdot, by a reverse sweep that takes the
+# retraction's rescaling alpha / <f_m, g_m> as 1 and r_f,m as orthogonal to
+# f_m (both exact on S(alpha) up to round-off); the search must reproduce
+# it bit for bit.
 CRITERION_9_MERIT_HISTORY = [
-    0.5957904899667253, 0.1675708080149215, 0.05327914668101481, 0.030238979366926443,
-    0.027572454305241856, 0.024763498782845873, 0.02425265004350341, 0.024177237028358983,
-    0.02006077868880834, 0.01992839339123141, 0.019108885200702846, 0.01792135618532544,
-    0.01676465196376747, 0.014597736934924397, 0.013440011831448172, 0.009513666616176707,
-    0.009228986695692179, 0.008657494204585333, 0.008422049701723302, 0.0078657836309846,
-    0.007762086252870836,
+    0.5957904899667253, 0.16757080801492152, 0.0532791466810148, 0.030238979366926384,
+    0.02757245430524187, 0.024763498782845807, 0.024252650043503375, 0.02417723702835889,
+    0.020060778688808248, 0.01992839339123155, 0.019108885200702502, 0.017921356185326046,
+    0.01676465196376634, 0.014597736934924492, 0.013440011831498488, 0.00951366661615563,
+    0.009228986695756976, 0.008657494204465278, 0.008422049702018665, 0.007865783630403203,
+    0.00776208625435835,
 ]
 
 
@@ -205,11 +208,12 @@ def test_descent_trial_potential_matches_direct_form(field, d, extra, seed):
 @given(FIELDS, st.sampled_from([optimizer.REAL_PART, optimizer.IMAG_PART]), st.integers(1, 8),
        st.integers(0, 3), st.integers(0, 10_000))
 def test_gradients_from_the_kernel_pass_are_exact(field, objective, d, extra, seed):
-    """A search takes G conj(M), u = F M^T, ||f_m||^2 and <f_m, g_m> for
-    its gradients from the iterate's kernel pass: the descent gradient,
-    its tangent projection and the merit gradient equal, bit for bit,
-    their values computed from the pair alone, and the descent gradient
-    equals the form conj(2 conj(G) M), 2 F M^T it replaces."""
+    """A search takes G conj(M), u = F M^T and ||f_m||^2 for its gradients
+    from the iterate's kernel pass: the descent gradient, its tangent
+    projection and the merit gradient equal, bit for bit, their values
+    computed from the pair alone, and the descent gradient equals the form
+    conj(2 conj(G) M), 2 F M^T it replaces.  The merit gradient reads no
+    <f_m, g_m>: on S(alpha) it enters only as alpha."""
     n = d + extra * d
     pair, spec = retracted_random(field, d, n, seed, alpha=np.linspace(0.5, 2.0, n))
     fv, gv = pair.f.vectors, pair.g.vectors
@@ -229,9 +233,47 @@ def test_gradients_from_the_kernel_pass_are_exact(field, objective, d, extra, se
     got = optimizer._project_to_tangent(fv, gv, *grad, terms.f_norms2)
     assert same(got, optimizer.project_to_tangent(pair, *want))
     alpha = spec.require_field(field)
-    recomputed = terms._replace(f_norms2=np.vecdot(fv, fv).real, ip=np.vecdot(gv, fv))
+    recomputed = terms._replace(f_norms2=np.vecdot(fv, fv).real, ip=None)
     assert same(optimizer._merit_gradient(fv, gv, alpha, terms),
                 optimizer._merit_gradient(fv, gv, alpha, recomputed))
+
+
+# (d, N) with d in 1..4 and N in d..3d
+SHAPES = st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(d, 3 * d)))
+
+
+@fixed(80)
+@given(FIELDS, SHAPES, st.integers(0, 10_000), st.booleans(),
+       st.sampled_from([np.inf, -np.inf, np.nan]), st.booleans())
+def test_a_non_finite_entry_makes_the_merit_non_finite(field, shape, seed, in_f, bad, imag):
+    """An inf or NaN entry of F or G (over C in its real or imaginary
+    part), retracted as a search retracts a trial, gives a non-finite
+    kernel merit: a finite merit vouches for the arrays, so a search's
+    result skips their finiteness scan."""
+    d, n = shape
+    pair, spec = retracted_random(field, d, n, seed, alpha=np.linspace(0.5, 2.0, n))
+    if field is Field.COMPLEX and imag:
+        bad = complex(0.0, bad)
+    rng = np.random.default_rng(seed)
+    fv, gv = pair.f.vectors.copy(), pair.g.vectors.copy()
+    (fv if in_f else gv)[rng.integers(n), rng.integers(d)] = bad
+    with np.errstate(all="ignore"):
+        gv = frames._retraction(fv, gv, spec.require_field(field))
+        assert not np.isfinite(structure._merit_terms(fv, gv).merit)
+
+
+@fixed(60)
+@given(FIELDS, SHAPES, st.integers(0, 10_000))
+def test_rf_is_orthogonal_to_f_in_kernel_outputs(field, shape, seed):
+    """At the least-squares multiplier, r_f,m = u_m - lam_m f_m is
+    orthogonal to f_m up to round-off: the merit gradient's sweep drops
+    the term <f_m, r_f,m> would send to lam."""
+    d, n = shape
+    pair, _ = retracted_random(field, d, n, seed, alpha=np.linspace(0.5, 2.0, n))
+    fv, gv = pair.f.vectors, pair.g.vectors
+    terms = structure._merit_terms(fv, gv)
+    bound = 1e-12 * np.linalg.norm(terms.u, axis=1) * np.linalg.norm(fv, axis=1)
+    assert (np.abs(np.vecdot(terms.rf, fv)) <= bound).all()
 
 
 # merit_history and objective_history of a POTENTIAL_DESCENT over C on the
