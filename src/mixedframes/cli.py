@@ -110,7 +110,8 @@ def _write(path, text):
         raise MixedFramesError(f"cannot write {path}: {exc}") from exc
 
 
-# Verdicts stop at a float overflow or invalid operation (exit 3) rather than warn; not optimize.
+# Verdicts and gen stop at a float overflow or invalid operation (exit 3) rather than warn;
+# optimize searches with both ignored, as its loop rejects a non-finite trial.
 _STRICT = np.errstate(over="raise", invalid="raise")
 
 
@@ -312,7 +313,8 @@ def cmd_optimize(args):
     out = args.output and os.path.abspath(args.output)  # checked before the search it would waste
     if out and (os.path.isdir(out) or not os.access(os.path.dirname(out), os.W_OK)):
         raise MixedFramesError(f"cannot write {args.output}: not a file in a writable directory")
-    result = optimizer.search(spec, field_, args.d, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = optimizer.search(spec, field_, args.d, cfg)
 
     outputs = {"search": _search_json(result, spec),
                "final_pair": frames.pair_to_document(result.final_pair, spec.alpha)}
@@ -384,7 +386,7 @@ def build_parser():
 
 
 _HANDLERS = {
-    "gen": cmd_gen,
+    "gen": _STRICT(cmd_gen),
     "potential": _STRICT(cmd_potential),
     "check": _STRICT(cmd_check),
     "decompose": _STRICT(cmd_decompose),

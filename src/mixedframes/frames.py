@@ -22,7 +22,6 @@ from .errors import (
     DegeneratePairingError,
     DimensionMismatchError,
     MixedFramesError,
-    NonFiniteError,
     ZeroAlphaError,
     ZeroVectorError,
 )
@@ -34,39 +33,34 @@ class Field(enum.Enum):
     COMPLEX = "C"
 
 
-def _validate_vectors(vectors, field):
-    v = np.asarray(vectors)
-    if field is Field.REAL and v.dtype.kind in "biuf":  # already real: no complex round trip
-        v = np.array(v, dtype=np.float64, order="C")  # a copy: the caller's array stays theirs
-    else:
-        v = np.array(v, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-        raise DimensionMismatchError(f"vectors must form an (N, d) array, got shape {v.shape}")
-    ensure_finite(v, "frame vectors")
-    if field is Field.REAL and v.dtype.kind == "c":
-        if v.imag.any():
-            raise NonFiniteError("REAL-field frame has nonzero imaginary parts")
-        v = v.real.copy()
-    v.setflags(write=False)
-    return v
-
-
 @dataclass(frozen=True)
 class FrameSequence:
-    """N vectors of dimension d, one per row of ``vectors``."""
+    """N vectors of dimension d, one per row of ``vectors``: a checked
+    copy of what the caller passes, in the field's dtype."""
 
     field: Field
     vectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", _validate_vectors(self.vectors, self.field))
+        v = np.array(self.vectors, dtype=np.complex128)  # a copy: the caller's array stays theirs
+        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
+            raise DimensionMismatchError(f"vectors must form an (N, d) array, got shape {v.shape}")
+        ensure_finite(v, "frame vectors")
+        if self.field is Field.REAL:
+            if v.imag.any():
+                raise MixedFramesError("REAL-field frame vectors must be real")
+            v = v.real.copy()
+        v.setflags(write=False)
+        object.__setattr__(self, "vectors", v)
 
     @classmethod
     def _adopt(cls, field, vectors, finite):
         """A sequence over an (N, d) array of the field's dtype that the
-        caller made and hands over: frozen in place, with no copy, and
+        library made and hands over: frozen in place, with no copy, and
         scanned for finiteness (NonFiniteError) unless ``finite`` says the
-        caller already knows every entry is finite."""
+        caller already knows every entry is finite.  ``random_pair``,
+        ``retract_to_constraint`` and a search's result build their
+        sequences this way; the constructor checks outside data."""
         if not finite:
             ensure_finite(vectors, "frame vectors")
         vectors.setflags(write=False)
@@ -238,7 +232,8 @@ def random_pair(field: Field, d, n, seed):
     else:
         fv = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         gv = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return FramePair(FrameSequence(field, fv), FrameSequence(field, gv))
+    return FramePair(FrameSequence._adopt(field, fv, finite=True),
+                     FrameSequence._adopt(field, gv, finite=True))
 
 
 #: Degeneracy cut of the retraction: a pairing with |<f_m, g_m>| below
@@ -295,14 +290,15 @@ def retract_to_constraint(pair: FramePair, spec: ConstraintSpec):
     Raises ZeroAlphaError for a zero alpha_m, MixedFramesError for a
     non-real alpha over R, ZeroVectorError for a zero f_m or g_m, and
     DegeneratePairingError when some |<f_m, g_m>| falls below
-    1e-10 ||f_m|| ||g_m||: that pairing cannot be rescaled.
+    1e-10 ||f_m|| ||g_m||: that pairing cannot be rescaled.  A rescaled
+    g_m past float64 raises NonFiniteError.
     """
     spec.require_length(pair.n)
     spec.require_nonzero()
     alpha = spec.require_field(pair.field)
     pair.require_nonzero()
     gv = _retraction(pair.f.vectors, pair.g.vectors, alpha)
-    return FramePair(pair.f, FrameSequence(pair.field, gv))
+    return FramePair(pair.f, FrameSequence._adopt(pair.field, gv, finite=False))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,6 @@ from .errors import (
     NumericalFailureError,
 )
 from .frames import ConstraintSpec, Field, FramePair, FrameSequence
-from .linalg import ensure_finite
 
 POTENTIAL_DESCENT = "POTENTIAL_DESCENT"
 CRITICAL_SEARCH = "CRITICAL_SEARCH"
@@ -319,7 +318,8 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
             gv = frames._retraction(fv, gv, alpha)
         except DegeneratePairingError:
             return finish(DEGENERATE_RETRACTION)
-        ensure_finite(gv, "frame vectors")  # the rescaling of a tiny pairing can overflow
+        if not np.isfinite(gv).all():  # the rescaling of a tiny pairing can overflow
+            raise NumericalFailureError("the start's retraction onto S(alpha) is past float64")
         terms = structure._merit_terms(fv, gv)
         if np.isnan(terms.merit) or np.isnan(terms.fp):  # no NaN trial is ever accepted
             raise NumericalFailureError(f"the start's merit {terms.merit} or FP {terms.fp} is NaN")
@@ -406,8 +406,9 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
     The inputs are checked here, once: alpha must be nonzero, and real
     over R (MixedFramesError), and ``initial_pair`` must have the field,
     d and N of the search (DimensionMismatchError) and, unless it resumes,
-    no zero f_m or g_m (ZeroVectorError).  A start whose merit or FP is NaN (a problem past
-    float64) raises NumericalFailureError.
+    no zero f_m or g_m (ZeroVectorError).  A start whose retraction is not
+    finite, or whose merit or FP is NaN (a problem past float64), raises
+    NumericalFailureError.
     """
     spec.require_nonzero()
     alpha = spec.require_field(field_)

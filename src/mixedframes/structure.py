@@ -69,7 +69,9 @@ def _merit_terms(fv, gv, tu=None, fp=None):
     """The critical-pair equations on raw (N, d) arrays with nonzero rows,
     from M = TU* = F^T conj(G) (unless given), as a ``_MeritTerms``; ``fp``
     is Tr(M^2) when the caller has already summed it from this M.  A stack
-    (K, N, d) of trials gives each field a leading axis K, bit for bit.
+    (K, N, d) of trials gives each field a leading axis K, bit for bit: the
+    merit is summed one way, over each trial's residuals as one row of N d
+    entries, for a pair and a stack alike.
     O(N d^2) time, O(N d + d^2) memory; the one kernel behind
     ``critical_report``, the optimizer's merit, FP and both its gradients."""
     if tu is None:
@@ -83,11 +85,8 @@ def _merit_terms(fv, gv, tu=None, fp=None):
     lam = np.vecdot(fv, u) / f_norms2
     rf = u - lam[..., None] * fv
     rg = gm - lam.conj()[..., None] * gv
-    if rf.ndim == 2:
-        merit = np.vdot(rf, rf).real + np.vdot(rg, rg).real
-    else:  # each trial's residuals as one row of N d entries, summed as np.vdot sums them
-        rf2, rg2 = rf.reshape(len(rf), -1), rg.reshape(len(rg), -1)
-        merit = np.vecdot(rf2, rf2).real + np.vecdot(rg2, rg2).real
+    rf2, rg2 = rf.reshape(*rf.shape[:-2], -1), rg.reshape(*rg.shape[:-2], -1)
+    merit = np.vecdot(rf2, rf2).real + np.vecdot(rg2, rg2).real
     return _MeritTerms(tu, u, gm, lam, rf, rg, f_norms2, ip, merit, fp)
 
 

@@ -524,19 +524,41 @@ def test_unreportable_input_exits_with_empty_stdout(capsys, tmp_path, argv, code
         assert run(capsys, *[a.format(**paths) for a in argv]) == (code, "")
 
 
-@pytest.mark.parametrize("command", ["check", "potential", "corollary", "decompose"])
-def test_verdict_past_float64_exits_3_without_warnings(tmp_path, command):
-    """A verdict stops at its first float overflow or invalid operation:
-    on the huge document a fresh process, with Python's default warning
-    filters, exits 3 with nothing on stdout and no RuntimeWarning."""
+def assert_fresh_numerical_failure(*argv):
+    """The CLI in a fresh process, with Python's default warning filters,
+    exits 3 with nothing on stdout and no RuntimeWarning on stderr."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-m", "mixedframes.cli", command,
-                           str(write_huge(tmp_path))],
+    proc = subprocess.run([sys.executable, "-m", "mixedframes.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("command", ["check", "potential", "corollary", "decompose"])
+def test_verdict_past_float64_exits_3_without_warnings(tmp_path, command):
+    """A verdict on the huge document stops at its first float overflow or
+    invalid operation: a numerical failure, with no warning."""
+    assert_fresh_numerical_failure(command, str(write_huge(tmp_path)))
+
+
+_GEN = ["gen", "random", "--field", "R", "--d", "2", "--N", "3", "--seed", "0"]
+_OPTIMIZE = ["optimize", "--field", "R", "--d", "2", "--mode"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_GEN, "--alpha", "1e308,1e308,1e308"],
+    [*_OPTIMIZE, "critical", "--alpha", "1e308,1e308,1e308"],
+    [*_OPTIMIZE, "potential", "--alpha", "1e308,1e308,1e308"],
+    [*_OPTIMIZE, "critical", "--alpha", "1e200,1e200,1e200"],
+    [*_OPTIMIZE, "potential", "--alpha", "1e200,1e200,1e200"],
+], ids=["gen-1e308", "critical-1e308", "potential-1e308", "critical-1e200", "potential-1e200"])
+def test_overflow_in_gen_and_optimize_exits_3_without_warnings(argv):
+    """gen's retraction past float64 (alpha = 1e308 overflows the rescaled
+    G) and optimize's start past it (that G, or at 1e200 its FP) are
+    numerical failures, with no warning."""
+    assert_fresh_numerical_failure(*argv)
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])

@@ -23,8 +23,9 @@ def test_sequence_validation():
         FrameSequence(Field.REAL, np.zeros((0, 2)))
     with pytest.raises(NonFiniteError):
         FrameSequence(Field.REAL, np.array([[np.nan, 0.0]]))
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(MixedFramesError, match="must be real") as info:
         FrameSequence(Field.REAL, np.array([[1.0 + 1j, 0.0]]))
+    assert type(info.value) is MixedFramesError  # not NonFiniteError: every entry is finite
     seq = FrameSequence(Field.COMPLEX, np.array([[1.0 + 1j, 0.0]]))
     assert seq.d == 2 and seq.n == 1
     # a strided (transposed) complex view is valid input
@@ -244,6 +245,15 @@ def test_retraction_of_subnormal_pairing(field):
         warnings.simplefilter("error")
         retracted = frames.retract_to_constraint(pair, spec)
     assert (frames.constraint_residual(retracted, spec) / np.abs(spec.alpha)).max() <= 1e-14
+
+
+def test_retraction_past_float64_is_scanned(field):
+    """The retracted G is adopted, not copied, but still scanned: at
+    F = G = [[1e-150]] and alpha = [1e300] the rescaling conj(alpha /
+    <f, g>) = 1e600 overflows and NonFiniteError names it."""
+    pair = FramePair(FrameSequence(field, [[1e-150]]), FrameSequence(field, [[1e-150]]))
+    with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+        frames.retract_to_constraint(pair, ConstraintSpec([1e300]))
 
 
 def test_retraction_keeps_ordinary_rows_bits(field):

@@ -320,6 +320,16 @@ def test_search_from_a_nan_start_is_a_numerical_failure(mode):
         optimizer.search(ConstraintSpec(np.full(3, 1e200)), Field.REAL, 2, cfg)
 
 
+@pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
+def test_search_whose_start_retracts_past_float64_is_a_numerical_failure(mode):
+    """At alpha = 1e308 the random start's rescaled G overflows: the search
+    raises NumericalFailureError, a numerical failure, not an input error."""
+    cfg = optimizer.OptimizerConfig(mode=mode, max_iters=3)
+    with pytest.raises(NumericalFailureError, match="past float64"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        optimizer.search(ConstraintSpec(np.full(3, 1e308)), Field.REAL, 2, cfg)
+
+
 def test_search_rejects_zero_vector_start():
     """A zero f_m in the initial pair has no rescaling onto S(alpha): it is
     named before the retraction divides by <f_m, g_m> = 0."""
@@ -333,9 +343,9 @@ def test_search_rejects_zero_vector_start():
 
 def test_search_loop_builds_no_frame_sequences(monkeypatch):
     """The search loop runs on raw arrays: a CRITICAL_SEARCH on criterion
-    9's problem constructs the random start's two FrameSequences in 5
-    iterations and in 50, and no others: the returned pair adopts the
-    loop's last arrays without validating them again."""
+    9's problem constructs no FrameSequence in 5 iterations or in 50. The
+    random start adopts the arrays it draws, and the returned pair the
+    loop's last arrays, neither validated again."""
     original = FrameSequence.__post_init__
     built = []
 
@@ -353,7 +363,7 @@ def test_search_loop_builds_no_frame_sequences(monkeypatch):
         assert res.status == optimizer.MAX_ITERS
         assert len(res.merit_history) == max_iters + 1
         counts.append(len(built))
-    assert counts == [2, 2]
+    assert counts == [0, 0]
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
