@@ -25,12 +25,13 @@ O(N d + d^2) memory, never from the N x N cross Gram: a trial is priced
 at FP = Tr(M^2), and in CRITICAL_SEARCH by the residual kernel
 ``structure._merit_terms`` on that M, which descent runs only on the
 accepted trial.  The kernel's output is the loop's whole record of the
-iterate: merit, FP, and the u = F M^T, G conj(M), ||f_m||^2 and
-<f_m, g_m> the gradients and the tangent projection read; ``search``
-keeps the last output, with alpha, on the pair it returns (four N x d
-arrays, M and the N-vectors per result), so a search on the same alpha
-from that pair takes it as its start's: it skips the start's zero-row
-check, retraction and kernel pass and continues the run bit for bit.
+iterate: merit, FP, and the u = F M^T, G conj(M) and ||f_m||^2 the
+gradients and the tangent projection read; ``search`` keeps the last
+output as is on the pair it returns, keyed by alpha's bytes (four
+N x d arrays, M and two N-vectors per result), so a search on the same
+alpha from that pair takes it as its start's: it skips the start's
+zero-row check, retraction and kernel pass and continues the run bit for
+bit.
 That pair's vectors are the loop's last arrays, frozen in place; they
 are scanned for inf and NaN only if the last merit is not finite, as a
 non-finite entry would make it.
@@ -259,22 +260,13 @@ def _accepted(fv, gv, best, critical, objective):
     return fv[j], gv[j], structure._merit_terms(fv[j], gv[j], tu[j], fp[j])
 
 
-def _resume_terms(pair, alpha):
-    """The kernel output kept on ``pair`` by the search on ``alpha`` that
-    returned it, as a ``_MeritTerms``; None for any other pair or alpha."""
-    kept = pair._memo.get("resume")
-    if kept is not None and np.array_equal(kept[0], alpha):
-        return structure._MeritTerms(*kept[1:])
-    return None
-
-
 def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None):
     """One restart on raw (N, d) arrays, alpha in the field's dtype: past
     the start, only ``finish`` builds a FramePair.  The loop's state is
     the iterate (F, G) and its kernel output ``terms``; a degenerate
     pairing of the start or of a trial ends it as DEGENERATE_RETRACTION.
-    Given ``terms``, the start's kept kernel output (``_resume_terms``),
-    the run continues from it with no retraction or kernel pass."""
+    Given ``terms``, the kernel output the start keeps to resume from, the
+    run continues from it with no retraction or kernel pass."""
     if initial_pair is None:
         initial_pair = frames.random_pair(field_, d, spec.n, seed)
     critical = cfg.mode == CRITICAL_SEARCH
@@ -286,17 +278,18 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
     def finish(status):
         """The search result: the one FramePair the run returns, frozen in
         place from the final arrays and seeded with their TU* and, to
-        resume from, the flat tuple (alpha, *terms).  A finite kernel merit
-        vouches for F and G: an inf or NaN entry would reach it through
+        resume from, the last kernel output as is, keyed by alpha's bytes
+        (the S(alpha) the pair lies on).  A finite kernel merit vouches
+        for F and G: an inf or NaN entry would reach it through
         ||f_m||^2, the retraction or TU*.  Otherwise they are scanned."""
         finite = terms is not None and math.isfinite(terms.merit)
         pair = FramePair(FrameSequence._adopt(field_, fv, finite),
                          FrameSequence._adopt(field_, gv, finite))
         if terms is not None:
             pair._derived("TU*", lambda: terms.tu)
-            pair._derived("resume", lambda: (alpha, *terms))
+            pair._derived(("resume", alpha.tobytes()), lambda: terms)
         residual = (float("inf") if status == DEGENERATE_RETRACTION
-                    else float(np.abs(terms.ip - spec.alpha).max()))
+                    else float(frames.constraint_residual(pair, spec).max()))
         # ||TU* - I||_F as frames.is_dual_pair reads it, from the seeded TU*
         deviation = float(np.linalg.norm(frames.mixed_operator(pair) - np.eye(d)))
         return SearchResult(
@@ -395,11 +388,12 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
     from it continues bit for bit, so slices resumed from each other's
     ``final_pair`` give the histories and final pair of one whole run,
     with no zero-row check, retraction or kernel pass at a slice's start,
-    from the last kernel output each result's pair keeps: M, four N x d
-    arrays (F M^T, G conj(M), r_f, r_g) and three N-vectors.  The rows of
-    such a start need no check: its <f_m, g_m> are alpha_m != 0 to
-    round-off.  Any other start, copies of that pair included, is checked
-    and retracted onto S(alpha) first.  No critical
+    from the last kernel output each result's pair keeps, keyed by alpha's
+    bytes: M, four N x d arrays (F M^T, G conj(M), r_f, r_g) and two
+    N-vectors.  The rows of such a start need no check: its <f_m, g_m>
+    are alpha_m != 0 to round-off.  Any other start, copies of that pair
+    and an alpha of other bytes (a -0.0 imaginary part for 0.0) included,
+    is checked and retracted onto S(alpha) first.  No critical
     report is built: ``structure.critical_report(result.final_pair, spec)``
     is the last iterate's, from one kernel pass on the kept M.
 
@@ -420,7 +414,7 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
                 f"N = {initial_pair.n}; the search is over {field_.value} with d = {d}, "
                 f"N = {spec.n}"
             )
-        resume = _resume_terms(initial_pair, alpha)
+        resume = initial_pair._memo.get(("resume", alpha.tobytes()))
         if resume is None:  # a resumed start's <f_m, g_m> is alpha_m != 0: no row is zero
             initial_pair.require_nonzero()
     # min over a generator keeps a running best: a restart's result is dropped

@@ -51,7 +51,9 @@ class CriticalPairReport:
 
 class _MeritTerms(NamedTuple):
     """What one pass of ``_merit_terms`` forms from M = TU*: a search
-    iterate's whole record."""
+    iterate's whole record, and, kept as is, a search result's state to
+    resume from.  It has no <f_m, g_m>: only the search's result and the
+    critical report read it, each forming it once."""
 
     tu: np.ndarray  # M = TU* = F^T conj(G)
     u: np.ndarray  # F M^T: row m is TU* f_m
@@ -60,7 +62,6 @@ class _MeritTerms(NamedTuple):
     rf: np.ndarray  # u - lam f
     rg: np.ndarray  # G conj(M) - conj(lam) g
     f_norms2: np.ndarray  # ||f_m||^2
-    ip: np.ndarray  # <f_m, g_m>
     merit: float  # sum_m ||r_f,m||^2 + ||r_g,m||^2, zero exactly at critical pairs
     fp: complex  # FP = Tr(M^2)
 
@@ -81,13 +82,12 @@ def _merit_terms(fv, gv, tu=None, fp=None):
     u = fv @ tu.swapaxes(-1, -2)
     gm = gv @ tu.conj()
     f_norms2 = np.vecdot(fv, fv).real
-    ip = np.vecdot(gv, fv)
     lam = np.vecdot(fv, u) / f_norms2
     rf = u - lam[..., None] * fv
     rg = gm - lam.conj()[..., None] * gv
     rf2, rg2 = rf.reshape(*rf.shape[:-2], -1), rg.reshape(*rg.shape[:-2], -1)
     merit = np.vecdot(rf2, rf2).real + np.vecdot(rg2, rg2).real
-    return _MeritTerms(tu, u, gm, lam, rf, rg, f_norms2, ip, merit, fp)
+    return _MeritTerms(tu, u, gm, lam, rf, rg, f_norms2, merit, fp)
 
 
 def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_TOL):
@@ -101,7 +101,9 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
 
     It checks alpha's length, S(alpha), then f_m, g_m != 0, and runs the
     kernel once per pair on its memoized TU* (on a search's final pair, the
-    last iterate's), never reading the state a search result keeps to resume.
+    last iterate's), never reading the state a search result keeps to resume;
+    c_m = lam_m - <f_m, g_m> takes the products, which the kernel does not
+    form, from the pair's rows.
     """
     frames.require_membership(pair, spec)
     pair.require_nonzero()
@@ -114,7 +116,7 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
     mixed_norm = float(np.sqrt(np.vdot(terms.tu, terms.tu).real))
     is_critical = max(f_res.max(), g_res.max()) <= tol * (1.0 + mixed_norm)
     return CriticalPairReport(
-        c=terms.lam - terms.ip,  # least-squares multiplier of TU* f_m - <f_m, g_m> f_m
+        c=terms.lam - np.vecdot(gv, fv),  # least-squares multiplier of TU* f_m - <f_m, g_m> f_m
         f_residuals=f_res,
         g_residuals=g_res,
         is_critical=bool(is_critical),

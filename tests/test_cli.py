@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixedframes import cli, fixtures, frames, optimizer, structure
-from mixedframes.errors import DegeneratePairingError
+from mixedframes.errors import DegeneratePairingError, NumericalFailureError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -572,3 +572,11 @@ def test_optimize_checks_output_before_searching(capsys, monkeypatch, tmp_path, 
     path = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
     argv = ("optimize", "--alpha", "1,1,1", "--field", "R", "--d", "2", "--output", str(path))
     assert run(capsys, *argv) == (2, "")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dumps_refuses_a_non_finite_value(value):
+    """A report holding NaN or an infinity is a numerical failure (exit 3
+    from ``main``), never JSON text with a NaN or Infinity in it."""
+    with pytest.raises(NumericalFailureError, match="non-finite value"):
+        cli._dumps({"outputs": {"fp_value": [value, 0.0]}})

@@ -163,3 +163,23 @@ def test_numerical_failure_carries_residual():
     with pytest.raises(NumericalFailureError) as info:
         raise NumericalFailureError("boom", residual=0.5)
     assert info.value.residual == 0.5
+
+
+def _fail(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+def test_eig_failure_is_a_numerical_failure(monkeypatch):
+    """LAPACK's LinAlgError becomes NumericalFailureError with residual inf."""
+    monkeypatch.setattr(np.linalg, "eig", _fail)
+    with pytest.raises(NumericalFailureError, match="eigensolver failed to converge") as exc:
+        linalg.eig_general(np.eye(2))
+    assert exc.value.residual == np.inf
+
+
+def test_span_basis_svd_failure_is_a_numerical_failure(monkeypatch):
+    """LAPACK's LinAlgError becomes NumericalFailureError with residual inf."""
+    monkeypatch.setattr(np.linalg, "svd", _fail)
+    with pytest.raises(NumericalFailureError, match="span basis SVD failed") as exc:
+        linalg.orthonormal_span_basis(np.eye(2), 1e-10)
+    assert exc.value.residual == np.inf

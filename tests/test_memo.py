@@ -93,16 +93,18 @@ def _run(pair, spec, order):
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
 def test_search_result_pair_keeps_the_last_tu(monkeypatch, field, mode):
-    """search stores the last iterate's TU* on the pair it returns: TU* and
-    the duality deviation of that pair build nothing, its critical report
-    runs the kernel once on the stored TU* and never reads the state kept
-    for resuming the search (so it checks the search's last iterate), and
-    all three equal bit for bit the same calls on a fresh pair of copies
-    of its vectors."""
+    """search stores the last iterate's TU* on the pair it returns, beside
+    the one resume entry keyed by alpha's bytes: TU* and the duality
+    deviation of that pair build nothing, its critical report runs the
+    kernel once on the stored TU* and never reads the state kept for
+    resuming the search (so it checks the search's last iterate), and all
+    three equal bit for bit the same calls on a fresh pair of copies of
+    its vectors."""
     spec = ConstraintSpec(np.linspace(0.5, 2.0, 6))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=2, max_iters=5)
     res = optimizer.search(spec, field, 3, cfg)
-    assert set(res.final_pair._memo) == {"TU*", "resume"}
+    resume = ("resume", spec.require_field(field).tobytes())
+    assert set(res.final_pair._memo) == {"TU*", resume}
     built, kernels, read = [], [], []
     derived, kernel = FramePair._derived, structure._merit_terms
 
@@ -132,7 +134,7 @@ def test_search_result_pair_keeps_the_last_tu(monkeypatch, field, mode):
                       frames.is_dual_pair(pair)))
 
     got = calls(res.final_pair)
-    assert built == ["terms"] and len(kernels) == 1 and "resume" not in read
+    assert built == ["terms"] and len(kernels) == 1 and resume not in read
     assert kernels[0][2] is frames.mixed_operator(res.final_pair)
     fresh = FramePair(FrameSequence(field, res.final_pair.f.vectors.copy()),
                       FrameSequence(field, res.final_pair.g.vectors.copy()))

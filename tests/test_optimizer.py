@@ -60,13 +60,17 @@ def _potential_part(objective):
 
 @pytest.mark.parametrize("objective", [optimizer.REAL_PART, optimizer.IMAG_PART])
 def test_gradient_against_finite_differences(field, objective):
-    if field is Field.REAL and objective == optimizer.IMAG_PART:
-        pytest.skip("the potential is real over R")
+    """fp_gradient against central differences of Re or Im FP.  Over R,
+    Im FP is identically 0: its gradient is exactly zero in float64, and
+    so are its differences."""
+    zero = field is Field.REAL and objective == optimizer.IMAG_PART
     rng = np.random.default_rng(61)
     for trial in range(24):
         d, n = _fd_shape(rng, trial)
         pair = frames.random_pair(field, d, n, 2000 + trial)
         gf, gg = optimizer.fp_gradient(pair, objective)
+        if zero:
+            assert gf.dtype == gg.dtype == np.float64 and not gf.any() and not gg.any()
         ef, eg = _fd_gradient(pair, _potential_part(objective))
         scale = max(1.0, float(np.linalg.norm(ef)), float(np.linalg.norm(eg)))
         assert np.linalg.norm(gf - ef) / scale <= 1e-5
@@ -880,13 +884,14 @@ def test_slices_resumed_from_final_pair_equal_one_whole_run(field, mode, d, n, k
         assert _result_bits(_sliced(spec, field, d, cfg, width), spec) == _result_bits(whole, spec)
 
 
-def _kept_bits(pair):
-    """The state a search result keeps to resume from, alpha and the last
-    kernel output, as bytes and values; each of its arrays must be read-only."""
-    alpha, *terms = pair._memo["resume"]
-    assert terms[0] is pair._memo["TU*"]
-    arrays = [alpha] + [x for x in terms if isinstance(x, np.ndarray)]
-    assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
+def _kept_bits(pair, alpha):
+    """The state a search result on ``alpha`` keeps to resume from, its last
+    kernel output as is under alpha's bytes, as bytes and values; each of
+    its 7 arrays must be read-only."""
+    terms = pair._memo[("resume", alpha.tobytes())]
+    assert isinstance(terms, structure._MeritTerms) and terms.tu is pair._memo["TU*"]
+    arrays = [x for x in terms if isinstance(x, np.ndarray)]
+    assert len(arrays) == 7 and not any(a.flags.writeable for a in arrays)
     scalars = [repr(x) for x in terms if not isinstance(x, np.ndarray)]
     return [a.tobytes() for a in arrays] + scalars
 
@@ -900,7 +905,8 @@ def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mo
     spec = ConstraintSpec(np.full(4, 0.5))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=3, max_iters=3)
     pair = optimizer.search(spec, field, 2, cfg).final_pair
-    kept = _kept_bits(pair)
+    alpha = spec.require_field(field)
+    kept = _kept_bits(pair, alpha)
     retracted, starts, checked = [], [], []
     retraction, kernel = frames._retraction, structure._merit_terms
     require_nonzero = FramePair.require_nonzero
@@ -921,21 +927,23 @@ def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mo
     assert retracted and not any(retracted) and starts and not any(starts) and checked == []
     assert _result_bits(optimizer.search(spec, field, 2, cfg, initial_pair=pair), spec) == \
         _result_bits(first, spec)
-    assert _kept_bits(pair) == kept
+    assert _kept_bits(pair, alpha) == kept
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
 def test_other_starts_are_retracted(monkeypatch, field, mode):
     """Only the pair a search returned, on the alpha it searched, resumes:
-    that pair on another alpha, a pair of copies of its vectors, a pair
-    rebuilt from its sequences and its swapped pair (the last two keep no
-    state) have their rows checked and are retracted like any start, and
-    give the result of a start that never carried state."""
+    that pair on another alpha (over C also on the same alpha with -0.0
+    imaginary parts, whose bytes differ), a pair of copies of its vectors,
+    a pair rebuilt from its sequences and its swapped pair (the last two
+    keep no state) have their rows checked and are retracted like any
+    start, and give the result of a start that never carried state."""
     spec = ConstraintSpec(np.full(4, 0.5))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=3, max_iters=3)
     pair = optimizer.search(spec, field, 2, cfg).final_pair
     swapped = pair.swapped()
-    assert "resume" in pair._memo and "resume" not in swapped._memo
+    assert set(pair._memo) == {"TU*", ("resume", spec.require_field(field).tobytes())}
+    assert not swapped._memo
     copies = FramePair(FrameSequence(field, pair.f.vectors.copy()),
                        FrameSequence(field, pair.g.vectors.copy()))
     retracted, checked = [], []
@@ -950,7 +958,10 @@ def test_other_starts_are_retracted(monkeypatch, field, mode):
                         lambda self: (checked.append(self), require_nonzero(self))[1])
     other = ConstraintSpec(np.array([0.5, 0.5, 0.5, 0.25]))
     rebuilt = FramePair(pair.f, pair.g)
-    for start, on in ((pair, other), (copies, spec), (rebuilt, spec), (swapped, spec)):
+    starts = [(pair, other), (copies, spec), (rebuilt, spec), (swapped, spec)]
+    if field is Field.COMPLEX:
+        starts.append((pair, ConstraintSpec(np.full(4, complex(0.5, -0.0)))))
+    for start, on in starts:
         stateless = FramePair(FrameSequence(field, start.f.vectors.copy()),
                               FrameSequence(field, start.g.vectors.copy()))
         retracted.clear()
@@ -970,7 +981,7 @@ def test_degenerate_and_converged_results_resume_as_they_ended(monkeypatch, fiel
     g = FrameSequence(field, np.array([[0.0, 1.0], [1.0, 0.0]]))
     spec, cfg = ConstraintSpec(np.ones(2)), optimizer.OptimizerConfig(seed=4, max_iters=50)
     res = optimizer.search(spec, field, 2, cfg, initial_pair=FramePair(f, g))
-    assert res.status == optimizer.DEGENERATE_RETRACTION and "resume" not in res.final_pair._memo
+    assert res.status == optimizer.DEGENERATE_RETRACTION and set(res.final_pair._memo) == {"TU*"}
     retracted = []
     retraction = frames._retraction
 

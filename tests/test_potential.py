@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import retracted_random
 from mixedframes import fixtures, frames, potential
-from mixedframes.errors import ConstraintViolationError
+from mixedframes.errors import ConstraintViolationError, NumericalFailureError
 from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
 
 
@@ -211,3 +213,62 @@ def test_scaled_identity_negative():
     ok, _, residual = potential.scaled_identity_check(pair, spec)
     assert not ok
     assert residual > 1e-6
+
+
+# The safety checks below compare two forms of one quantity, which agree on
+# every pair the library builds; each test breaks the one helper whose
+# output a check compares, so that the check must raise.
+
+
+def test_fp_trace_raises_when_the_spectrum_disagrees(monkeypatch):
+    """FX-MB's TU* = (3/2) I: a spectrum moved to (5/2, 5/2) squares to
+    12.5 against Tr((TU*)^2) = 4.5, a NumericalFailureError carrying the
+    gap."""
+    pair, _ = fixtures.fixture("FX-MB")
+    values = potential._spectrum(pair).values + 1.0
+    monkeypatch.setattr(potential, "_spectrum", lambda p, tol=None: SimpleNamespace(values=values))
+    with pytest.raises(NumericalFailureError, match="squared-spectrum form disagree") as exc:
+        potential.fp_trace(pair)
+    assert exc.value.residual == pytest.approx(8.0)
+
+
+def test_bound_report_raises_when_fp_disagrees_with_its_decomposition(monkeypatch):
+    """An FP off by 1 from R + iI of FX-MB's spectrum raises, with the gap."""
+    pair, spec = fixtures.fixture("FX-MB")
+    fp_of_gram = potential._fp_of_gram
+    monkeypatch.setattr(potential, "_fp_of_gram", lambda x: fp_of_gram(x) + 1.0)
+    with pytest.raises(NumericalFailureError, match="eigenvalue decomposition") as exc:
+        potential.bound_report(pair, spec)
+    assert exc.value.residual == pytest.approx(1.0)
+
+
+def test_bound_report_raises_on_a_violated_real_spectrum_bound(monkeypatch):
+    """TU* read as 0 on FX-MB: an all-real spectrum with FP = 0 below
+    (sum alpha)^2 / d = 4.5, which no pair on S(alpha) can reach."""
+    pair, spec = fixtures.fixture("FX-MB")
+    monkeypatch.setattr(frames, "mixed_operator", lambda p: np.zeros((p.d, p.d)))
+    with pytest.raises(NumericalFailureError, match="real-spectrum lower bound") as exc:
+        potential.bound_report(pair, spec)
+    assert exc.value.residual == pytest.approx(4.5)
+
+
+def test_bound_report_raises_on_a_violated_imaginary_spectrum_bound(monkeypatch):
+    """TU* read as 1e-3 i I on the pair of alpha = (i, 2i): an all-imaginary
+    spectrum with FP = -2e-6 above (sum alpha)^2 / d = -4.5."""
+    lam = np.array([1j, 2j])
+    pair = FramePair(FrameSequence(Field.COMPLEX, np.eye(2)),
+                     FrameSequence(Field.COMPLEX, np.diag(lam.conj())))
+    monkeypatch.setattr(frames, "mixed_operator", lambda p: 1e-3j * np.eye(p.d))
+    with pytest.raises(NumericalFailureError, match="imaginary-spectrum upper bound") as exc:
+        potential.bound_report(pair, ConstraintSpec(lam))
+    assert exc.value.residual == pytest.approx(4.5 - 2e-6)
+
+
+def test_scaled_identity_check_raises_when_a_disagrees_with_alpha(monkeypatch):
+    """TU* read as 2 I on FX-MB, whose (sum alpha) / d is 3/2: A = 2 is
+    scaled identity with the wrong A."""
+    pair, spec = fixtures.fixture("FX-MB")
+    monkeypatch.setattr(frames, "mixed_operator", lambda p: 2.0 * np.eye(p.d))
+    with pytest.raises(NumericalFailureError, match="A = trace/d and") as exc:
+        potential.scaled_identity_check(pair, spec)
+    assert exc.value.residual == pytest.approx(0.5)

@@ -212,8 +212,8 @@ def test_gradients_from_the_kernel_pass_are_exact(field, objective, d, extra, se
     from the iterate's kernel pass: the descent gradient, its tangent
     projection and the merit gradient equal, bit for bit, their values
     computed from the pair alone, and the descent gradient equals the form
-    conj(2 conj(G) M), 2 F M^T it replaces.  The merit gradient reads no
-    <f_m, g_m>: on S(alpha) it enters only as alpha."""
+    conj(2 conj(G) M), 2 F M^T it replaces.  The kernel's record carries
+    no <f_m, g_m>: on S(alpha) it enters the merit gradient only as alpha."""
     n = d + extra * d
     pair, spec = retracted_random(field, d, n, seed, alpha=np.linspace(0.5, 2.0, n))
     fv, gv = pair.f.vectors, pair.g.vectors
@@ -233,7 +233,8 @@ def test_gradients_from_the_kernel_pass_are_exact(field, objective, d, extra, se
     got = optimizer._project_to_tangent(fv, gv, *grad, terms.f_norms2)
     assert same(got, optimizer.project_to_tangent(pair, *want))
     alpha = spec.require_field(field)
-    recomputed = terms._replace(f_norms2=np.vecdot(fv, fv).real, ip=None)
+    assert "ip" not in terms._fields
+    recomputed = terms._replace(f_norms2=np.vecdot(fv, fv).real)
     assert same(optimizer._merit_gradient(fv, gv, alpha, terms),
                 optimizer._merit_gradient(fv, gv, alpha, recomputed))
 
@@ -410,18 +411,20 @@ def test_swapped_pair_has_conjugate_potential(field, shape, seed):
 @given(FIELDS, SHAPES, st.integers(0, 10_000))
 def test_trace_of_mixed_operator_is_alpha_sum(field, shape, seed):
     """Tr TU* = sum_m <f_m, g_m> = sum alpha on S(alpha), from the
-    kernel's M and its row sums <f_m, g_m>."""
+    kernel's M and from the row sums <f_m, g_m> = lam_m - c_m that the
+    critical report forms."""
     d, n = shape
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
     if field is Field.COMPLEX:
         alpha = alpha * np.exp(2j * np.pi * rng.uniform(size=n))
-    pair, _ = retracted_random(field, d, n, seed, alpha)
+    pair, spec = retracted_random(field, d, n, seed, alpha)
     fv, gv = pair.f.vectors, pair.g.vectors
     terms = structure._merit_terms(fv, gv)
     total = np.sum(alpha)
     scale = 1e-12 * (1.0 + np.sum(np.linalg.norm(fv, axis=1) * np.linalg.norm(gv, axis=1)))
-    for got in (np.trace(terms.tu), np.trace(frames.mixed_operator(pair)), np.sum(terms.ip)):
+    ip = terms.lam - structure.critical_report(pair, spec).c
+    for got in (np.trace(terms.tu), np.trace(frames.mixed_operator(pair)), np.sum(ip)):
         assert abs(got - total) <= scale
 
 
@@ -433,7 +436,8 @@ def test_row_contractions_match_elementwise_forms(field, shape, seed):
     """Each row product, squared row norm and sum of squares that the
     kernel, the retraction and the critical report take as one np.vecdot
     or np.vdot agrees with the elementwise form it replaced, to 1e-13 of
-    the quantity's natural scale (||f_m|| ||g_m|| for <f_m, g_m>)."""
+    the quantity's natural scale (||f_m|| ||g_m|| for <f_m, g_m>, and
+    that plus |lam_m| for the multiplier c_m = lam_m - <f_m, g_m>)."""
     d, n = shape
     raw = frames.random_pair(field, d, n, seed)
     fv, gv = raw.f.vectors, raw.g.vectors
@@ -446,7 +450,8 @@ def test_row_contractions_match_elementwise_forms(field, shape, seed):
     f_norms2 = (np.abs(fv) ** 2).sum(axis=1)
     ip = (fv * gv.conj()).sum(axis=1)
     assert close(terms.f_norms2, f_norms2, f_norm**2)
-    assert close(terms.ip, ip, f_norm * g_norm)
+    c = structure.critical_report(raw, ConstraintSpec(ip)).c
+    assert close(c, terms.lam - ip, f_norm * g_norm + np.abs(terms.lam))
     assert close(terms.lam, (terms.u * fv.conj()).sum(axis=1) / f_norms2,
                  np.linalg.norm(terms.u, axis=1) / f_norm)
     merit = (np.abs(terms.rf) ** 2).sum() + (np.abs(terms.rg) ** 2).sum()
@@ -509,9 +514,10 @@ def test_stacked_trials_match_one_trial_at_a_time(field, shape, k, seed):
 
 def test_row_products_pair_f_against_conjugated_g():
     """<f_m, g_m> = sum_k f_m[k] conj(g_m[k]), and np.vecdot conjugates its
-    first argument: the kernel's products and Rayleigh quotients, the
-    retraction and the constraint residual are those of the package's
-    product, not their conjugates."""
+    first argument: the kernel's Rayleigh quotients, the retraction, the
+    constraint residual, the critical report's multipliers c_m = lam_m -
+    <f_m, g_m> and a search result's constraint residual are those of the
+    package's product, not their conjugates."""
     fv = np.array([[1.0 + 2.0j, 0.5j], [2.0, 1.0 - 1.0j]])
     gv = np.array([[1.0j, 1.0], [1.0 + 1.0j, 0.5]])
 
@@ -521,7 +527,6 @@ def test_row_products_pair_f_against_conjugated_g():
     ip = product(fv, gv)
     assert np.array_equal(ip, [2.0 - 0.5j, 2.5 - 2.5j])  # neither is real
     terms = structure._merit_terms(fv, gv)
-    assert np.array_equal(terms.ip, ip)
     assert np.allclose(terms.lam, product(terms.u, fv) / product(fv, fv).real, rtol=1e-15, atol=0)
     alpha = np.array([1.0, 2.0j])
     gr = frames._retraction(fv, gv, alpha)
@@ -529,6 +534,11 @@ def test_row_products_pair_f_against_conjugated_g():
     pair = FramePair(FrameSequence(Field.COMPLEX, fv), FrameSequence(Field.COMPLEX, gv))
     residual = frames.constraint_residual(pair, ConstraintSpec(ip.conj()))
     assert np.allclose(residual, 2.0 * np.abs(ip.imag), rtol=1e-15, atol=0)
+    assert np.array_equal(structure.critical_report(pair, ConstraintSpec(ip)).c, terms.lam - ip)
+    # the conjugate product would leave 2 |Im <f_m, g_m>| >= 1 on the pair the search returns
+    res = optimizer.search(ConstraintSpec(ip), Field.COMPLEX, 2,
+                           optimizer.OptimizerConfig(max_iters=1), initial_pair=pair)
+    assert res.constraint_residual_final <= 1e-14
 
 
 @fixed(60)

@@ -91,7 +91,7 @@ def test_report_from_kernel_terms_matches_critical_report(case):
         terms = structure._merit_terms(fv, gv)
     seeded = FramePair(FrameSequence(pair.field, fv.copy()), FrameSequence(pair.field, gv.copy()))
     seeded._derived("TU*", lambda: terms.tu)
-    seeded._derived("resume", lambda: (spec.alpha, *terms))
+    seeded._derived(("resume", spec.require_field(pair.field).tobytes()), lambda: terms)
     try:
         want = structure.critical_report(pair, spec)
     except MixedFramesError as exc:
@@ -356,6 +356,30 @@ def test_proposition_applicability():
     gv = np.array([[1.0, 0.0], [0.0, 1.0]])
     pair = FramePair(FrameSequence(Field.COMPLEX, fv), FrameSequence(Field.COMPLEX, gv))
     assert structure.proposition_applicability(pair) == structure.BOTH_SUFFICE
+
+
+def test_proposition_applicability_reads_neither_below_scale_one():
+    """Pins today's verdict, a known defect (ROADMAP item 4): the
+    real/imaginary guard PROPOSITION_TOL (1 + |lambda|) is absolute below
+    scale 1.  FX-ONB2 (TU* = I) is REAL_PART_SUFFICES, but with F and G
+    scaled by 1e-5 (TU* = 1e-10 I) each eigenvalue is within the guard of
+    both axes, and the verdict reads NEITHER.  A scale-free guard moves
+    this to REAL_PART_SUFFICES."""
+    pair, _ = fixtures.fixture("FX-ONB2")
+    assert structure.proposition_applicability(pair) == structure.REAL_PART_SUFFICES
+    small = FramePair(FrameSequence(Field.REAL, 1e-5 * pair.f.vectors),
+                      FrameSequence(Field.REAL, 1e-5 * pair.g.vectors))
+    assert structure.proposition_applicability(small) == structure.NEITHER
+
+
+def test_corollary_check_raises_on_a_dual_pair_that_fails_its_conditions(monkeypatch):
+    """FX-MB fails the conditions (sum alpha = 3 > d = 2); read as dual, it
+    contradicts the corollary's forward direction, a NumericalFailureError."""
+    pair, spec = fixtures.fixture("FX-MB")
+    assert structure.corollary_check(pair, spec).verdict == structure.CONDITIONS_FAILED
+    monkeypatch.setattr(frames, "is_dual_pair", lambda p, tol: (True, 0.0))
+    with pytest.raises(NumericalFailureError, match="a dual pair must satisfy"):
+        structure.corollary_check(pair, spec)
 
 
 def test_corollary_dual_fixture():
