@@ -155,14 +155,16 @@ class ConstraintSpec:
         if self.n != n:
             raise DimensionMismatchError(f"alpha has length {self.n}, pair has N = {n}")
 
-    def require_nonzero(self):
-        """Structure-theorem operations need alpha_m != 0 for every m."""
-        zeros = np.flatnonzero(self.alpha == 0)
-        if zeros.size:
-            raise ZeroAlphaError(
-                f"alpha_{zeros[0] + 1} = 0 but a nonzero prescribed product is required",
-                index=int(zeros[0]),
-            )
+    def require_nonzero(self, idx=None):
+        """Structure-theorem operations need alpha_m != 0 for every m, or
+        for every m in the sorted index list ``idx``; ZeroAlphaError names
+        the first zero."""
+        alpha = self.alpha if idx is None else self.alpha[idx]
+        if not alpha.all():
+            m = int(np.flatnonzero(alpha == 0)[0])
+            m = m if idx is None else idx[m]
+            raise ZeroAlphaError(f"alpha_{m + 1} = 0 but a nonzero prescribed product is required",
+                                 index=m)
 
     def require_field(self, field):
         """alpha in the dtype of a pair over ``field``; S(alpha) over R

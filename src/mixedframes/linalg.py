@@ -38,13 +38,12 @@ def ensure_finite(a, what="array"):
     return a
 
 
-def _real_if_possible(a, what):
-    """a checked finite, as float64 when it is real or all its imaginary
-    parts are zero (so it is solved in real arithmetic), else complex128."""
+def _as_inexact(a, what):
+    """a checked finite, as float64 when its dtype is real (so it is solved
+    in real arithmetic), else complex128, whatever its entries."""
     a = np.asarray(a)
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
-    ensure_finite(a, what)
-    return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
+    return ensure_finite(a, what)
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,6 @@ class EigenResult:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    @property
-    def spectral_radius(self):
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
     def within(self, tol):
         """This result, or NumericalFailureError (carrying the residual)
         when the backward residual exceeds ``tol``."""
@@ -80,13 +75,14 @@ class EigenResult:
 def eig_general(a, tol=DEFAULT_EIG_TOL):
     """Full eigendecomposition of a general square matrix.
 
-    A real input matrix (or one whose imaginary parts are all zero) is
-    solved in real arithmetic (LAPACK ``geev``), which returns its nonreal
-    eigenvalues in exact conjugate pairs.  Raises NumericalFailureError
-    (carrying the residual) if the backward residual exceeds
-    ``tol * (1 + ||A||_F)`` or the QR iteration fails to converge.
+    A real-dtype matrix is solved in real arithmetic (LAPACK ``geev``),
+    which returns its nonreal eigenvalues in exact conjugate pairs, and a
+    complex one in complex arithmetic, even with zero imaginary parts.
+    Raises NumericalFailureError (carrying the residual) if the backward
+    residual exceeds ``tol * (1 + ||A||_F)`` or the QR iteration fails to
+    converge.
     """
-    a = _real_if_possible(a, "matrix")
+    a = _as_inexact(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatchError(
             f"eig_general needs a nonempty square matrix, got {a.shape}")
@@ -112,9 +108,10 @@ def orthonormal_span_basis(rows, rank_tol):
     The numerical rank counts the singular values above
     rank_tol * max(1, largest row norm), and the basis is the matching
     leading right singular vectors (Golub & Van Loan, Matrix Computations,
-    4th ed., sections 2.4 and 5.4.1).  Real rows are decomposed in real
-    arithmetic and give a real basis.  Returns ``(basis, rank)`` where
-    ``basis`` has shape (rank, dim).  A failed SVD raises
+    4th ed., sections 2.4 and 5.4.1).  Real-dtype rows are decomposed in
+    real arithmetic and give a float64 basis, complex ones a complex128
+    basis, even with zero imaginary parts.  Returns ``(basis, rank)``
+    where ``basis`` has shape (rank, dim).  A failed SVD raises
     NumericalFailureError.
 
     Rows that outnumber their dimension are first reduced to the dim x dim
@@ -124,7 +121,7 @@ def orthonormal_span_basis(rows, rank_tol):
     takes that path itself from n >= 11 dim / 6 (17 dim / 9 for complex
     rows), and there the basis is bit for bit that of the direct SVD.
     """
-    rows = _real_if_possible(rows, "span vector")
+    rows = _as_inexact(rows, "span vector")
     try:
         square = np.linalg.qr(rows, mode="r") if len(rows) > rows.shape[-1] else rows
         _, sigma, vh = np.linalg.svd(square, full_matrices=False)

@@ -94,7 +94,7 @@ _LADDER_BLOCKS = {k: [_LADDER[i:i + k, None, None] if k > 1 else _LADDER[i]
 @dataclass(frozen=True)
 class OptimizerConfig:
     mode: str = CRITICAL_SEARCH
-    objective: str = REAL_PART  # POTENTIAL_DESCENT only
+    objective: str = REAL_PART  # Re or Im FP: descent lowers it, both modes record it
     max_iters: int = 5000
     divergence_bound: float = 1e9
     seed: int = 0

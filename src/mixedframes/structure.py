@@ -25,7 +25,6 @@ from .errors import (
     ClusterAmbiguityError,
     NotCriticalError,
     NumericalFailureError,
-    ZeroAlphaError,
 )
 from .frames import ConstraintSpec, FramePair
 
@@ -241,11 +240,7 @@ def check_generalized_biorthogonal(pair: FramePair, spec: ConstraintSpec, idx):
     """
     spec.require_length(pair.n)
     idx = _index_set(pair, idx)
-    zeros = np.flatnonzero(spec.alpha[idx] == 0)
-    if zeros.size:  # the first zero alpha_m in sorted idx
-        m = idx[zeros[0]]
-        raise ZeroAlphaError(f"alpha_{m + 1} = 0: generalized biorthogonality needs nonzero alpha",
-                             index=m)
+    spec.require_nonzero(idx)
     return _block_residual(pair, idx, idx, spec.alpha[idx])
 
 
@@ -391,7 +386,7 @@ def proposition_applicability(pair: FramePair):
     eigenvalue has nonzero real part, imaginary part, or both.
     """
     eig = potential._spectrum(pair)
-    radius = eig.spectral_radius
+    radius = float(np.abs(eig.values).max())
     if radius == 0.0 or float(np.min(np.abs(eig.values))) <= PROPOSITION_TOL * radius:
         return NOT_INJECTIVE
     is_real, is_imag = potential._real_and_imaginary(eig.values, PROPOSITION_TOL)

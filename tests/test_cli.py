@@ -66,6 +66,14 @@ def test_gen_unknown_fixture_exits_2(capsys):
     assert run(capsys, "gen", "fixture", "FX-NOPE")[0] == 2
 
 
+def test_unknown_fixture_name_is_a_key_error():
+    """argparse keeps the CLI from asking for it, but the library call
+    names the six fixtures it knows."""
+    with pytest.raises(KeyError, match="unknown fixture 'FX-NOPE'; known: FX-ONB2, FX-SCALE, "
+                                       "FX-D1, FX-MB, FX-IMAG, FX-MIX"):
+        fixtures.fixture("FX-NOPE")
+
+
 def test_potential_fixture(capsys, tmp_path):
     path = write_fixture(tmp_path, "FX-D1")
     code, out = run(capsys, "potential", str(path))

@@ -309,10 +309,19 @@ def test_error_details_are_keyword_only():
 
 
 def test_zero_alpha_rejected():
-    spec = ConstraintSpec(np.array([1.0, 0.0]))
-    with pytest.raises(ZeroAlphaError) as info:
-        spec.require_nonzero()
-    assert info.value.index == 1
+    """The whole alpha, or alpha on a sorted index list: the first zero is
+    named, and a zero outside the list is not looked at."""
+    for alpha, idx, index in [
+        ([1.0, 0.0], None, 1),
+        ([0.0, 2.0, 0.0, 1j], None, 0),
+        ([0.0, 2.0, 0.0, 1j], [1, 2, 3], 2),
+        ([1.0, 0.0, 2.0, 0.0], [0, 1, 3], 1),
+    ]:
+        spec = ConstraintSpec(np.array(alpha))
+        with pytest.raises(ZeroAlphaError, match=f"alpha_{index + 1} = 0 ") as info:
+            spec.require_nonzero(idx)
+        assert info.value.index == index
+        spec.require_nonzero([m for m in range(spec.n) if alpha[m] != 0])
 
 
 def test_require_membership_raises():

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from mixedframes import linalg
+from mixedframes import fixtures, linalg, potential, structure
 from mixedframes.errors import (
     DimensionMismatchError,
     NonFiniteError,
     NumericalFailureError,
     ZeroVectorError,
 )
+from mixedframes.frames import Field, FramePair, FrameSequence
 
 
 def test_ensure_finite_rejects_nan_and_inf():
@@ -111,6 +112,35 @@ def test_orthonormal_span_basis_rank():
             assert np.linalg.norm(v - proj) <= 1e-10 * max(1.0, np.linalg.norm(v))
 
 
+def test_the_dtype_alone_picks_real_or_complex_arithmetic():
+    """complex128 input whose imaginary parts are all zero is solved in
+    complex arithmetic, float64 input in real arithmetic; so complex
+    copies of the real fixtures reach every verdict the real ones do."""
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((3, 4))
+    assert linalg.orthonormal_span_basis(rows, rank_tol=1e-12)[0].dtype == np.float64
+    basis = linalg.orthonormal_span_basis(rows.astype(np.complex128), rank_tol=1e-12)[0]
+    assert basis.dtype == np.complex128
+    a = rng.standard_normal((5, 5)).astype(np.complex128)
+    values = linalg.eig_general(a).values
+    assert np.array_equal(np.sort_complex(values), np.sort_complex(np.linalg.eig(a)[0]))
+
+    def verdicts(pair, spec):
+        bound = potential.bound_report(pair, spec)
+        dec = structure.decompose(pair, spec)
+        cor = structure.corollary_check(pair, spec)
+        return (bound.spectrum_class, bound.bound_status, dec.group, dec.complement,
+                dec.dim_span, cor.verdict, cor.spectrum_all_real, cor.fp_equals_d,
+                cor.re_alpha_sum_ge_d, cor.alpha_sum_equals_d, cor.is_dual_pair,
+                structure.proposition_applicability(pair))
+
+    for name in fixtures.FIXTURE_NAMES:
+        pair, spec = fixtures.fixture(name)
+        if pair.field is Field.REAL:
+            copy = FramePair(*(FrameSequence(Field.COMPLEX, s.vectors) for s in (pair.f, pair.g)))
+            assert verdicts(copy, spec) == verdicts(pair, spec), name
+
+
 def test_orthonormal_span_basis_edge_cases():
     basis, rank = linalg.orthonormal_span_basis(np.zeros((0, 3)), rank_tol=1e-12)
     assert rank == 0 and basis.shape == (0, 3)
@@ -147,6 +177,8 @@ def test_lstsq_scalar():
     assert np.vdot(d, t - c * d) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ZeroVectorError):
         linalg.lstsq_scalar(t, np.zeros(4))
+    with pytest.raises(DimensionMismatchError, match="target and direction dimensions differ"):
+        linalg.lstsq_scalar(t, d[:3])
 
 
 def test_cluster_complex():

@@ -158,7 +158,7 @@ def test_generalized_biorthogonal():
         )
     # the first zero alpha_m in sorted idx is named, whatever order idx is given in
     pair, _ = fixtures.fixture("FX-MIX")
-    with pytest.raises(ZeroAlphaError, match="alpha_2 = 0: generalized biorthogonality") as info:
+    with pytest.raises(ZeroAlphaError, match="alpha_2 = 0 but a nonzero prescribed product") as info:
         structure.check_generalized_biorthogonal(
             pair, ConstraintSpec(np.array([1.0, 0.0, 2.0, 0.0])), [3, 0, 1]
         )

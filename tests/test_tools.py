@@ -3,7 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+from mixedframes import optimizer
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGEST = ROOT / "tools" / "digest.py"
 
 
 def test_digest_prints_four_digests():
@@ -26,3 +29,19 @@ def test_digest_prints_four_digests():
         iterations, passes, trials = int(m[1]), int(m[2]), int(m[4])
         assert 0 < iterations <= passes <= trials
         assert abs(float(m[3]) - passes / iterations) <= 0.005
+
+
+def test_readme_python_example_runs_as_its_comments_say(capsys):
+    """The ```python block of README.md's library overview runs, and the
+    values its comments promise hold: FP of FX-MIX is 8.5, the minimal
+    group is [2, 3, 4] with A = 1.5, and the search ends CONVERGED on a
+    dual pair."""
+    (block,) = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    ns = {}
+    exec(block, ns)
+    assert capsys.readouterr().out.count("\n") == 3
+    assert abs(ns["mf"].fp_direct(ns["pair"]).value - 8.5) <= 1e-12
+    assert [m + 1 for m in ns["dec"].group] == [2, 3, 4]
+    assert abs(ns["dec"].a - 1.5) <= 1e-12
+    assert ns["res"].status == optimizer.CONVERGED
+    assert ns["res"].dual_deviation < 1e-6
