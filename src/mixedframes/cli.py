@@ -319,7 +319,7 @@ def cmd_optimize(args):
     outputs = {"search": _search_json(result, spec),
                "final_pair": frames.pair_to_document(result.final_pair, spec.alpha)}
     output = (args.output, frames.document_to_json(outputs["final_pair"])) if args.output else None
-    tols = {"grad_tol": optimizer.GRAD_TOL, "merit_tol": optimizer.MERIT_TOL,
+    tols = {"grad_tol": optimizer.GRAD_TOL, "critical_tol": structure.DEFAULT_CRITICAL_TOL,
             "divergence_bound": cfg.divergence_bound}
     return _emit("optimize", digest, tols, outputs, result.status,
                  f"status = {result.status}, merit = {outputs['search']['final_merit']}, "

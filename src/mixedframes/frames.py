@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +192,7 @@ def cross_gram(pair: FramePair):
 def is_dual_pair(pair: FramePair, tol=1e-10):
     """True iff ||TU* - I||_F <= tol * sqrt(d); also returns the deviation."""
     dev = float(np.linalg.norm(mixed_operator(pair) - np.eye(pair.d)))
-    return dev <= tol * np.sqrt(pair.d), dev
+    return dev <= tol * math.sqrt(pair.d), dev
 
 
 def constraint_residual(pair: FramePair, spec: ConstraintSpec):

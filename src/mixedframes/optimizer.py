@@ -12,7 +12,9 @@ Two modes:
   one hand-written reverse-mode sweep, which takes the retraction's
   rescaling as 1 and r_f,m as orthogonal to f_m, as they are on S(alpha)
   to round-off.  The merit is bounded below by 0 and vanishes exactly at
-  critical pairs.
+  critical pairs.  The search stops CONVERGED at its first iterate that
+  ``structure.critical_report`` calls critical (``structure._criticality``
+  at DEFAULT_CRITICAL_TOL), tested before the divergence bound.
 
 Both backtrack along the ladder step, step / 2, ..., step / 2^29 to its
 first trial that strictly lowers the merit or the objective, starting at
@@ -81,7 +83,6 @@ DIVERGED = "DIVERGED"
 DEGENERATE_RETRACTION = "DEGENERATE_RETRACTION"
 
 GRAD_TOL = 1e-8  # POTENTIAL_DESCENT converges at or below this tangent gradient norm
-MERIT_TOL = 1e-16  # CRITICAL_SEARCH converges at or below this merit
 _BACKTRACK_LIMIT = 30
 _STACK_ELEMENTS = 768  # a backtracking block stacks min(4, this // (N d)) trials, at least 1
 _LADDER = 0.5 ** np.arange(_BACKTRACK_LIMIT)
@@ -290,8 +291,6 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
             pair._derived(("resume", alpha.tobytes()), lambda: terms)
         residual = (float("inf") if status == DEGENERATE_RETRACTION
                     else float(frames.constraint_residual(pair, spec).max()))
-        # ||TU* - I||_F as frames.is_dual_pair reads it, from the seeded TU*
-        deviation = float(np.linalg.norm(frames.mixed_operator(pair) - np.eye(d)))
         return SearchResult(
             final_pair=pair,
             objective_history=obj_hist,
@@ -299,12 +298,17 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
             constraint_residual_final=residual,
             status=status,
             restart_seed=seed,
-            dual_deviation=deviation,
+            dual_deviation=frames.is_dual_pair(pair)[1],
         )
 
     def record():
         obj_hist.append(float(_objective_part(terms.fp, cfg.objective)))
         merit_hist.append(float(terms.merit))
+
+    def converged():
+        """CRITICAL_SEARCH's stop: ``critical_report``'s verdict at its default tol."""
+        return critical and structure._criticality(
+            terms, structure.DEFAULT_CRITICAL_TOL, rows=False).is_critical
 
     if terms is None:
         try:
@@ -319,15 +323,15 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
 
     for _ in range(cfg.max_iters):
         record()
+        if converged():  # before the bound: a critical iterate is CONVERGED at any scale
+            return finish(CONVERGED)
         if abs(terms.fp) > cfg.divergence_bound:
             return finish(DIVERGED)
         if critical:
-            if terms.merit <= MERIT_TOL:
-                return finish(CONVERGED)
             gf, gg = _merit_gradient(fv, gv, alpha, terms)
             grad2 = np.vdot(gf, gf).real + np.vdot(gg, gg).real
             if grad2 == 0.0:
-                # a stationary point of the merit above MERIT_TOL: no step lowers it
+                # a stationary point of the merit that is not critical: no step lowers it
                 return finish(MAX_ITERS)
             step = terms.merit / grad2  # Polyak's step for the known least merit, 0
         else:
@@ -358,11 +362,11 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
                 return finish(DEGENERATE_RETRACTION)
         else:
             # no step lowers the merit or objective: a round-off floor (the
-            # merit of CRITICAL_SEARCH is above MERIT_TOL here)
+            # iterate of CRITICAL_SEARCH is not critical here)
             return finish(MAX_ITERS)
 
     record()
-    return finish(CONVERGED if critical and terms.merit <= MERIT_TOL else MAX_ITERS)
+    return finish(CONVERGED if converged() else MAX_ITERS)
 
 
 _STATUS_RANK = {CONVERGED: 0, MAX_ITERS: 1, DIVERGED: 2, DEGENERATE_RETRACTION: 3}
@@ -382,7 +386,10 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
 
     Restart k draws its starting pair from seed ``cfg.seed + k``; an
     explicitly supplied ``initial_pair`` is used for the base restart
-    only.  Results are ranked by (status, duality deviation, merit).
+    only.  Results are ranked by (status, duality deviation, merit).  A
+    CRITICAL_SEARCH result that met no degenerate pairing is CONVERGED
+    exactly when ``structure.critical_report(result.final_pair, spec)`` is
+    critical: the run stops at its first critical iterate.
 
     A result's ``final_pair`` resumes its run: a search on the same alpha
     from it continues bit for bit, so slices resumed from each other's

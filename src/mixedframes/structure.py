@@ -89,9 +89,33 @@ def _merit_terms(fv, gv, tu=None, fp=None):
     return _MeritTerms(tu, u, gm, lam, rf, rg, f_norms2, merit, fp)
 
 
+class _Criticality(NamedTuple):
+    f_residuals: np.ndarray  # ||r_f,m||, or None when the merit alone decided
+    g_residuals: np.ndarray  # ||r_g,m||, likewise
+    mixed_norm: float  # ||TU*||_F
+    is_critical: bool
+
+
+def _criticality(terms, tol, rows=True):
+    """The one criticality rule, on one pair's ``_MeritTerms``: every row
+    residual ||r_f,m||, ||r_g,m|| is at most tol (1 + ||TU*||_F).
+    ``critical_report`` reports it and CRITICAL_SEARCH stops on it.  Without
+    ``rows``, a merit above 2N times that bound squared (twice over, against
+    rounding) decides "not critical" alone, since some row's squared residual
+    is at least merit / 2N, for one d x d vdot and no row norms (None);
+    within it the row norms decide, so the verdict is the report's bit for bit."""
+    mixed_norm = float(np.sqrt(np.vdot(terms.tu, terms.tu).real))
+    bound = tol * (1.0 + mixed_norm)
+    if not rows and terms.merit > 4 * len(terms.lam) * bound * bound:
+        return _Criticality(None, None, mixed_norm, False)
+    f_res = np.sqrt(np.vecdot(terms.rf, terms.rf).real)
+    g_res = np.sqrt(np.vecdot(terms.rg, terms.rg).real)
+    return _Criticality(f_res, g_res, mixed_norm, bool(max(f_res.max(), g_res.max()) <= bound))
+
+
 def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_TOL):
     """Fit c_m by least squares against f_m and measure both residuals,
-    all indices at once through ``_merit_terms``.
+    all indices at once through ``_merit_terms``, judged by ``_criticality``.
 
     The g-side residual is taken against conj(c_m), never against an
     independently fitted constant: the Lagrange analysis forces conjugate
@@ -109,18 +133,14 @@ def critical_report(pair: FramePair, spec: ConstraintSpec, tol=DEFAULT_CRITICAL_
     fv, gv = pair.f.vectors, pair.g.vectors
     terms = pair._derived("terms", lambda: _merit_terms(fv, gv, frames.mixed_operator(pair)))
     linalg.ensure_finite(terms.u, "TU* f_m")
-    f_res = np.sqrt(np.vecdot(terms.rf, terms.rf).real)
-    g_res = np.sqrt(np.vecdot(terms.rg, terms.rg).real)
-
-    mixed_norm = float(np.sqrt(np.vdot(terms.tu, terms.tu).real))
-    is_critical = max(f_res.max(), g_res.max()) <= tol * (1.0 + mixed_norm)
+    verdict = _criticality(terms, tol)
     return CriticalPairReport(
         c=terms.lam - np.vecdot(gv, fv),  # least-squares multiplier of TU* f_m - <f_m, g_m> f_m
-        f_residuals=f_res,
-        g_residuals=g_res,
-        is_critical=bool(is_critical),
+        f_residuals=verdict.f_residuals,
+        g_residuals=verdict.g_residuals,
+        is_critical=verdict.is_critical,
         tol=tol,
-        mixed_norm=mixed_norm,
+        mixed_norm=verdict.mixed_norm,
     )
 
 

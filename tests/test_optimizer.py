@@ -261,8 +261,9 @@ def test_critical_search_converges_at_every_scale(scale):
 
 
 def test_critical_search_stops_at_zero_gradient(monkeypatch):
-    """A zero merit gradient above MERIT_TOL ends the restart as MAX_ITERS
-    at once, with no division by zero for the Polyak step."""
+    """A zero merit gradient at a start that is not critical ends the
+    restart as MAX_ITERS at once, with no division by zero for the Polyak
+    step."""
     def zero_gradient(fv, gv, alpha, terms):
         return np.zeros_like(fv), np.zeros_like(gv)
 
@@ -271,7 +272,54 @@ def test_critical_search_stops_at_zero_gradient(monkeypatch):
     with np.errstate(all="raise"):
         res = optimizer.search(spec, Field.REAL, 2, optimizer.OptimizerConfig(seed=3))
     assert res.status == optimizer.MAX_ITERS
-    assert len(res.merit_history) == 1 and res.merit_history[0] > optimizer.MERIT_TOL
+    assert len(res.merit_history) == 1
+    assert not structure.critical_report(res.final_pair, spec).is_critical
+
+
+@pytest.mark.parametrize("bound", [1e15, optimizer.OptimizerConfig().divergence_bound])
+@pytest.mark.parametrize("name", ["FX-MB", "FX-MIX"])
+def test_critical_start_off_scale_one_converges_at_once(name, bound):
+    """A fixture with F and G times 1e3 and alpha times 1e6 is critical by
+    critical_report (merit 2.3e-13; FP 4.5e12 and 8.5e12, past the default
+    divergence bound 1e9).  Started from it,
+    a search ends CONVERGED after 0 iterations under either divergence
+    bound: the stop is critical_report's relative rule, read before the
+    bound."""
+    pair, spec = fixtures.fixture(name)
+    scaled = FramePair(FrameSequence(pair.field, 1e3 * pair.f.vectors),
+                       FrameSequence(pair.field, 1e3 * pair.g.vectors))
+    spec = ConstraintSpec(1e6 * spec.alpha)
+    assert structure.critical_report(scaled, spec).is_critical
+    cfg = optimizer.OptimizerConfig(divergence_bound=bound)
+    res = optimizer.search(spec, pair.field, pair.d, cfg, initial_pair=scaled)
+    assert res.status == optimizer.CONVERGED and len(res.merit_history) == 1
+
+
+# the CRITICAL_SEARCH problems of the benchmark and tools/digest.py
+CRITICAL_PROBLEMS = [(Field.REAL, 2, np.full(4, 0.5)), (Field.COMPLEX, 2, np.ones(3))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("field_,d,alpha", CRITICAL_PROBLEMS, ids=["R", "C"])
+def test_critical_search_converges_exactly_at_the_first_critical_iterate(field_, d, alpha,
+                                                                          seed):
+    """A CRITICAL_SEARCH result is CONVERGED iff critical_report calls its
+    final pair critical, and a CONVERGED run stops at its first critical
+    iterate: the same run cut one iteration short ends MAX_ITERS on a pair
+    that is not critical."""
+    spec = ConstraintSpec(alpha)
+    cfg = optimizer.OptimizerConfig(seed=seed, max_iters=300)
+    res = optimizer.search(spec, field_, d, cfg)
+    assert res.status in (optimizer.CONVERGED, optimizer.MAX_ITERS)
+    is_critical = structure.critical_report(res.final_pair, spec).is_critical
+    assert (res.status == optimizer.CONVERGED) == is_critical
+    if res.status == optimizer.CONVERGED:
+        iterations = len(res.merit_history) - 1
+        short = optimizer.search(spec, field_, d,
+                                 dataclasses.replace(cfg, max_iters=iterations - 1))
+        assert short.status == optimizer.MAX_ITERS
+        assert short.merit_history == res.merit_history[:-1]
+        assert not structure.critical_report(short.final_pair, spec).is_critical
 
 
 def test_search_deterministic():

@@ -105,6 +105,31 @@ def test_report_from_kernel_terms_matches_critical_report(case):
     assert case == "critical"
 
 
+def test_merit_gate_keeps_the_row_verdict():
+    """Without row norms, ``_criticality`` decides "not critical" from the
+    merit alone only where the row norms say so too: on perturbed fixtures,
+    at tolerances that put the largest row residual below and above
+    tol (1 + ||TU*||_F), the gated verdict is the full one."""
+    rng = np.random.default_rng(7)
+    gated = []
+    for name in fixtures.FIXTURE_NAMES:
+        pair, _ = fixtures.fixture(name)
+        if pair.d == 1:  # every f_m is an eigenvector of a 1 x 1 TU*: residuals are round-off
+            continue
+        for eps in (1e-9, 1e-6, 1e-3, 1.0):
+            gv = pair.g.vectors + eps * rng.standard_normal(pair.g.vectors.shape)
+            terms = structure._merit_terms(pair.f.vectors, gv)
+            full = structure._criticality(terms, 1.0)
+            worst = max(full.f_residuals.max(), full.g_residuals.max()) / (1.0 + full.mixed_norm)
+            for factor in (0.25, 0.7, 0.99, 1.01, 1.5, 4.0):
+                want = structure._criticality(terms, factor * worst)
+                got = structure._criticality(terms, factor * worst, rows=False)
+                assert got.is_critical == want.is_critical == (factor > 1.0), (name, eps, factor)
+                assert got.mixed_norm == want.mixed_norm
+                gated.append(got.f_residuals is None)
+    assert any(gated) and not all(gated)
+
+
 def test_eigenvalue_relation():
     """At a critical pair, f_m is a TU*-eigenvector at alpha_m + c_m."""
     for name in ("FX-MB", "FX-MIX", "FX-IMAG"):

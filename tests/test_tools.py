@@ -11,7 +11,9 @@ DIGEST = ROOT / "tools" / "digest.py"
 
 def test_digest_prints_four_digests():
     """tools/digest.py runs to the end, so its 2-iteration slices resumed
-    from final_pair hashed like whole runs, and closes with its four sha256
+    from final_pair hashed like whole runs and each CRITICAL_SEARCH restart
+    of its outcome table is CONVERGED exactly when critical_report calls
+    its final pair critical, and closes with its four sha256
     lines; their values depend on the host's floating point, so they are
     not pinned here.  Each mode's tally line ends with the kernel passes
     and the trials they priced, each also per iteration."""

@@ -8,7 +8,10 @@ so two checkouts can be compared.  Everything runs in process at 1 BLAS thread.
   1e-6) and tallied per mode; hashed over (problem, seed, status, dual), which no machine moves.
   Each mode's tally closes with its work, counted by wrapping ``structure._merit_terms``: the
   kernel passes, and the trials they price (a pass on a stack of K trials prices K; descent
-  prices its trials from FP and passes only the start and each accepted trial).
+  prices its trials from FP and passes only the start and each accepted trial).  Unless every
+  CRITICAL_SEARCH restart that did not meet a degenerate pairing ends CONVERGED exactly when
+  ``structure.critical_report`` calls its final pair critical, the script exits 1 and prints no
+  ``outcomes`` line.
 * ``search``: CriticalSearch.PROBLEMS x seeds 0-3 at 300 iterations, Descent.PROBLEMS x seeds
   0-4 at 40: status, histories, final F/G bytes, the c and residual bytes with
   repr((is_critical, tol, mixed_norm)) of the final pair's ``structure.critical_report`` as
@@ -110,11 +113,14 @@ def outcomes():
         return kernel(fv, *args)
 
     structure._merit_terms = counting
+    critical = []
     for mode, problems, seeds in (("critical", CriticalSearch.PROBLEMS, range(16)),
                                   ("descent", Descent.PROBLEMS, range(3))):
         tally, iterations = collections.Counter(), 0
         work.clear()
-        for label, seed, _, res in _searches(problems, seeds, 2000):
+        for label, seed, spec, res in _searches(problems, seeds, 2000):
+            if mode == "critical":
+                critical.append((label, seed, spec, res))
             dual, _ = frames.is_dual_pair(res.final_pair, tol=1e-6)
             iters = max(len(res.merit_history) - 1, 0)
             print(f"{mode} {label} seed {seed}: {res.status} iterations {iters} dual {dual}")
@@ -127,6 +133,13 @@ def outcomes():
               f"({work['passes'] / iterations:.2f} per iteration), trials {work['trials']} "
               f"({work['trials'] / iterations:.2f} per iteration)")
     structure._merit_terms = kernel
+    for label, seed, spec, res in critical:  # checked past the counted work
+        rep = cli._final_report(res, spec)
+        is_critical = rep is not None and rep.is_critical
+        if (res.status != optimizer.DEGENERATE_RETRACTION
+                and (res.status == optimizer.CONVERGED) != is_critical):
+            sys.exit(f"outcomes: critical {label} seed {seed} ends {res.status}, but "
+                     f"critical_report of its final pair has is_critical {is_critical}")
     return h.hexdigest()
 
 
