@@ -245,10 +245,11 @@ _DEGENERACY_CUT = 1e-10
 _SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
 
 
-def _retraction(fv, gv, alpha):
+def _retraction(fv, gv, alpha, f_norms2=None):
     """The retraction onto S(alpha) on raw (N, d) arrays, or on a stack
     (K, N, d) of trials, with no other input check; real arrays and a real
-    alpha (a pair over R) give real results.
+    alpha (a pair over R) give real results.  ``f_norms2`` is the squared
+    row sums ||f_m||^2 when the caller has already formed them from this F.
 
     Returns G with each row g_m rescaled to conj(alpha_m / <f_m, g_m>) g_m;
     a pairing with |<f_m, g_m>| < 1e-10 ||f_m|| ||g_m|| has none.  A stack
@@ -263,8 +264,10 @@ def _retraction(fv, gv, alpha):
     the power of two 2^k that brings it near unit modulus, and alpha_m is
     scaled by 4^k to match.
     """
+    if f_norms2 is None:
+        f_norms2 = np.vecdot(fv, fv).real
     ip = np.vecdot(gv, fv)
-    cut = _DEGENERACY_CUT * np.sqrt(np.vecdot(fv, fv).real) * np.sqrt(np.vecdot(gv, gv).real)
+    cut = _DEGENERACY_CUT * np.sqrt(f_norms2) * np.sqrt(np.vecdot(gv, gv).real)
     modulus = np.abs(ip)
     bad = modulus < cut
     if bad.any():

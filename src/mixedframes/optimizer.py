@@ -37,6 +37,14 @@ bit.
 That pair's vectors are the loop's last arrays, frozen in place; they
 are scanned for inf and NaN only if the last merit is not finite, as a
 non-finite entry would make it.
+The loop's gradients are halves, so no doubled copy is formed:
+``_fp_gradient`` gives G conj(M), F M^T and ``_merit_gradient`` sweeps
+back from r_f, r_g, not from twice them.  The steps take the 2: along the
+half gradient h, CRITICAL_SEARCH's Polyak step is 0.5 (merit / ||h||^2);
+descent's first steps scale as 1 / ||h|| and double by themselves, and
+its stop compares ||h|| with GRAD_TOL / 2.  Power-of-two scaling is exact,
+so every trial is that of the whole gradient bit for bit, unless a
+gradient entry is subnormal.
 At small sizes a trial costs NumPy call overhead, so the ladder is priced
 K = min(4, max(1, _STACK_ELEMENTS // (N d))) trials at a time: one step,
 retraction, M and kernel pass or FP on (K, N, d) arrays, each trial's
@@ -59,8 +67,9 @@ the reported result never depends on execution order.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,13 +125,27 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A restart's outcome.  Its two verdicts on ``final_pair`` are formed on
+    first read, so a slice that no caller asks them of pays for neither."""
+
     final_pair: FramePair
     objective_history: list
     merit_history: list
-    constraint_residual_final: float
     status: str
     restart_seed: int
-    dual_deviation: float
+    _spec: ConstraintSpec = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def constraint_residual_final(self):
+        """max |<f_m, g_m> - alpha_m| over the final pair, inf after DEGENERATE_RETRACTION."""
+        if self.status == DEGENERATE_RETRACTION:
+            return float("inf")
+        return float(frames.constraint_residual(self.final_pair, self._spec).max())
+
+    @functools.cached_property
+    def dual_deviation(self):
+        """||TU* - I||_F of the final pair, as ``frames.is_dual_pair`` gives it."""
+        return frames.is_dual_pair(self.final_pair)[1]
 
 
 def fp_gradient(pair: FramePair, objective=REAL_PART):
@@ -136,21 +159,22 @@ def fp_gradient(pair: FramePair, objective=REAL_PART):
     Re(sum conj(grad) * d).
     """
     tu = frames.mixed_operator(pair)
-    return _fp_gradient(pair.f.vectors @ tu.T, pair.g.vectors @ tu.conj(), objective)
+    return _fp_gradient(2.0 * (pair.f.vectors @ tu.T), 2.0 * (pair.g.vectors @ tu.conj()),
+                        objective)
 
 
 def _fp_gradient(u, gm, objective):
-    """``fp_gradient`` from u = F M^T and G conj(M), M = TU*, as the kernel forms them."""
+    """Half of ``fp_gradient``, from u = F M^T and G conj(M), M = TU*, as the
+    kernel forms them (the loop's steps take the 2)."""
     # FP = Tr(M^2), M = sum_m f_m g_m^*: its holomorphic derivative w.r.t. f_m is
     # 2 M^T conj(g_m) = conj(row m of 2 G conj(M)), w.r.t. conj(g_m) 2 M f_m = row m of 2 u
-    df_bar, dg_bar = 2.0 * gm, 2.0 * u
     if objective == REAL_PART:
-        return df_bar, dg_bar
+        return gm, u
     if objective != IMAG_PART:
         raise ValueError(f"unknown objective {objective!r}")
     if not np.iscomplexobj(u):  # Im FP vanishes identically on a real pair
         return np.zeros_like(u), np.zeros_like(gm)
-    return 1j * df_bar, -1j * dg_bar
+    return 1j * gm, -1j * u
 
 
 def project_to_tangent(pair: FramePair, gf, gg):
@@ -195,9 +219,10 @@ def _objective_part(fp, objective):
     return fp.real if objective == REAL_PART else fp.imag
 
 
-def _merit_gradient(fv, gv, alpha, terms):
-    """Gradient of merit(retract(F, G)) at a pair (F, G) of raw (N, d)
-    arrays already on S(alpha), from its ``_merit_terms`` output ``terms``.
+def _merit_gradient(fv, gv, alpha_c, terms):
+    """Half the gradient of merit(retract(F, G)) at a pair (F, G) of raw
+    (N, d) arrays already on S(alpha), from its ``_merit_terms`` output
+    ``terms`` and alpha_c = conj(alpha).
 
     The gradient is in the fp_gradient encoding (derivative with respect
     to the real component plus i times that with respect to the imaginary
@@ -211,14 +236,16 @@ def _merit_gradient(fv, gv, alpha, terms):
     so its output G_r is G and ip = <f_m, g_m> enters only through
     alpha; and at the least-squares lam, r_f,m is orthogonal to f_m, so
     r_f sends nothing to lam.  The sweep runs through M = TU* like the
-    kernel, in O(N d^2) time and O(N d + d^2) memory.
+    kernel, in O(N d^2) time and O(N d + d^2) memory.  It starts from
+    r_f, r_g, half of the merit's r_f_bar = 2 r_f, r_g_bar = 2 r_g, so
+    every ``x_bar`` below, and the result, is half.
     """
     tu, u, lam, rf, rg, f_norms2 = terms.tu, terms.u, terms.lam, terms.rf, terms.rg, terms.f_norms2
     lam_c = lam.conj()
 
     # backward through r_f = u - lam f, r_g = G_r conj(M) - conj(lam) G_r
     # and lam = num / |f|^2 with num_m = sum_k u_m[k] conj(f_m[k])
-    rf_bar, rg_bar = 2.0 * rf, 2.0 * rg
+    rf_bar, rg_bar = rf, rg
     lam_bar = -np.vecdot(rg_bar, gv)
     num_bar = lam_bar / f_norms2
     norms2_bar = -np.real(lam_bar * lam_c) / f_norms2
@@ -229,36 +256,37 @@ def _merit_gradient(fv, gv, alpha, terms):
              + 2.0 * norms2_bar[:, None] * fv + u_bar @ tu.conj() + gv @ tu_bar.T)
     g_bar = rg_bar @ tu.T - lam[:, None] * rg_bar + fv @ tu_bar.conj()
     # through the retraction G_r = G * conj(alpha / <f_m, g_m>) at q = 1
-    ip_bar = -np.vecdot(g_bar, gv) / alpha.conj()
+    ip_bar = -np.vecdot(g_bar, gv) / alpha_c
     f_bar += ip_bar[:, None] * gv
     g_bar += ip_bar.conj()[:, None] * fv
     return f_bar, g_bar
 
 
-def _accepted(fv, gv, best, critical, objective):
+def _accepted(fv, gv, f_norms2, best, critical, objective):
     """(F, G, kernel output) of a block's first trial, in ladder order, that
     lowers the iterate's merit (CRITICAL_SEARCH) or objective (descent),
     else None.  A block is (K, N, d) arrays, G cut before a degenerate
-    trial, or a lone (N, d) trial.  CRITICAL_SEARCH prices it in one kernel
-    pass and slices the accepted output, descent at Tr(M^2) per trial."""
-    fv = fv[:len(gv)]
+    trial, or a lone (N, d) trial, with the ||f_m||^2 of all of F.
+    CRITICAL_SEARCH prices it in one kernel pass and slices the accepted
+    output, descent at Tr(M^2) per trial."""
+    fv, f_norms2 = fv[:len(gv)], f_norms2[:len(gv)]
     tu = fv.swapaxes(-1, -2) @ gv.conj()
     if critical:
-        terms = structure._merit_terms(fv, gv, tu)
+        terms = structure._merit_terms(fv, gv, tu, f_norms2)
         lower = terms.merit < best.merit
     else:
         fp = potential._fp_of_gram(tu)
         lower = _objective_part(fp, objective) < _objective_part(best.fp, objective)
     if fv.ndim == 2:  # a lone trial
         if lower:
-            return fv, gv, terms if critical else structure._merit_terms(fv, gv, tu, fp)
+            return fv, gv, terms if critical else structure._merit_terms(fv, gv, tu, f_norms2, fp)
         return None
     j = int(lower.argmax())
     if not lower[j]:
         return None
     if critical:
         return fv[j], gv[j], structure._MeritTerms(*[x[j] for x in terms])
-    return fv[j], gv[j], structure._merit_terms(fv[j], gv[j], tu[j], fp[j])
+    return fv[j], gv[j], structure._merit_terms(fv[j], gv[j], tu[j], f_norms2[j], fp[j])
 
 
 def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None):
@@ -271,6 +299,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
     if initial_pair is None:
         initial_pair = frames.random_pair(field_, d, spec.n, seed)
     critical = cfg.mode == CRITICAL_SEARCH
+    alpha_c = alpha.conj()  # the merit gradient's, formed once per run
     blocks = _LADDER_BLOCKS[min(max(_STACK_ELEMENTS // (spec.n * d), 1), 4)]
     fv, gv = initial_pair.f.vectors, initial_pair.g.vectors
     obj_hist = []
@@ -289,16 +318,13 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
         if terms is not None:
             pair._derived("TU*", lambda: terms.tu)
             pair._derived(("resume", alpha.tobytes()), lambda: terms)
-        residual = (float("inf") if status == DEGENERATE_RETRACTION
-                    else float(frames.constraint_residual(pair, spec).max()))
         return SearchResult(
             final_pair=pair,
             objective_history=obj_hist,
             merit_history=merit_hist,
-            constraint_residual_final=residual,
             status=status,
             restart_seed=seed,
-            dual_deviation=frames.is_dual_pair(pair)[1],
+            _spec=spec,
         )
 
     def record():
@@ -328,19 +354,21 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
         if abs(terms.fp) > cfg.divergence_bound:
             return finish(DIVERGED)
         if critical:
-            gf, gg = _merit_gradient(fv, gv, alpha, terms)
+            gf, gg = _merit_gradient(fv, gv, alpha_c, terms)  # half the gradient
             grad2 = np.vdot(gf, gf).real + np.vdot(gg, gg).real
             if grad2 == 0.0:
                 # a stationary point of the merit that is not critical: no step lowers it
                 return finish(MAX_ITERS)
-            step = terms.merit / grad2  # Polyak's step for the known least merit, 0
+            # Polyak's step for the known least merit, 0, along twice (gf, gg)
+            step = 0.5 * (terms.merit / grad2)
         else:
-            gf, gg = _fp_gradient(terms.u, terms.gm, cfg.objective)
+            gf, gg = _fp_gradient(terms.u, terms.gm, cfg.objective)  # half the gradient
             gf, gg = _project_to_tangent(fv, gv, gf, gg, terms.f_norms2)
             grad2 = np.vdot(gf, gf).real + np.vdot(gg, gg).real
-            if np.sqrt(grad2) <= GRAD_TOL:
+            if np.sqrt(grad2) <= 0.5 * GRAD_TOL:
                 return finish(CONVERGED)
-            # <f_m - t gf_m, g_m - t gg_m> = alpha_m (1 + t^2 eps_m): move none by > alpha_m / 2
+            # <f_m - t gf_m, g_m - t gg_m> = alpha_m (1 + t^2 eps_m): move none by > alpha_m / 2;
+            # both steps scale with 1 / |(gf, gg)|, so the half gradient doubles them
             eps = np.abs(np.vecdot(gg, gf) / alpha).max()
             if eps > 0.0:
                 step = 1.0 / np.sqrt(2.0 * eps)
@@ -350,11 +378,12 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
         for block in blocks:
             t = step * block
             f1 = fv - t * gf
+            f_norms2 = np.vecdot(f1, f1).real  # the retraction's and the kernel's
             try:
-                g1 = frames._retraction(f1, gv - t * gg, alpha)
+                g1 = frames._retraction(f1, gv - t * gg, alpha, f_norms2)
             except DegeneratePairingError:  # the block's first trial's pairing
                 return finish(DEGENERATE_RETRACTION)
-            accepted = _accepted(f1, g1, terms, critical, cfg.objective)
+            accepted = _accepted(f1, g1, f_norms2, terms, critical, cfg.objective)
             if accepted is not None:
                 fv, gv, terms = accepted
                 break
@@ -386,10 +415,11 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
 
     Restart k draws its starting pair from seed ``cfg.seed + k``; an
     explicitly supplied ``initial_pair`` is used for the base restart
-    only.  Results are ranked by (status, duality deviation, merit).  A
-    CRITICAL_SEARCH result that met no degenerate pairing is CONVERGED
-    exactly when ``structure.critical_report(result.final_pair, spec)`` is
-    critical: the run stops at its first critical iterate.
+    only.  Results are ranked by (status, duality deviation, merit); with
+    no restarts the one run is returned unranked.  A CRITICAL_SEARCH
+    result that met no degenerate pairing is CONVERGED exactly when
+    ``structure.critical_report(result.final_pair, spec)`` is critical: the
+    run stops at its first critical iterate.
 
     A result's ``final_pair`` resumes its run: a search on the same alpha
     from it continues bit for bit, so slices resumed from each other's
@@ -425,9 +455,10 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
         if resume is None:  # a resumed start's <f_m, g_m> is alpha_m != 0: no row is zero
             initial_pair.require_nonzero()
     # min over a generator keeps a running best: a restart's result is dropped
-    # as soon as it loses, so at most two are held whatever ``restarts`` is
+    # as soon as it loses, so at most two are held whatever ``restarts`` is;
+    # a lone run is not ranked, so its verdicts stay unformed until read
     runs = (_run_single(spec, alpha, field_, d, cfg, cfg.seed + k,
                         initial_pair=initial_pair if k == 0 else None,
                         terms=resume if k == 0 else None)
             for k in range(cfg.restarts + 1))
-    return min(runs, key=_result_key)
+    return next(runs) if cfg.restarts == 0 else min(runs, key=_result_key)

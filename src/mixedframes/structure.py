@@ -65,13 +65,14 @@ class _MeritTerms(NamedTuple):
     fp: complex  # FP = Tr(M^2)
 
 
-def _merit_terms(fv, gv, tu=None, fp=None):
+def _merit_terms(fv, gv, tu=None, f_norms2=None, fp=None):
     """The critical-pair equations on raw (N, d) arrays with nonzero rows,
-    from M = TU* = F^T conj(G) (unless given), as a ``_MeritTerms``; ``fp``
-    is Tr(M^2) when the caller has already summed it from this M.  A stack
-    (K, N, d) of trials gives each field a leading axis K, bit for bit: the
-    merit is summed one way, over each trial's residuals as one row of N d
-    entries, for a pair and a stack alike.
+    from M = TU* = F^T conj(G) (unless given), as a ``_MeritTerms``;
+    ``f_norms2`` is ||f_m||^2 and ``fp`` Tr(M^2) when the caller has already
+    formed them from this F and this M.  A stack (K, N, d) of trials gives
+    each field a leading axis K, bit for bit: the merit is summed one way,
+    over each trial's residuals as one row of N d entries, for a pair and a
+    stack alike.
     O(N d^2) time, O(N d + d^2) memory; the one kernel behind
     ``critical_report``, the optimizer's merit, FP and both its gradients."""
     if tu is None:
@@ -80,7 +81,8 @@ def _merit_terms(fv, gv, tu=None, fp=None):
         fp = potential._fp_of_gram(tu)
     u = fv @ tu.swapaxes(-1, -2)
     gm = gv @ tu.conj()
-    f_norms2 = np.vecdot(fv, fv).real
+    if f_norms2 is None:
+        f_norms2 = np.vecdot(fv, fv).real
     lam = np.vecdot(fv, u) / f_norms2
     rf = u - lam[..., None] * fv
     rg = gm - lam.conj()[..., None] * gv

@@ -299,7 +299,7 @@ def test_optimize_degenerate_start_reports_nulls(capsys, monkeypatch):
     """A start whose retraction meets a degenerate pairing ends the search
     with no iterate: the report's merit, objective, constraint residual
     and critical report are null, and the report is strict JSON."""
-    def degenerate(fv, gv, alpha):
+    def degenerate(fv, gv, alpha, *rest):
         raise DegeneratePairingError("stub", index=0)
 
     monkeypatch.setattr(frames, "_retraction", degenerate)
@@ -320,11 +320,11 @@ def test_optimize_degenerate_trial_reports_null_critical_report(capsys, monkeypa
     the start and three backtracking blocks."""
     retraction, calls = frames._retraction, []
 
-    def failing(fv, gv, alpha):
+    def failing(fv, gv, alpha, *rest):
         calls.append(1)
         if len(calls) >= 5:
             raise DegeneratePairingError("stub", index=0)
-        return retraction(fv, gv, alpha)
+        return retraction(fv, gv, alpha, *rest)
 
     monkeypatch.setattr(frames, "_retraction", failing)
     code, out = run(capsys, "optimize", "--alpha", "1,1,1", "--field", "C", "--d", "2")

@@ -78,10 +78,12 @@ def test_gradient_against_finite_differences(field, objective):
 
 
 def _loop_gradient(pair, alpha):
-    """The merit gradient as the search loop takes it: from the kernel
-    output of the pair, which is on S(alpha)."""
+    """The merit gradient as the search loop takes it: twice the half that
+    ``_merit_gradient`` gives from conj(alpha) and the kernel output of the
+    pair, which is on S(alpha)."""
     fv, gv = pair.f.vectors, pair.g.vectors
-    return optimizer._merit_gradient(fv, gv, alpha, structure._merit_terms(fv, gv))
+    half = optimizer._merit_gradient(fv, gv, alpha.conj(), structure._merit_terms(fv, gv))
+    return tuple(2.0 * x for x in half)
 
 
 def test_merit_gradient_against_finite_differences(field):
@@ -485,18 +487,20 @@ def test_search_builds_no_critical_report(monkeypatch, mode):
 
 def test_descent_runs_kernel_once_per_iterate(monkeypatch):
     """A descent prices its trials from TU*: the residual kernel runs once
-    on the start and once per accepted iterate, on the TU* and the FP
-    that priced it, and the finish runs it no more."""
+    on the start and once per accepted iterate, on the TU*, the FP and the
+    ||f_m||^2 that priced and retracted it, and the finish runs it no more."""
     calls = []
     priced = []
     original = structure._merit_terms
 
-    def counting(fv, gv, tu=None, fp=None):
+    def counting(fv, gv, tu=None, f_norms2=None, fp=None):
         calls.append(tu is not None)
         priced.append(fp is not None)
+        assert (f_norms2 is not None) == (tu is not None)
         if fp is not None:
             assert fp == potential._fp_of_gram(tu)
-        return original(fv, gv, tu, fp)
+            assert f_norms2.tobytes() == np.vecdot(fv, fv).real.tobytes()
+        return original(fv, gv, tu, f_norms2, fp)
 
     monkeypatch.setattr(structure, "_merit_terms", counting)
     spec = ConstraintSpec(np.ones(2))
@@ -518,7 +522,9 @@ def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, field):
     and 1/sqrt(2 max |eps_m|) is infinite: the search starts instead at
     ||(F, G)|| / ||(gf, gg)||, finite and with no floating-point warning.
     F and G live in the first two coordinates and the stubbed gradient
-    rows in the third and fourth, so every pairing of the ray is exact."""
+    rows in the third and fourth, so every pairing of the ray is exact.
+    The stub returns half of (gf, gg), as ``_fp_gradient`` does: the step
+    doubles, and the trial moves along (gf, gg) by that length."""
     dtype = np.complex128 if field is Field.COMPLEX else np.float64
     fv = np.array([[1.0, 2.0, 0.0, 0.0], [0.5, -1.0, 0.0, 0.0]], dtype=dtype)
     gv = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, -0.5, 0.0, 0.0]], dtype=dtype)
@@ -527,13 +533,13 @@ def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, field):
     if field is Field.COMPLEX:
         fv[:, 1] *= 1j
         gf[:, 2] *= 1 - 1j
-    monkeypatch.setattr(optimizer, "_fp_gradient", lambda u, gm, objective: (gf, gg))
+    monkeypatch.setattr(optimizer, "_fp_gradient", lambda u, gm, objective: (gf / 2, gg / 2))
     trials = []
     original = frames._retraction
 
-    def recording(fv, gv, alpha):
+    def recording(fv, gv, alpha, *rest):
         trials.append(fv)
-        return original(fv, gv, alpha)
+        return original(fv, gv, alpha, *rest)
 
     monkeypatch.setattr(frames, "_retraction", recording)
     spec = ConstraintSpec(np.array([4.0, -0.5]))
@@ -543,7 +549,7 @@ def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, field):
         warnings.simplefilter("error")
         optimizer.search(spec, field, 4, cfg, initial_pair=start)
     gv = original(fv, gv, spec.alpha)  # the retracted start
-    step = -trials[1][0][0, 2] / gf[0, 2]  # the first trial of the first block
+    step = -trials[1][0][0, 2] / gf[0, 2]  # the first trial's move along (gf, gg)
     size2 = (np.vdot(fv, fv) + np.vdot(gv, gv)).real
     want = np.sqrt(size2 / (np.vdot(gf, gf) + np.vdot(gg, gg)).real)
     assert np.isfinite(step)
@@ -603,11 +609,11 @@ def _counting_retraction(counts):
     counts one, a block cut at a degenerate pairing the trials it drops."""
     retraction = frames._retraction
 
-    def counting(fv, gv, alpha):
+    def counting(fv, gv, alpha, *rest):
         trials = len(fv) if fv.ndim == 3 else 1  # a block, or the start or a lone trial
         counts["retractions"] += trials
         try:
-            out = retraction(fv, gv, alpha)
+            out = retraction(fv, gv, alpha, *rest)
         except DegeneratePairingError:
             counts["degenerate"] += 1
             raise
@@ -666,8 +672,8 @@ def test_degenerate_trial_ends_restart_at_last_accepted_iterate(monkeypatch, mod
     counts, last = {"retracted": 0, "priced": 0}, {}
     retraction, accepted = frames._retraction, optimizer._accepted
 
-    def failing_retraction(fv, gv, alpha):
-        out = retraction(fv, gv, alpha)
+    def failing_retraction(fv, gv, alpha, *rest):
+        out = retraction(fv, gv, alpha, *rest)
         if fv.ndim == 2:  # the start
             last["f"], last["g"] = fv, out
             return out
@@ -709,10 +715,10 @@ def test_backtracking_takes_the_first_accepted_or_degenerate_trial(monkeypatch, 
     at = {}
     taken = []  # per iteration: the ladder position of the accepted trial, its F and G
 
-    def cutting_retraction(fv, gv, alpha):
+    def cutting_retraction(fv, gv, alpha, *rest):
         if not at["started"]:  # the start
             at["started"] = True
-            return retraction(fv, gv, alpha)
+            return retraction(fv, gv, alpha, *rest)
         size = len(fv) if fv.ndim == 3 else 1
         at["first"], at["next"] = at["next"], at["next"] + size
         if at["cut"] is not None and at["cut"][0] == len(taken):
@@ -721,8 +727,8 @@ def test_backtracking_takes_the_first_accepted_or_degenerate_trial(monkeypatch, 
                 at["cuts"] += 1
                 if position == 0:  # a lone trial, or the first of the block
                     raise DegeneratePairingError("stub", index=0)
-                return retraction(fv, gv, alpha)[:position]
-        return retraction(fv, gv, alpha)
+                return retraction(fv, gv, alpha, *rest)[:position]
+        return retraction(fv, gv, alpha, *rest)
 
     def recording_accepted(fv, gv, *args):
         hit = accepted(fv, gv, *args)
@@ -959,9 +965,9 @@ def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mo
     retraction, kernel = frames._retraction, structure._merit_terms
     require_nonzero = FramePair.require_nonzero
 
-    def counting_retraction(fv, gv, alpha):
+    def counting_retraction(fv, gv, alpha, *rest):
         retracted.append(fv is pair.f.vectors)
-        return retraction(fv, gv, alpha)
+        return retraction(fv, gv, alpha, *rest)
 
     def counting_kernel(fv, gv, *rest):
         starts.append(not rest)  # only a start's pass forms its own TU*
@@ -978,6 +984,12 @@ def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mo
     assert _kept_bits(pair, alpha) == kept
 
 
+def _stateless(pair):
+    """A copy of a pair's vectors that keeps no TU* or other state."""
+    return FramePair(FrameSequence(pair.field, pair.f.vectors.copy()),
+                     FrameSequence(pair.field, pair.g.vectors.copy()))
+
+
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
 def test_other_starts_are_retracted(monkeypatch, field, mode):
     """Only the pair a search returned, on the alpha it searched, resumes:
@@ -992,14 +1004,13 @@ def test_other_starts_are_retracted(monkeypatch, field, mode):
     swapped = pair.swapped()
     assert set(pair._memo) == {"TU*", ("resume", spec.require_field(field).tobytes())}
     assert not swapped._memo
-    copies = FramePair(FrameSequence(field, pair.f.vectors.copy()),
-                       FrameSequence(field, pair.g.vectors.copy()))
+    copies = _stateless(pair)
     retracted, checked = [], []
     retraction, require_nonzero = frames._retraction, FramePair.require_nonzero
 
-    def counting_retraction(fv, gv, alpha):
+    def counting_retraction(fv, gv, alpha, *rest):
         retracted.append(fv)
-        return retraction(fv, gv, alpha)
+        return retraction(fv, gv, alpha, *rest)
 
     monkeypatch.setattr(frames, "_retraction", counting_retraction)
     monkeypatch.setattr(FramePair, "require_nonzero",
@@ -1010,8 +1021,7 @@ def test_other_starts_are_retracted(monkeypatch, field, mode):
     if field is Field.COMPLEX:
         starts.append((pair, ConstraintSpec(np.full(4, complex(0.5, -0.0)))))
     for start, on in starts:
-        stateless = FramePair(FrameSequence(field, start.f.vectors.copy()),
-                              FrameSequence(field, start.g.vectors.copy()))
+        stateless = _stateless(start)
         retracted.clear()
         checked.clear()
         res = optimizer.search(on, field, 2, cfg, initial_pair=start)
@@ -1021,21 +1031,22 @@ def test_other_starts_are_retracted(monkeypatch, field, mode):
 
 
 def test_degenerate_and_converged_results_resume_as_they_ended(monkeypatch, field):
-    """A result whose start was degenerate keeps no state to resume from: a
-    search from its pair retracts that pair again and ends
+    """A result whose start was degenerate keeps no state to resume from (no
+    resume key): a search from its pair retracts that pair again and ends
     DEGENERATE_RETRACTION again.  A CONVERGED result resumed ends CONVERGED
     after 0 iterations, with its pair's bytes and its report unchanged."""
     f = FrameSequence(field, np.array([[1.0, 0.0], [0.0, 1.0]]))
     g = FrameSequence(field, np.array([[0.0, 1.0], [1.0, 0.0]]))
     spec, cfg = ConstraintSpec(np.ones(2)), optimizer.OptimizerConfig(seed=4, max_iters=50)
     res = optimizer.search(spec, field, 2, cfg, initial_pair=FramePair(f, g))
-    assert res.status == optimizer.DEGENERATE_RETRACTION and set(res.final_pair._memo) == {"TU*"}
+    assert res.status == optimizer.DEGENERATE_RETRACTION
+    assert not any(isinstance(key, tuple) and key[0] == "resume" for key in res.final_pair._memo)
     retracted = []
     retraction = frames._retraction
 
-    def counting_retraction(fv, gv, alpha):
+    def counting_retraction(fv, gv, alpha, *rest):
         retracted.append(fv is res.final_pair.f.vectors)
-        return retraction(fv, gv, alpha)
+        return retraction(fv, gv, alpha, *rest)
 
     monkeypatch.setattr(frames, "_retraction", counting_retraction)
     again = optimizer.search(spec, field, 2, cfg, initial_pair=res.final_pair)
@@ -1052,3 +1063,57 @@ def test_degenerate_and_converged_results_resume_as_they_ended(monkeypatch, fiel
     assert _result_bits(dataclasses.replace(resumed, merit_history=res.merit_history,
                                             objective_history=res.objective_history),
                         spec) == _result_bits(res, spec)
+
+
+@pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
+def test_result_verdicts_are_formed_on_first_read(monkeypatch, field, mode):
+    """A restarts=0 slice, fresh or resumed, calls neither
+    ``frames.is_dual_pair`` nor ``frames.constraint_residual``.  Read
+    afterwards, each is formed once and equals, bit for bit, its expression
+    on a stateless copy of the final pair.  After DEGENERATE_RETRACTION the
+    constraint residual reads inf and the dual deviation is still that of
+    the final pair."""
+    calls = []
+    for name in ("is_dual_pair", "constraint_residual"):
+        def counting(*args, _name=name, _original=getattr(frames, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(frames, name, counting)
+    spec = ConstraintSpec(np.full(4, 0.5))
+    cfg = optimizer.OptimizerConfig(mode=mode, seed=1, max_iters=2)
+    res = optimizer.search(spec, field, 2, cfg)
+    res = optimizer.search(spec, field, 2, cfg, initial_pair=res.final_pair)
+    assert res.status == optimizer.MAX_ITERS and calls == []
+    copy = _stateless(res.final_pair)
+    want = repr((float(frames.constraint_residual(copy, spec).max()), frames.is_dual_pair(copy)[1]))
+    calls.clear()
+    for _ in range(2):
+        assert repr((res.constraint_residual_final, res.dual_deviation)) == want
+    assert sorted(calls) == ["constraint_residual", "is_dual_pair"]
+
+    f = FrameSequence(field, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    g = FrameSequence(field, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    res = optimizer.search(ConstraintSpec(np.ones(2)), field, 2, cfg, initial_pair=FramePair(f, g))
+    want = frames.is_dual_pair(_stateless(res.final_pair))[1]
+    calls.clear()
+    assert res.status == optimizer.DEGENERATE_RETRACTION
+    assert res.constraint_residual_final == float("inf") and calls == []
+    assert repr(res.dual_deviation) == repr(want) and calls == ["is_dual_pair"]
+
+
+def test_fp_gradient_is_the_full_gradient_bit_for_bit(field):
+    """Public ``fp_gradient`` returns the full gradient, 2 G conj(M) and
+    2 F M^T with M = TU* (i and -i times those for Im FP, zero over R),
+    byte for byte, though the search loop takes half of it."""
+    for seed, (d, n) in enumerate(((1, 1), (2, 3), (3, 7), (8, 24))):
+        pair = frames.random_pair(field, d, n, 300 + seed)
+        fv, gv = pair.f.vectors, pair.g.vectors
+        tu = fv.T @ gv.conj()
+        df_bar, dg_bar = 2.0 * (gv @ tu.conj()), 2.0 * (fv @ tu.T)
+        imag = ((1j * df_bar, -1j * dg_bar) if field is Field.COMPLEX
+                else (np.zeros_like(fv), np.zeros_like(gv)))
+        for objective, want in ((optimizer.REAL_PART, (df_bar, dg_bar)),
+                                (optimizer.IMAG_PART, imag)):
+            got = optimizer.fp_gradient(pair, objective)
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()

@@ -198,7 +198,8 @@ def test_descent_trial_potential_matches_direct_form(field, d, extra, seed):
     pair, _ = retracted_random(field, d, n, seed)
     # a current iterate of infinite merit and FP accepts every trial, here a lone one
     best = SimpleNamespace(merit=np.inf, fp=complex(np.inf))
-    fp = optimizer._accepted(pair.f.vectors, pair.g.vectors, best, False,
+    fv = pair.f.vectors
+    fp = optimizer._accepted(fv, pair.g.vectors, np.vecdot(fv, fv).real, best, False,
                              optimizer.REAL_PART)[2].fp
     want = potential.fp_direct(pair).value
     assert abs(fp - want) <= 1e-12 * (1.0 + abs(want))
@@ -209,11 +210,13 @@ def test_descent_trial_potential_matches_direct_form(field, d, extra, seed):
        st.integers(0, 3), st.integers(0, 10_000))
 def test_gradients_from_the_kernel_pass_are_exact(field, objective, d, extra, seed):
     """A search takes G conj(M), u = F M^T and ||f_m||^2 for its gradients
-    from the iterate's kernel pass: the descent gradient, its tangent
-    projection and the merit gradient equal, bit for bit, their values
-    computed from the pair alone, and the descent gradient equals the form
-    conj(2 conj(G) M), 2 F M^T it replaces.  The kernel's record carries
-    no <f_m, g_m>: on S(alpha) it enters the merit gradient only as alpha."""
+    from the iterate's kernel pass: twice the half descent gradient and
+    twice its tangent projection equal, bit for bit, the full gradient and
+    its projection computed from the pair alone, the descent gradient
+    equals the form conj(2 conj(G) M), 2 F M^T it replaces, and the merit
+    gradient is that of the recomputed ||f_m||^2.  The kernel's record
+    carries no <f_m, g_m>: on S(alpha) it enters the merit gradient only
+    as conj(alpha)."""
     n = d + extra * d
     pair, spec = retracted_random(field, d, n, seed, alpha=np.linspace(0.5, 2.0, n))
     fv, gv = pair.f.vectors, pair.g.vectors
@@ -222,21 +225,24 @@ def test_gradients_from_the_kernel_pass_are_exact(field, objective, d, extra, se
     def same(got, want):
         return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(got, want))
 
-    grad = optimizer._fp_gradient(terms.u, terms.gm, objective)
+    def twice(half):
+        return [2.0 * x for x in half]
+
+    half = optimizer._fp_gradient(terms.u, terms.gm, objective)
     want = optimizer.fp_gradient(pair, objective)
-    assert same(grad, want)
+    assert same(twice(half), want)
     tu = fv.T @ gv.conj()
     old = ((2.0 * (gv.conj() @ tu)).conj(), 2.0 * (fv @ tu.T))
     if objective == optimizer.IMAG_PART:
         old = (1j * old[0], -1j * old[1]) if field is Field.COMPLEX else (np.zeros_like(fv),) * 2
-    assert same(grad, old)
-    got = optimizer._project_to_tangent(fv, gv, *grad, terms.f_norms2)
-    assert same(got, optimizer.project_to_tangent(pair, *want))
-    alpha = spec.require_field(field)
+    assert same(twice(half), old)
+    got = optimizer._project_to_tangent(fv, gv, *half, terms.f_norms2)
+    assert same(twice(got), optimizer.project_to_tangent(pair, *want))
+    alpha_c = spec.require_field(field).conj()
     assert "ip" not in terms._fields
     recomputed = terms._replace(f_norms2=np.vecdot(fv, fv).real)
-    assert same(optimizer._merit_gradient(fv, gv, alpha, terms),
-                optimizer._merit_gradient(fv, gv, alpha, recomputed))
+    assert same(optimizer._merit_gradient(fv, gv, alpha_c, terms),
+                optimizer._merit_gradient(fv, gv, alpha_c, recomputed))
 
 
 # (d, N) with d in 1..4 and N in d..3d
@@ -484,7 +490,10 @@ def test_stacked_trials_match_one_trial_at_a_time(field, shape, k, seed):
     trials give, byte for byte, their (N, d) calls on each trial.  In
     trial 0, f_m is scaled by 1e-150 and g_m by 1e-160: a subnormal
     pairing, so the retraction's rescaled rows are stacked too, with a
-    normal ||f_m||^2 for the kernel to divide by."""
+    normal ||f_m||^2 for the kernel to divide by.  Both give the same
+    bytes when handed the stack's ||f_m||^2, as the search loop forms it
+    once per block, for a lone trial (a slice of it, or its own), the
+    stack and a stack cut before a last trial with a degenerate pairing."""
     d, n = shape
     pairs = [frames.random_pair(field, d, n, seed + i) for i in range(k)]
     fv = np.stack([p.f.vectors for p in pairs])
@@ -510,6 +519,31 @@ def test_stacked_trials_match_one_trial_at_a_time(field, shape, k, seed):
             dtype = complex if name == "fp" else None
             got, want = np.asarray(got[i], dtype), np.asarray(want, dtype)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def same(got, want):
+        return all(np.asarray(x).dtype == np.asarray(y).dtype
+                   and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+                   for x, y in zip(got, want))
+
+    f_norms2 = np.vecdot(fv, fv).real  # the loop's, once per block
+    assert frames._retraction(fv, gv, alpha, f_norms2).tobytes() == gr.tobytes()
+    assert same(structure._merit_terms(fv, gr, None, f_norms2), stacked)
+    for i in range(k):
+        own = np.vecdot(fv[i], fv[i]).real
+        assert own.tobytes() == f_norms2[i].tobytes()
+        assert frames._retraction(fv[i], gv[i], alpha, f_norms2[i]).tobytes() == gr[i].tobytes()
+        assert same(structure._merit_terms(fv[i], gr[i], None, own),
+                    structure._merit_terms(fv[i], gr[i]))
+    if k > 1 and d > 1:
+        # g_m of the last trial made orthogonal to f_m, to round-off: the stack is cut before it
+        cut = gv.copy()
+        row, f_row = cut[-1, m], fv[-1, m]
+        cut[-1, m] = row - np.vdot(f_row, row) / np.vdot(f_row, f_row) * f_row
+        want = frames._retraction(fv, cut, alpha)
+        assert len(want) == k - 1
+        assert frames._retraction(fv, cut, alpha, f_norms2).tobytes() == want.tobytes()
+        assert same(structure._merit_terms(fv[:k - 1], want, None, f_norms2[:k - 1]),
+                    structure._merit_terms(fv[:k - 1], want))
 
 
 def test_row_products_pair_f_against_conjugated_g():

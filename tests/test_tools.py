@@ -33,6 +33,15 @@ def test_digest_prints_four_digests():
         assert abs(float(m[3]) - passes / iterations) <= 0.005
 
 
+def test_digest_refuses_a_blas_thread_count_below_one():
+    """``--blas-threads`` takes a count of at least 1: 0 exits 2 with a
+    usage error before NumPy is loaded or any digest runs."""
+    proc = subprocess.run([sys.executable, str(DIGEST), "--blas-threads", "0"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "need at least 1 BLAS thread, got 0" in proc.stderr
+
+
 def test_readme_python_example_runs_as_its_comments_say(capsys):
     """The ```python block of README.md's library overview runs, and the
     values its comments promise hold: FP of FX-MIX is 8.5, the minimal

@@ -1,7 +1,8 @@
 """Print the restart table and four sha256 digests of the library's and the CLI's behaviour.
 
-``python tools/digest.py [ROOT]``; ROOT (default: this script's checkout) selects the source tree,
-so two checkouts can be compared.  Everything runs in process at 1 BLAS thread.
+``python tools/digest.py [ROOT] [--blas-threads N]``; ROOT (default: this script's checkout)
+selects the source tree, so two checkouts can be compared.  Everything runs in process at N BLAS
+threads (default 1, the count every recorded line is taken at), set before NumPy loads.
 
 * ``outcomes``: one restart at max_iters 2000 per CriticalSearch.PROBLEMS x seeds 0-15 and
   Descent.PROBLEMS x seeds 0-2, tabled (problem, seed, status, iterations, ``is_dual_pair`` at
@@ -31,6 +32,7 @@ so two checkouts can be compared.  Everything runs in process at 1 BLAS thread.
   eigenvalues, sizes the other lines never reach.
 """
 
+import argparse
 import collections
 import contextlib
 import dataclasses
@@ -40,9 +42,22 @@ import os
 import sys
 import tempfile
 
-os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1"))
-ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1
-                       else os.path.join(os.path.dirname(__file__), ".."))
+
+def _thread_count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 BLAS thread, got {count}")
+    return count
+
+
+_parser = argparse.ArgumentParser(description="Print the restart table and four behaviour digests.")
+_parser.add_argument("root", nargs="?", default=os.path.join(os.path.dirname(__file__), ".."),
+                     help="the source tree to run (default: this script's checkout)")
+_parser.add_argument("--blas-threads", type=_thread_count, default=1, metavar="N",
+                     help="BLAS threads to run at (default 1)")
+ARGS = _parser.parse_args()
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), str(ARGS.blas_threads)))
+ROOT = os.path.abspath(ARGS.root)
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 import numpy as np  # noqa: E402  (loads only once the thread count is set)
