@@ -46,18 +46,24 @@ its stop compares ||h|| with GRAD_TOL / 2.  Power-of-two scaling is exact,
 so every trial is that of the whole gradient bit for bit, unless a
 gradient entry is subnormal.
 At small sizes a trial costs NumPy call overhead, so the ladder is priced
-K = min(4, max(1, _STACK_ELEMENTS // (N d))) trials at a time: one step,
-retraction, M and kernel pass or FP on (K, N, d) arrays, each trial's
-slice bit-identical to its (N, d) call; at K = 1 a lone (N, d) trial.
-A block costs the flops of K trials.  Per CRITICAL_SEARCH iteration over
-whole restarts (alpha = d/N, seeds 0-4 pooled, 1 BLAS thread) against
-K = 1, R / C:
+K = min(8, max(1, _STACK_ELEMENTS // (N d))) trials at a time, in blocks
+of 8, 8, 8 and 6 rungs at K = 8: one step, retraction, M and kernel pass
+or FP on (K, N, d) arrays, each trial's slice bit-identical to its (N, d)
+call; at K = 1 a lone (N, d) trial.  A block costs the flops of K trials.
+Per CRITICAL_SEARCH iteration over restarts of up to 1000 (d = 2), 300
+(d = 8, 16) and 30 (d = 64) iterations (alpha = d/N, seeds 0-4 pooled,
+1 BLAS thread, median of 8 rounds) against K = 1, R / C:
 
     (d, N)  (2, 4)     (8, 24)    (8, 48)    (16, 48)   (64, 192)
-    K = 2   0.83/0.84  0.81/0.99  0.84/0.98  0.88/1.04  1.38/1.31
-    K = 4   0.61/0.65  0.70/0.75  0.81/1.32  0.77/0.98  2.12/2.03
+    K = 2   0.80/0.81  0.77/0.89  0.89/1.04  0.88/1.02  1.31/1.27
+    K = 4   0.61/0.65  0.62/0.77  0.79/1.45  0.85/0.93  1.83/1.89
+    K = 8   0.65/0.68  0.60/1.08  1.03/1.97  1.22/1.34  3.38/3.57
 
-so K = 4 pays up to N d = 192 over both fields: _STACK_ELEMENTS = 4 x 192.
+so K = 4 pays up to N d = 192 over both fields (_STACK_ELEMENTS = 4 x 192)
+and K = 8 only below it.  These (2, 4) restarts seldom accept a trial past
+the fourth, so K = 8 costs them its larger block; on the 32 restarts of
+the digest's outcome table, where 41% of the iterations accept rung 4, 5
+or 6, it makes one kernel pass an iteration against 1.41 at K = 4.
 A pairing the retraction cannot rescale (<f_m, g_m> near 0), at the start
 or in a trial behind only rejected ones, ends the restart as
 DEGENERATE_RETRACTION; nothing is redrawn.
@@ -93,12 +99,13 @@ DEGENERATE_RETRACTION = "DEGENERATE_RETRACTION"
 
 GRAD_TOL = 1e-8  # POTENTIAL_DESCENT converges at or below this tangent gradient norm
 _BACKTRACK_LIMIT = 30
-_STACK_ELEMENTS = 768  # a backtracking block stacks min(4, this // (N d)) trials, at least 1
+_STACK_ELEMENTS = 768  # a backtracking block stacks min(8, this // (N d)) trials, at least 1
 _LADDER = 0.5 ** np.arange(_BACKTRACK_LIMIT)
 _LADDER.setflags(write=False)
-# the ladder in blocks of K = 1, ..., 4 trials, each a lone trial's scalar at K = 1
+# the ladder in blocks of K = 1, ..., 8 trials (the cap is this table's length),
+# each a lone trial's scalar at K = 1
 _LADDER_BLOCKS = {k: [_LADDER[i:i + k, None, None] if k > 1 else _LADDER[i]
-                      for i in range(0, _BACKTRACK_LIMIT, k)] for k in range(1, 5)}
+                      for i in range(0, _BACKTRACK_LIMIT, k)] for k in range(1, 9)}
 
 
 @dataclass(frozen=True)
@@ -300,7 +307,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
         initial_pair = frames.random_pair(field_, d, spec.n, seed)
     critical = cfg.mode == CRITICAL_SEARCH
     alpha_c = alpha.conj()  # the merit gradient's, formed once per run
-    blocks = _LADDER_BLOCKS[min(max(_STACK_ELEMENTS // (spec.n * d), 1), 4)]
+    blocks = _LADDER_BLOCKS[min(max(_STACK_ELEMENTS // (spec.n * d), 1), len(_LADDER_BLOCKS))]
     fv, gv = initial_pair.f.vectors, initial_pair.g.vectors
     obj_hist = []
     merit_hist = []

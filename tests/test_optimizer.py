@@ -517,6 +517,28 @@ def test_descent_runs_kernel_once_per_iterate(monkeypatch):
         assert priced == calls
 
 
+def test_one_kernel_pass_per_iteration_on_criterion_9(monkeypatch):
+    """On criterion 9's problem (R, d = 2, alpha = 1/2 x 4) the ladder is
+    priced 8 trials at a time, and no iteration of the outcome table's
+    restarts (seeds 0-15, 2000 iterations) accepts a trial past the
+    first 8: each whole run makes one kernel pass per iteration and one
+    on its start."""
+    passes = []
+    kernel = structure._merit_terms
+
+    def counting(*args):
+        passes.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(structure, "_merit_terms", counting)
+    spec = ConstraintSpec(np.full(4, 0.5))
+    for seed in range(16):
+        passes.clear()
+        cfg = optimizer.OptimizerConfig(seed=seed, max_iters=2000)
+        res = optimizer.search(spec, Field.REAL, 2, cfg)
+        assert len(passes) == len(res.merit_history), (seed, res.status)
+
+
 def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, field):
     """When every <gf_m, gg_m> is 0 the tangent ray never leaves S(alpha)
     and 1/sqrt(2 max |eps_m|) is infinite: the search starts instead at
@@ -701,13 +723,13 @@ def test_degenerate_trial_ends_restart_at_last_accepted_iterate(monkeypatch, mod
     assert res.constraint_residual_final == float("inf")
 
 
-@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("k", [1, 4, 8])
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
 def test_backtracking_takes_the_first_accepted_or_degenerate_trial(monkeypatch, mode, k):
     """The ladder step, step / 2, ... is priced k trials at a time and read
     in ladder order.  If a plain run accepts trial a >= 1 of iteration i,
-    a degenerate trial a + 1 changes nothing (with k = 4 it is priced, in
-    trial a's block), and a degenerate trial a, behind only rejected ones,
+    a degenerate trial a + 1 changes nothing (with k = 4 or 8 it is priced,
+    in trial a's block), and a degenerate trial a, behind only rejected ones,
     ends the restart DEGENERATE_RETRACTION at the iterate of iteration i.
     At k = 1 each trial is a lone (N, d) one, whose retraction raises."""
     monkeypatch.setattr(optimizer, "_STACK_ELEMENTS", 6 * k)  # N d = 6
@@ -748,12 +770,13 @@ def test_backtracking_takes_the_first_accepted_or_degenerate_trial(monkeypatch, 
         return optimizer.search(ConstraintSpec(np.ones(3)), Field.COMPLEX, 2, cfg), list(taken)
 
     plain, steps = run(None)
-    # the first iteration past the first whose accepted trial is not first, nor last in its block
+    # the first iteration past the first whose accepted trial is not first, nor last in
+    # its block of 4, so nor in its block of 8
     i = next(i for i, (a, _, _) in enumerate(steps) if i > 0 and a >= 1 and a % 4 < 3)
     a = steps[i][0]
 
     res, _ = run((i, a + 1))
-    assert at["cuts"] == (k == 4)
+    assert at["cuts"] == (k > 1)
     assert (res.status, res.merit_history) == (plain.status, plain.merit_history)
     assert res.final_pair.g.vectors.tobytes() == plain.final_pair.g.vectors.tobytes()
 
@@ -919,17 +942,17 @@ def _result_bits(res, spec):
             res.constraint_residual_final, res.dual_deviation)
 
 
-# (d, N, K): the ladder priced 4 trials at a time, and one at a time
-RESUME_SHAPES = [(2, 4, 4), (16, 48, 1)]
+# (d, N, K): the ladder priced 8, 4 and 1 trials at a time
+RESUME_SHAPES = [(2, 4, 8), (8, 24, 4), (16, 48, 1)]
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
-@pytest.mark.parametrize("d,n,k", RESUME_SHAPES, ids=["K4", "K1"])
+@pytest.mark.parametrize("d,n,k", RESUME_SHAPES, ids=["K8", "K4", "K1"])
 def test_slices_resumed_from_final_pair_equal_one_whole_run(field, mode, d, n, k):
     """A search resumed from the final pair of the last continues it bit
     for bit: slices of 1 and 3 iterations stitch into the whole run's
     histories, final F and G and the report of that pair."""
-    assert min(max(optimizer._STACK_ELEMENTS // (n * d), 1), 4) == k
+    assert min(max(optimizer._STACK_ELEMENTS // (n * d), 1), len(optimizer._LADDER_BLOCKS)) == k
     spec = ConstraintSpec(np.full(n, d / n))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=5, max_iters=12)
     whole = optimizer.search(spec, field, d, cfg)

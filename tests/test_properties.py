@@ -484,7 +484,7 @@ def test_row_contractions_match_elementwise_forms(field, shape, seed):
 
 
 @fixed(60)
-@given(FIELDS, SHAPES, st.integers(1, 4), st.integers(0, 10_000))
+@given(FIELDS, SHAPES, st.integers(1, 8), st.integers(0, 10_000))
 def test_stacked_trials_match_one_trial_at_a_time(field, shape, k, seed):
     """The retraction and the residual kernel on a stack (k, N, d) of
     trials give, byte for byte, their (N, d) calls on each trial.  In
