@@ -67,6 +67,8 @@ or 6, it makes one kernel pass an iteration against 1.41 at K = 4.
 A pairing the retraction cannot rescale (<f_m, g_m> near 0), at the start
 or in a trial behind only rejected ones, ends the restart as
 DEGENERATE_RETRACTION; nothing is redrawn.
+The loop counts its own work into ``SearchResult.work``: kernel passes,
+trials priced and trials a degenerate pairing kept from being priced.
 Restarts are independent: restart k uses seed ``seed + k`` and
 the reported result never depends on execution order.
 """
@@ -76,6 +78,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,6 +133,12 @@ class OptimizerConfig:
             raise ValueError("divergence_bound must be positive")
 
 
+class SearchWork(NamedTuple):
+    passes: int  # residual kernel passes, the start's included
+    trials: int  # trials priced by a kernel pass or Tr(M^2), the start as one
+    degenerate: int  # trials a degenerate pairing kept from being priced
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """A restart's outcome.  Its two verdicts on ``final_pair`` are formed on
@@ -140,6 +149,7 @@ class SearchResult:
     merit_history: list
     status: str
     restart_seed: int
+    work: SearchWork
     _spec: ConstraintSpec = field(repr=False, compare=False)
 
     @functools.cached_property
@@ -311,6 +321,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
     fv, gv = initial_pair.f.vectors, initial_pair.g.vectors
     obj_hist = []
     merit_hist = []
+    passes = trials = degenerate = 0
 
     def finish(status):
         """The search result: the one FramePair the run returns, frozen in
@@ -331,6 +342,7 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
             merit_history=merit_hist,
             status=status,
             restart_seed=seed,
+            work=SearchWork(passes, trials, degenerate),
             _spec=spec,
         )
 
@@ -347,10 +359,12 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
         try:
             gv = frames._retraction(fv, gv, alpha)
         except DegeneratePairingError:
+            degenerate = 1
             return finish(DEGENERATE_RETRACTION)
         if not np.isfinite(gv).all():  # the rescaling of a tiny pairing can overflow
             raise NumericalFailureError("the start's retraction onto S(alpha) is past float64")
         terms = structure._merit_terms(fv, gv)
+        passes = trials = 1
         if np.isnan(terms.merit) or np.isnan(terms.fp):  # no NaN trial is ever accepted
             raise NumericalFailureError(f"the start's merit {terms.merit} or FP {terms.fp} is NaN")
 
@@ -389,12 +403,16 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
             try:
                 g1 = frames._retraction(f1, gv - t * gg, alpha, f_norms2)
             except DegeneratePairingError:  # the block's first trial's pairing
+                degenerate += block.size
                 return finish(DEGENERATE_RETRACTION)
+            cut = len(f1) - len(g1)  # the trials from a later degenerate one on, 0 for a lone trial
+            trials, degenerate = trials + block.size - cut, degenerate + cut
             accepted = _accepted(f1, g1, f_norms2, terms, critical, cfg.objective)
+            passes += critical or accepted is not None  # descent passes only the accepted trial
             if accepted is not None:
                 fv, gv, terms = accepted
                 break
-            if len(g1) < len(f1):  # a later trial's, behind only rejected ones
+            if cut:  # a later trial's degenerate pairing, behind only rejected ones
                 return finish(DEGENERATE_RETRACTION)
         else:
             # no step lowers the merit or objective: a round-off floor (the
@@ -430,8 +448,10 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
 
     A result's ``final_pair`` resumes its run: a search on the same alpha
     from it continues bit for bit, so slices resumed from each other's
-    ``final_pair`` give the histories and final pair of one whole run,
-    with no zero-row check, retraction or kernel pass at a slice's start,
+    ``final_pair`` give the histories and final pair of one whole run, and
+    their ``work`` (kernel passes, trials priced and trials a degenerate
+    pairing kept from being priced) sums to its, as a resumed start counts
+    none, with no zero-row check, retraction or kernel pass at a slice's start,
     from the last kernel output each result's pair keeps, keyed by alpha's
     bytes: M, four N x d arrays (F M^T, G conj(M), r_f, r_g) and two
     N-vectors.  The rows of such a start need no check: its <f_m, g_m>

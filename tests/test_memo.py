@@ -92,7 +92,7 @@ def _run(pair, spec, order):
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
-def test_search_result_pair_keeps_the_last_tu(monkeypatch, field, mode):
+def test_search_result_pair_keeps_the_last_tu(monkeypatch, record, field, mode):
     """search stores the last iterate's TU* on the pair it returns, beside
     the one resume entry keyed by alpha's bytes: TU* and the duality
     deviation of that pair build nothing, its critical report runs the
@@ -105,8 +105,8 @@ def test_search_result_pair_keeps_the_last_tu(monkeypatch, field, mode):
     res = optimizer.search(spec, field, 3, cfg)
     resume = ("resume", spec.require_field(field).tobytes())
     assert set(res.final_pair._memo) == {"TU*", resume}
-    built, kernels, read = [], [], []
-    derived, kernel = FramePair._derived, structure._merit_terms
+    built, read = [], []
+    derived = FramePair._derived
 
     class Watched(dict):
         def __contains__(self, key):
@@ -127,7 +127,7 @@ def test_search_result_pair_keeps_the_last_tu(monkeypatch, field, mode):
         return derived(self, key, lambda: (built.append(key), build())[1])
 
     monkeypatch.setattr(FramePair, "_derived", counting_derived)
-    monkeypatch.setattr(structure, "_merit_terms", lambda *a: (kernels.append(a), kernel(*a))[1])
+    kernels = record(structure, "_merit_terms")
 
     def calls(pair):
         return _bits((frames.mixed_operator(pair), structure.critical_report(pair, spec),
@@ -171,20 +171,8 @@ def two_block_pair(field):
     return pair, ConstraintSpec(np.diag(frames.cross_gram(pair)))
 
 
-@pytest.fixture
-def counts(monkeypatch):
-    """Calls of the eigensolver, the residual kernel and the span basis."""
-    seen = {}
-    for module, name in ((linalg, "eig_general"), (structure, "_merit_terms"),
-                         (linalg, "orthonormal_span_basis")):
-        original = getattr(module, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            seen[_name] = seen.get(_name, 0) + 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-    return seen
+# the eigensolver, the residual kernel and the span basis
+SOLVERS = ((linalg, "eig_general"), (structure, "_merit_terms"), (linalg, "orthonormal_span_basis"))
 
 
 def critical_case(case):
@@ -194,7 +182,8 @@ def critical_case(case):
 
 
 @pytest.mark.parametrize("case", ["FX-MIX", "two-block-R", "two-block-C"])
-def test_pipeline_solves_each_quantity_once(case, counts):
+def test_pipeline_solves_each_quantity_once(case, record):
+    eig, kernel, span = (record(*solver) for solver in SOLVERS)
     pair, spec = critical_case(case)
     potential.fp_direct(pair)
     potential.fp_trace(pair)
@@ -205,7 +194,7 @@ def test_pipeline_solves_each_quantity_once(case, counts):
     structure.corollary_check(pair, spec)
     assert len(dec.classification.index_sets) == 2
     # span bases only for group I: one of span{f_m}_I, one of span{g_m}_I
-    assert counts == {"eig_general": 1, "_merit_terms": 1, "orthonormal_span_basis": 2}
+    assert (len(eig), len(kernel), len(span)) == (1, 1, 2)
 
 
 @pytest.mark.parametrize("case", ["FX-MIX", "two-block-R", "two-block-C"])
@@ -223,13 +212,14 @@ def test_decompose_dual_residual_is_check_a_generalized_dual(case):
         assert structure.check_a_generalized_dual(scaled, dec.group, dec.a) == dec.dual_frame_residual
 
 
-def test_cli_check_solves_spectrum_once(counts, tmp_path, capsys):
+def test_cli_check_solves_spectrum_once(record, tmp_path, capsys):
+    eig, kernel, _ = (record(*solver) for solver in SOLVERS)
     pair, spec = fixtures.fixture("FX-MIX")
     doc = tmp_path / "mix.json"
     doc.write_text(frames.document_to_json(frames.pair_to_document(pair, spec.alpha)))
     assert cli.main(["check", str(doc)]) == 0
-    assert counts["eig_general"] == 1
-    assert counts["_merit_terms"] == 1
+    assert len(eig) == 1
+    assert len(kernel) == 1
 
 
 def planted_pair(field, d1, d2, n1, seed):

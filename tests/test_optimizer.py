@@ -395,19 +395,12 @@ def test_search_rejects_zero_vector_start():
     assert info.value.index == 0
 
 
-def test_search_loop_builds_no_frame_sequences(monkeypatch):
+def test_search_loop_builds_no_frame_sequences(record):
     """The search loop runs on raw arrays: a CRITICAL_SEARCH on criterion
     9's problem constructs no FrameSequence in 5 iterations or in 50. The
     random start adopts the arrays it draws, and the returned pair the
     loop's last arrays, neither validated again."""
-    original = FrameSequence.__post_init__
-    built = []
-
-    def counting(self):
-        built.append(self)
-        original(self)
-
-    monkeypatch.setattr(FrameSequence, "__post_init__", counting)
+    built = record(FrameSequence, "__post_init__")
     spec = ConstraintSpec(np.full(4, 0.5))
     counts = []
     for max_iters in (5, 50):
@@ -470,19 +463,16 @@ def test_search_report_equals_critical_report(capsys, mode, field_, d, alpha, se
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
-def test_search_builds_no_critical_report(monkeypatch, mode):
+def test_search_builds_no_critical_report(record, mode):
     """No restart of a search builds a CriticalPairReport, the winner's
     included: the report is critical_report of the returned pair."""
-    built = []
-    report = structure.CriticalPairReport
-    monkeypatch.setattr(structure, "CriticalPairReport",
-                        lambda *a, **k: (built.append(1), report(*a, **k))[1])
+    built = record(structure, "CriticalPairReport")
     spec = ConstraintSpec(np.ones(3))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=0, max_iters=20, divergence_bound=1e6,
                                     restarts=3)
     res = optimizer.search(spec, Field.COMPLEX, 2, cfg)
     assert built == []
-    assert structure.critical_report(res.final_pair, spec) is not None and built == [1]
+    assert structure.critical_report(res.final_pair, spec) is not None and len(built) == 1
 
 
 def test_descent_runs_kernel_once_per_iterate(monkeypatch):
@@ -512,34 +502,25 @@ def test_descent_runs_kernel_once_per_iterate(monkeypatch):
         res = optimizer.search(spec, Field.COMPLEX, 2, cfg)
         assert res.status == optimizer.MAX_ITERS
         assert len(res.merit_history) == k + 1
-        assert len(calls) == 1 + k
+        assert len(calls) == 1 + k == res.work.passes
         assert calls == [False] + [True] * k
         assert priced == calls
 
 
-def test_one_kernel_pass_per_iteration_on_criterion_9(monkeypatch):
+def test_one_kernel_pass_per_iteration_on_criterion_9():
     """On criterion 9's problem (R, d = 2, alpha = 1/2 x 4) the ladder is
     priced 8 trials at a time, and no iteration of the outcome table's
     restarts (seeds 0-15, 2000 iterations) accepts a trial past the
     first 8: each whole run makes one kernel pass per iteration and one
     on its start."""
-    passes = []
-    kernel = structure._merit_terms
-
-    def counting(*args):
-        passes.append(1)
-        return kernel(*args)
-
-    monkeypatch.setattr(structure, "_merit_terms", counting)
     spec = ConstraintSpec(np.full(4, 0.5))
     for seed in range(16):
-        passes.clear()
         cfg = optimizer.OptimizerConfig(seed=seed, max_iters=2000)
         res = optimizer.search(spec, Field.REAL, 2, cfg)
-        assert len(passes) == len(res.merit_history), (seed, res.status)
+        assert res.work.passes == len(res.merit_history), (seed, res.status)
 
 
-def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, field):
+def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, record, field):
     """When every <gf_m, gg_m> is 0 the tangent ray never leaves S(alpha)
     and 1/sqrt(2 max |eps_m|) is infinite: the search starts instead at
     ||(F, G)|| / ||(gf, gg)||, finite and with no floating-point warning.
@@ -556,22 +537,15 @@ def test_descent_first_step_of_a_ray_that_stays_on_s_alpha(monkeypatch, field):
         fv[:, 1] *= 1j
         gf[:, 2] *= 1 - 1j
     monkeypatch.setattr(optimizer, "_fp_gradient", lambda u, gm, objective: (gf / 2, gg / 2))
-    trials = []
-    original = frames._retraction
-
-    def recording(fv, gv, alpha, *rest):
-        trials.append(fv)
-        return original(fv, gv, alpha, *rest)
-
-    monkeypatch.setattr(frames, "_retraction", recording)
     spec = ConstraintSpec(np.array([4.0, -0.5]))
     start = FramePair(FrameSequence(field, fv), FrameSequence(field, gv))
+    gv = frames._retraction(fv, gv, spec.alpha)  # the retracted start
+    retracted = record(frames, "_retraction")
     cfg = optimizer.OptimizerConfig(mode=optimizer.POTENTIAL_DESCENT, max_iters=1)
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         optimizer.search(spec, field, 4, cfg, initial_pair=start)
-    gv = original(fv, gv, spec.alpha)  # the retracted start
-    step = -trials[1][0][0, 2] / gf[0, 2]  # the first trial's move along (gf, gg)
+    step = -retracted[1][0][0, 0, 2] / gf[0, 2]  # the first trial's move along (gf, gg)
     size2 = (np.vdot(fv, fv) + np.vdot(gv, gv)).real
     want = np.sqrt(size2 / (np.vdot(gf, gf) + np.vdot(gg, gg)).real)
     assert np.isfinite(step)
@@ -625,63 +599,36 @@ def test_descent_is_scale_equivariant(monkeypatch, field_, objective):
             assert abs(got - s**4 * want) <= 1e-12 * s**4 * abs(want)
 
 
-def _counting_retraction(counts):
-    """``frames._retraction``, counting the trials it is given (a block
-    counts each of its trials) and those it does not retract: a raise
-    counts one, a block cut at a degenerate pairing the trials it drops."""
-    retraction = frames._retraction
-
-    def counting(fv, gv, alpha, *rest):
-        trials = len(fv) if fv.ndim == 3 else 1  # a block, or the start or a lone trial
-        counts["retractions"] += trials
-        try:
-            out = retraction(fv, gv, alpha, *rest)
-        except DegeneratePairingError:
-            counts["degenerate"] += 1
-            raise
-        counts["degenerate"] += trials - (len(out) if fv.ndim == 3 else 1)
-        return out
-
-    return counting
-
-
-def test_descent_prices_few_trials_per_iteration(monkeypatch):
+def test_descent_prices_few_trials_per_iteration():
     """Starting each backtracking search where no pairing moves by more
     than half of alpha_m, a descent at (16, 48) over C prices at most 3
-    trials per iteration on average (about 14 from a fixed step of 0.25)
-    and no trial meets a degenerate pairing."""
-    counts = {"trials": 0, "retractions": 0, "degenerate": 0}
-    accepted = optimizer._accepted
-
-    def counting_accepted(fv, *args):
-        counts["trials"] += len(fv) if fv.ndim == 3 else 1  # a block, or a lone trial
-        return accepted(fv, *args)
-
-    monkeypatch.setattr(optimizer, "_accepted", counting_accepted)
-    monkeypatch.setattr(frames, "_retraction", _counting_retraction(counts))
+    trials per iteration on average, its start's included (about 14 from
+    a fixed step of 0.25), and no trial meets a degenerate pairing.  It
+    runs the kernel only on its start and each accepted trial."""
     cfg = optimizer.OptimizerConfig(mode=optimizer.POTENTIAL_DESCENT, seed=2, max_iters=30)
     res = optimizer.search(ConstraintSpec(np.ones(48)), Field.COMPLEX, 16, cfg)
     iterations = len(res.merit_history) - 1
     assert iterations >= 10
-    assert counts["trials"] <= 3 * iterations
-    assert counts["degenerate"] == 0
+    assert res.work.trials <= 3 * iterations
+    assert res.work.passes == 1 + iterations
+    assert res.work.degenerate == 0
 
 
-def test_critical_search_meets_no_degenerate_pairing(monkeypatch):
+def test_critical_search_meets_no_degenerate_pairing():
     """On the problems of the critical-search benchmark (R, d = 2,
     alpha = 1/2 x 4, and C, d = 2, alpha = 1 x 3), 4 seeds each at 300
     iterations, no retraction of a start or a trial meets a degenerate
-    pairing, so no search ends DEGENERATE_RETRACTION.  A block of trials
-    counts each of its trials."""
-    counts = {"retractions": 0, "degenerate": 0}
-    monkeypatch.setattr(frames, "_retraction", _counting_retraction(counts))
+    pairing, so no search ends DEGENERATE_RETRACTION, and the searches
+    price at least 8 x 300 trials, their starts included."""
+    trials = degenerate = 0
     for field_, alpha in ((Field.REAL, np.full(4, 0.5)), (Field.COMPLEX, np.ones(3))):
         for seed in range(4):
             cfg = optimizer.OptimizerConfig(seed=seed, max_iters=300)
             res = optimizer.search(ConstraintSpec(alpha), field_, 2, cfg)
             assert res.status != optimizer.DEGENERATE_RETRACTION
-    assert counts["retractions"] >= 8 * 300
-    assert counts["degenerate"] == 0
+            trials, degenerate = trials + res.work.trials, degenerate + res.work.degenerate
+    assert trials >= 8 * 300
+    assert degenerate == 0
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
@@ -690,8 +637,11 @@ def test_degenerate_trial_ends_restart_at_last_accepted_iterate(monkeypatch, mod
     only rejected trials, the restart ends DEGENERATE_RETRACTION and
     returns the last accepted iterate, with no constraint residual.  Here
     every trial from the fifth on is degenerate: the four before it are
-    priced, and no trial after it."""
-    counts, last = {"retracted": 0, "priced": 0}, {}
+    priced, and no trial after it.  The first block of 8 is cut to those
+    four, one of which is accepted, and the next block's first trial
+    raises: the run's work is 2 kernel passes, 1 + 4 trials priced (the
+    start's included) and 4 + 8 trials kept from being priced."""
+    counts, last = {"retracted": 0}, {}
     retraction, accepted = frames._retraction, optimizer._accepted
 
     def failing_retraction(fv, gv, alpha, *rest):
@@ -706,7 +656,6 @@ def test_degenerate_trial_ends_restart_at_last_accepted_iterate(monkeypatch, mod
         return out[:keep]
 
     def recording_accepted(fv, gv, *args):
-        counts["priced"] += len(gv)
         hit = accepted(fv, gv, *args)
         if hit is not None:
             last["f"], last["g"] = hit[:2]
@@ -716,7 +665,7 @@ def test_degenerate_trial_ends_restart_at_last_accepted_iterate(monkeypatch, mod
     monkeypatch.setattr(optimizer, "_accepted", recording_accepted)
     cfg = optimizer.OptimizerConfig(mode=mode, seed=0, max_iters=50)
     res = optimizer.search(ConstraintSpec(np.ones(3)), Field.COMPLEX, 2, cfg)
-    assert counts["priced"] == 4
+    assert res.work == (2, 1 + 4, 4 + 8)
     assert res.status == optimizer.DEGENERATE_RETRACTION
     assert res.final_pair.f.vectors.tobytes() == last["f"].tobytes()
     assert res.final_pair.g.vectors.tobytes() == last["g"].tobytes()
@@ -866,6 +815,7 @@ def test_degenerate_start_recovers():
     res = optimizer.search(spec, Field.REAL, 2, cfg, initial_pair=FramePair(f, g))
     assert res.status == optimizer.DEGENERATE_RETRACTION
     assert res.constraint_residual_final == np.inf
+    assert res.work == (0, 0, 1)  # the start, kept from being priced
 
     res = optimizer.search(spec, Field.REAL, 2, dataclasses.replace(cfg, restarts=1),
                            initial_pair=FramePair(f, g))
@@ -876,7 +826,7 @@ def test_degenerate_start_recovers():
 
 
 @pytest.mark.parametrize("degenerate", [False, True], ids=["regular-start", "degenerate-start"])
-def test_search_from_an_initial_pair_builds_no_generator(monkeypatch, degenerate):
+def test_search_from_an_initial_pair_builds_no_generator(record, degenerate):
     """A degenerate pairing is never redrawn, so a search from an
     initial_pair builds no generator in either mode, and a start whose
     two pairings are orthogonal ends DEGENERATE_RETRACTION."""
@@ -885,14 +835,7 @@ def test_search_from_an_initial_pair_builds_no_generator(monkeypatch, degenerate
                           FrameSequence(Field.REAL, np.array([[0.0, 1.0], [1.0, 0.0]])))
     else:
         start = frames.random_pair(Field.REAL, 2, 4, 3)
-    built_seeds = []
-    original = np.random.default_rng
-
-    def counting(*args, **kwargs):
-        built_seeds.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", counting)
+    built_seeds = record(np.random, "default_rng")
     for mode in (optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT):
         built_seeds.clear()
         cfg = optimizer.OptimizerConfig(mode=mode, seed=4, max_iters=50)
@@ -916,17 +859,19 @@ def _sliced(spec, field_, d, cfg, width):
     """``search`` run as slices of ``width`` iterations, each resumed from the
     previous slice's ``final_pair`` (as the benchmark's chains resume), and
     stitched into one result: the histories without each slice's repeated
-    start, the last slice's pair."""
-    merit, objective, start = [], [], None
+    start, the slices' summed work, the last slice's pair."""
+    merit, objective, work, start = [], [], [], None
     while True:
         left = cfg.max_iters - max(len(merit) - 1, 0)
         run = dataclasses.replace(cfg, max_iters=min(width, left))
         res = optimizer.search(spec, field_, d, run, initial_pair=start)
         merit += res.merit_history[len(merit) > 0:]
         objective += res.objective_history[len(objective) > 0:]
+        work.append(res.work)
         if (res.status != optimizer.MAX_ITERS or len(res.merit_history) - 1 < width
                 or len(merit) - 1 == cfg.max_iters):
-            return dataclasses.replace(res, merit_history=merit, objective_history=objective)
+            return dataclasses.replace(res, merit_history=merit, objective_history=objective,
+                                       work=optimizer.SearchWork(*map(sum, zip(*work))))
         start = res.final_pair
 
 
@@ -951,14 +896,17 @@ RESUME_SHAPES = [(2, 4, 8), (8, 24, 4), (16, 48, 1)]
 def test_slices_resumed_from_final_pair_equal_one_whole_run(field, mode, d, n, k):
     """A search resumed from the final pair of the last continues it bit
     for bit: slices of 1 and 3 iterations stitch into the whole run's
-    histories, final F and G and the report of that pair."""
+    histories, final F and G and the report of that pair, and their work
+    sums to the whole run's (a resumed start counts none)."""
     assert min(max(optimizer._STACK_ELEMENTS // (n * d), 1), len(optimizer._LADDER_BLOCKS)) == k
     spec = ConstraintSpec(np.full(n, d / n))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=5, max_iters=12)
     whole = optimizer.search(spec, field, d, cfg)
     assert len(whole.merit_history) > 4  # the run spans several slices
     for width in (1, 3):
-        assert _result_bits(_sliced(spec, field, d, cfg, width), spec) == _result_bits(whole, spec)
+        sliced = _sliced(spec, field, d, cfg, width)
+        assert _result_bits(sliced, spec) == _result_bits(whole, spec)
+        assert sliced.work == whole.work
 
 
 def _kept_bits(pair, alpha):
@@ -974,7 +922,7 @@ def _kept_bits(pair, alpha):
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
-def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mode):
+def test_resumed_start_makes_no_retraction_or_kernel_pass(record, field, mode):
     """A search resumed from a result on the same alpha neither checks its
     start's rows (its <f_m, g_m> are alpha_m != 0), retracts it nor runs
     the kernel on it; resuming the same pair twice gives the same result,
@@ -984,24 +932,13 @@ def test_resumed_start_makes_no_retraction_or_kernel_pass(monkeypatch, field, mo
     pair = optimizer.search(spec, field, 2, cfg).final_pair
     alpha = spec.require_field(field)
     kept = _kept_bits(pair, alpha)
-    retracted, starts, checked = [], [], []
-    retraction, kernel = frames._retraction, structure._merit_terms
-    require_nonzero = FramePair.require_nonzero
-
-    def counting_retraction(fv, gv, alpha, *rest):
-        retracted.append(fv is pair.f.vectors)
-        return retraction(fv, gv, alpha, *rest)
-
-    def counting_kernel(fv, gv, *rest):
-        starts.append(not rest)  # only a start's pass forms its own TU*
-        return kernel(fv, gv, *rest)
-
-    monkeypatch.setattr(frames, "_retraction", counting_retraction)
-    monkeypatch.setattr(structure, "_merit_terms", counting_kernel)
-    monkeypatch.setattr(FramePair, "require_nonzero",
-                        lambda self: (checked.append(self), require_nonzero(self))[1])
+    retracted = record(frames, "_retraction")
+    kernels = record(structure, "_merit_terms")
+    checked = record(FramePair, "require_nonzero")
     first = optimizer.search(spec, field, 2, cfg, initial_pair=pair)
-    assert retracted and not any(retracted) and starts and not any(starts) and checked == []
+    assert retracted and not any(args[0] is pair.f.vectors for args in retracted)
+    assert kernels and all(len(args) > 2 for args in kernels)  # only a start's forms its own TU*
+    assert checked == []
     assert _result_bits(optimizer.search(spec, field, 2, cfg, initial_pair=pair), spec) == \
         _result_bits(first, spec)
     assert _kept_bits(pair, alpha) == kept
@@ -1014,7 +951,7 @@ def _stateless(pair):
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
-def test_other_starts_are_retracted(monkeypatch, field, mode):
+def test_other_starts_are_retracted(record, field, mode):
     """Only the pair a search returned, on the alpha it searched, resumes:
     that pair on another alpha (over C also on the same alpha with -0.0
     imaginary parts, whose bytes differ), a pair of copies of its vectors,
@@ -1028,16 +965,8 @@ def test_other_starts_are_retracted(monkeypatch, field, mode):
     assert set(pair._memo) == {"TU*", ("resume", spec.require_field(field).tobytes())}
     assert not swapped._memo
     copies = _stateless(pair)
-    retracted, checked = [], []
-    retraction, require_nonzero = frames._retraction, FramePair.require_nonzero
-
-    def counting_retraction(fv, gv, alpha, *rest):
-        retracted.append(fv)
-        return retraction(fv, gv, alpha, *rest)
-
-    monkeypatch.setattr(frames, "_retraction", counting_retraction)
-    monkeypatch.setattr(FramePair, "require_nonzero",
-                        lambda self: (checked.append(self), require_nonzero(self))[1])
+    retracted = record(frames, "_retraction")
+    checked = record(FramePair, "require_nonzero")
     other = ConstraintSpec(np.array([0.5, 0.5, 0.5, 0.25]))
     rebuilt = FramePair(pair.f, pair.g)
     starts = [(pair, other), (copies, spec), (rebuilt, spec), (swapped, spec)]
@@ -1048,12 +977,12 @@ def test_other_starts_are_retracted(monkeypatch, field, mode):
         retracted.clear()
         checked.clear()
         res = optimizer.search(on, field, 2, cfg, initial_pair=start)
-        assert retracted[0] is start.f.vectors and checked[0] is start
+        assert retracted[0][0] is start.f.vectors and checked[0][0] is start
         assert _result_bits(res, on) == _result_bits(
             optimizer.search(on, field, 2, cfg, initial_pair=stateless), on)
 
 
-def test_degenerate_and_converged_results_resume_as_they_ended(monkeypatch, field):
+def test_degenerate_and_converged_results_resume_as_they_ended(record, field):
     """A result whose start was degenerate keeps no state to resume from (no
     resume key): a search from its pair retracts that pair again and ends
     DEGENERATE_RETRACTION again.  A CONVERGED result resumed ends CONVERGED
@@ -1064,16 +993,10 @@ def test_degenerate_and_converged_results_resume_as_they_ended(monkeypatch, fiel
     res = optimizer.search(spec, field, 2, cfg, initial_pair=FramePair(f, g))
     assert res.status == optimizer.DEGENERATE_RETRACTION
     assert not any(isinstance(key, tuple) and key[0] == "resume" for key in res.final_pair._memo)
-    retracted = []
-    retraction = frames._retraction
-
-    def counting_retraction(fv, gv, alpha, *rest):
-        retracted.append(fv is res.final_pair.f.vectors)
-        return retraction(fv, gv, alpha, *rest)
-
-    monkeypatch.setattr(frames, "_retraction", counting_retraction)
+    retracted = record(frames, "_retraction")
     again = optimizer.search(spec, field, 2, cfg, initial_pair=res.final_pair)
-    assert retracted == [True] and again.status == optimizer.DEGENERATE_RETRACTION
+    assert [args[0] is res.final_pair.f.vectors for args in retracted] == [True]
+    assert again.status == optimizer.DEGENERATE_RETRACTION
 
     spec = ConstraintSpec(np.full(4, 0.5) if field is Field.REAL else np.ones(3))
     cfg = optimizer.OptimizerConfig(seed=0, max_iters=2000)
@@ -1089,39 +1012,36 @@ def test_degenerate_and_converged_results_resume_as_they_ended(monkeypatch, fiel
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
-def test_result_verdicts_are_formed_on_first_read(monkeypatch, field, mode):
+def test_result_verdicts_are_formed_on_first_read(record, field, mode):
     """A restarts=0 slice, fresh or resumed, calls neither
     ``frames.is_dual_pair`` nor ``frames.constraint_residual``.  Read
     afterwards, each is formed once and equals, bit for bit, its expression
     on a stateless copy of the final pair.  After DEGENERATE_RETRACTION the
     constraint residual reads inf and the dual deviation is still that of
     the final pair."""
-    calls = []
-    for name in ("is_dual_pair", "constraint_residual"):
-        def counting(*args, _name=name, _original=getattr(frames, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(frames, name, counting)
+    dual, residual = record(frames, "is_dual_pair"), record(frames, "constraint_residual")
     spec = ConstraintSpec(np.full(4, 0.5))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=1, max_iters=2)
     res = optimizer.search(spec, field, 2, cfg)
     res = optimizer.search(spec, field, 2, cfg, initial_pair=res.final_pair)
-    assert res.status == optimizer.MAX_ITERS and calls == []
+    assert res.status == optimizer.MAX_ITERS and dual == residual == []
     copy = _stateless(res.final_pair)
     want = repr((float(frames.constraint_residual(copy, spec).max()), frames.is_dual_pair(copy)[1]))
-    calls.clear()
+    dual.clear()
+    residual.clear()
     for _ in range(2):
         assert repr((res.constraint_residual_final, res.dual_deviation)) == want
-    assert sorted(calls) == ["constraint_residual", "is_dual_pair"]
+    assert (len(dual), len(residual)) == (1, 1)
 
     f = FrameSequence(field, np.array([[1.0, 0.0], [0.0, 1.0]]))
     g = FrameSequence(field, np.array([[0.0, 1.0], [1.0, 0.0]]))
     res = optimizer.search(ConstraintSpec(np.ones(2)), field, 2, cfg, initial_pair=FramePair(f, g))
     want = frames.is_dual_pair(_stateless(res.final_pair))[1]
-    calls.clear()
+    dual.clear()
+    residual.clear()
     assert res.status == optimizer.DEGENERATE_RETRACTION
-    assert res.constraint_residual_final == float("inf") and calls == []
-    assert repr(res.dual_deviation) == repr(want) and calls == ["is_dual_pair"]
+    assert res.constraint_residual_final == float("inf") and dual == residual == []
+    assert repr(res.dual_deviation) == repr(want) and len(dual) == 1 and residual == []
 
 
 def test_fp_gradient_is_the_full_gradient_bit_for_bit(field):

@@ -7,10 +7,11 @@ threads (default 1, the count every recorded line is taken at), set before NumPy
 * ``outcomes``: one restart at max_iters 2000 per CriticalSearch.PROBLEMS x seeds 0-15 and
   Descent.PROBLEMS x seeds 0-2, tabled (problem, seed, status, iterations, ``is_dual_pair`` at
   1e-6) and tallied per mode; hashed over (problem, seed, status, dual), which no machine moves.
-  Each mode's tally closes with its work, counted by wrapping ``structure._merit_terms``: the
-  kernel passes, and the trials they price (a pass on a stack of K trials prices K; descent
-  prices its trials from FP and passes only the start and each accepted trial).  Unless every
-  CRITICAL_SEARCH restart that did not meet a degenerate pairing ends CONVERGED exactly when
+  Each mode's tally closes with its work, summed from the restarts' ``SearchResult.work``:
+  kernel passes (descent passes only its start and each accepted trial) and trials priced, by
+  a kernel pass or by Tr(M^2) as descent prices them, a start counting one of each; the trials
+  a degenerate pairing kept from being priced are not printed.  Unless every CRITICAL_SEARCH
+  restart that did not meet a degenerate pairing ends CONVERGED exactly when
   ``structure.critical_report`` calls its final pair critical, the script exits 1 and prints no
   ``outcomes`` line.
 * ``search``: CriticalSearch.PROBLEMS x seeds 0-3 at 300 iterations, Descent.PROBLEMS x seeds
@@ -19,8 +20,9 @@ threads (default 1, the count every recorded line is taken at), set before NumPy
   ``optimize`` prints it (none after a degenerate pairing or a failed check), and
   repr((constraint_residual_final, dual_deviation)).
   The same runs are made again as 2-iteration slices, each resumed from the last one's
-  ``final_pair``; unless those hash the same (a resumed search continues bit for bit), the
-  script exits 1 and prints no ``search`` line.
+  ``final_pair``; unless those hash the same (a resumed search continues bit for bit) and their
+  summed ``work`` is each whole run's (a resumed slice counts only its own), the script exits 1
+  and prints no ``search`` line.
 * ``reports``: 240 seeded ``plant_critical_pair`` pairs over the Analyze cases through
   ``perfbench.workloads.analyze_pipeline``, by ``_feed``; then the CLI's exit code and stdout:
   ``potential``, ``check``, ``decompose`` and ``corollary`` on the six fixtures, the last three
@@ -104,38 +106,28 @@ def _searches(problems, seeds, max_iters, run=optimizer.search):
 def _sliced(spec, field_, d, cfg):
     """``optimizer.search`` in slices of SLICE iterations, each resumed from the last one's
     ``final_pair``, stitched into one result: the histories without each slice's repeated
-    start, the last slice's pair."""
-    merit, objective, start = [], [], None
+    start, the slices' summed work, the last slice's pair."""
+    merit, objective, work, start = [], [], [], None
     while True:
         left = cfg.max_iters - max(len(merit) - 1, 0)
         run = dataclasses.replace(cfg, max_iters=min(SLICE, left))
         res = optimizer.search(spec, field_, d, run, initial_pair=start)
         merit += res.merit_history[len(merit) > 0:]
         objective += res.objective_history[len(objective) > 0:]
+        work.append(res.work)
         if (res.status != optimizer.MAX_ITERS or len(res.merit_history) - 1 < SLICE
                 or len(merit) - 1 == cfg.max_iters):
-            return dataclasses.replace(res, merit_history=merit, objective_history=objective)
+            return dataclasses.replace(res, merit_history=merit, objective_history=objective,
+                                       work=optimizer.SearchWork(*map(sum, zip(*work))))
         start = res.final_pair
 
 
 def outcomes():
     h = hashlib.sha256()
-    kernel, work = structure._merit_terms, collections.Counter()
-
-    def counting(fv, *args):
-        work["passes"] += 1
-        work["trials"] += len(fv) if fv.ndim == 3 else 1
-        return kernel(fv, *args)
-
-    structure._merit_terms = counting
-    critical = []
     for mode, problems, seeds in (("critical", CriticalSearch.PROBLEMS, range(16)),
                                   ("descent", Descent.PROBLEMS, range(3))):
-        tally, iterations = collections.Counter(), 0
-        work.clear()
+        tally, iterations, work = collections.Counter(), 0, collections.Counter()
         for label, seed, spec, res in _searches(problems, seeds, 2000):
-            if mode == "critical":
-                critical.append((label, seed, spec, res))
             dual, _ = frames.is_dual_pair(res.final_pair, tol=1e-6)
             iters = max(len(res.merit_history) - 1, 0)
             print(f"{mode} {label} seed {seed}: {res.status} iterations {iters} dual {dual}")
@@ -143,28 +135,28 @@ def outcomes():
             tally[res.status] += 1
             tally["dual"] += dual
             iterations += iters
+            work.update(res.work._asdict())
+            if mode == "critical" and res.status != optimizer.DEGENERATE_RETRACTION:
+                rep = cli._final_report(res, spec)
+                is_critical = rep is not None and rep.is_critical
+                if (res.status == optimizer.CONVERGED) != is_critical:
+                    sys.exit(f"outcomes: critical {label} seed {seed} ends {res.status}, but "
+                             f"critical_report of its final pair has is_critical {is_critical}")
         counts = ", ".join(f"{key} {n}" for key, n in sorted(tally.items()))
         print(f"{mode}: {counts}, iterations {iterations}, kernel passes {work['passes']} "
               f"({work['passes'] / iterations:.2f} per iteration), trials {work['trials']} "
               f"({work['trials'] / iterations:.2f} per iteration)")
-    structure._merit_terms = kernel
-    for label, seed, spec, res in critical:  # checked past the counted work
-        rep = cli._final_report(res, spec)
-        is_critical = rep is not None and rep.is_critical
-        if (res.status != optimizer.DEGENERATE_RETRACTION
-                and (res.status == optimizer.CONVERGED) != is_critical):
-            sys.exit(f"outcomes: critical {label} seed {seed} ends {res.status}, but "
-                     f"critical_report of its final pair has is_critical {is_critical}")
     return h.hexdigest()
 
 
 def search():
-    digests = []
+    digests, works = [], []
     for run in (optimizer.search, _sliced):
-        h = hashlib.sha256()
+        h, work = hashlib.sha256(), []
         for problems, seeds, iters in ((CriticalSearch.PROBLEMS, range(4), 300),
                                        (Descent.PROBLEMS, range(5), 40)):
             for _, _, spec, res in _searches(problems, seeds, iters, run):
+                work.append(res.work)
                 rep, pair = cli._final_report(res, spec), res.final_pair
                 parts = [res.status, repr(res.merit_history), repr(res.objective_history),
                          pair.f.vectors, pair.g.vectors]
@@ -175,9 +167,14 @@ def search():
                 for part in parts:
                     h.update(part.encode() if isinstance(part, str) else part.tobytes())
         digests.append(h.hexdigest())
+        works.append(work)
     if digests[1] != digests[0]:
         sys.exit(f"search: {SLICE}-iteration slices resumed from final_pair hash {digests[1]}, "
                  f"whole runs {digests[0]}")
+    for k, (whole, sliced) in enumerate(zip(*works)):
+        if sliced != whole:
+            sys.exit(f"search: run {k}'s {SLICE}-iteration slices resumed from final_pair sum "
+                     f"to {sliced}, its whole run {whole}")
     return digests[0]
 
 
