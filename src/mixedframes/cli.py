@@ -161,10 +161,9 @@ def _json(x, name=None):
 
 def _final_report(res: optimizer.SearchResult, spec):
     """``structure.critical_report`` of a search result's final pair, or None
-    after a degenerate pairing or when that pair fails the report's checks."""
-    if res.status != optimizer.DEGENERATE_RETRACTION:
-        with contextlib.suppress(MixedFramesError):  # e.g. a diverged iterate off S(alpha)
-            return structure.critical_report(res.final_pair, spec)
+    when that pair fails the report's checks, as a pair off S(alpha) does."""
+    with contextlib.suppress(MixedFramesError):
+        return structure.critical_report(res.final_pair, spec)
     return None
 
 
@@ -177,10 +176,8 @@ def _search_json(res: optimizer.SearchResult, spec):
         "final_objective": res.objective_history[-1] if res.objective_history else None,
         "objective_history": res.objective_history,
         "merit_history": res.merit_history,
-        # inf after a degenerate pairing, which RFC 8259 JSON cannot write
-        "constraint_residual_final": (res.constraint_residual_final
-                                      if np.isfinite(res.constraint_residual_final) else None),
-        "dual_deviation": res.dual_deviation,
+        "constraint_residual_final": float(frames.constraint_residual(res.final_pair, spec).max()),
+        "dual_deviation": frames.is_dual_pair(res.final_pair)[1],
         "critical_report": _json(_final_report(res, spec)),
     }
 
@@ -323,7 +320,7 @@ def cmd_optimize(args):
             "divergence_bound": cfg.divergence_bound}
     return _emit("optimize", digest, tols, outputs, result.status,
                  f"status = {result.status}, merit = {outputs['search']['final_merit']}, "
-                 f"dual deviation = {result.dual_deviation:.3e}", output)
+                 f"dual deviation = {outputs['search']['dual_deviation']:.3e}", output)
 
 
 def build_parser():

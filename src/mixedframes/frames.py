@@ -34,7 +34,7 @@ class Field(enum.Enum):
     COMPLEX = "C"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameSequence:
     """N vectors of dimension d, one per row of ``vectors``: a checked
     copy of what the caller passes, in the field's dtype."""
@@ -79,10 +79,11 @@ class FrameSequence:
         return self.vectors.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FramePair:
     """Two same-shaped frame sequences (F, G).  A pair never changes, so
-    what is derived from it is computed once and kept, read-only."""
+    what is derived from it is computed once and kept, read-only, and
+    pairs, like sequences and specs, compare and hash by identity."""
 
     f: FrameSequence
     g: FrameSequence
@@ -133,7 +134,7 @@ class FramePair:
                 raise ZeroVectorError(f"{name}_{m + 1} is the zero vector", index=m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSpec:
     """The sequence {alpha_m} defining the set S(alpha)."""
 

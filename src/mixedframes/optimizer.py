@@ -69,15 +69,15 @@ or in a trial behind only rejected ones, ends the restart as
 DEGENERATE_RETRACTION; nothing is redrawn.
 The loop counts its own work into ``SearchResult.work``: kernel passes,
 trials priced and trials a degenerate pairing kept from being priced.
+A result holds no verdict: the public functions form each from its pair.
 Restarts are independent: restart k uses seed ``seed + k`` and
 the reported result never depends on execution order.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -139,10 +139,10 @@ class SearchWork(NamedTuple):
     degenerate: int  # trials a degenerate pairing kept from being priced
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
-    """A restart's outcome.  Its two verdicts on ``final_pair`` are formed on
-    first read, so a slice that no caller asks them of pays for neither."""
+    """A restart's outcome, as its loop recorded it.  The verdicts on
+    ``final_pair`` are ``frames.constraint_residual``'s and ``frames.is_dual_pair``'s."""
 
     final_pair: FramePair
     objective_history: list
@@ -150,19 +150,6 @@ class SearchResult:
     status: str
     restart_seed: int
     work: SearchWork
-    _spec: ConstraintSpec = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def constraint_residual_final(self):
-        """max |<f_m, g_m> - alpha_m| over the final pair, inf after DEGENERATE_RETRACTION."""
-        if self.status == DEGENERATE_RETRACTION:
-            return float("inf")
-        return float(frames.constraint_residual(self.final_pair, self._spec).max())
-
-    @functools.cached_property
-    def dual_deviation(self):
-        """||TU* - I||_F of the final pair, as ``frames.is_dual_pair`` gives it."""
-        return frames.is_dual_pair(self.final_pair)[1]
 
 
 def fp_gradient(pair: FramePair, objective=REAL_PART):
@@ -325,16 +312,15 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
 
     def finish(status):
         """The search result: the one FramePair the run returns, frozen in
-        place from the final arrays and seeded with their TU* and, to
-        resume from, the last kernel output as is, keyed by alpha's bytes
-        (the S(alpha) the pair lies on).  A finite kernel merit vouches
-        for F and G: an inf or NaN entry would reach it through
-        ||f_m||^2, the retraction or TU*.  Otherwise they are scanned."""
+        place from the final arrays and holding, to resume from, the last
+        kernel output as is, keyed by alpha's bytes (the S(alpha) the pair
+        lies on).  A finite kernel merit vouches for F and G: an inf or
+        NaN entry would reach it through ||f_m||^2, the retraction or TU*.
+        Otherwise they are scanned."""
         finite = terms is not None and math.isfinite(terms.merit)
         pair = FramePair(FrameSequence._adopt(field_, fv, finite),
                          FrameSequence._adopt(field_, gv, finite))
         if terms is not None:
-            pair._derived("TU*", lambda: terms.tu)
             pair._derived(("resume", alpha.tobytes()), lambda: terms)
         return SearchResult(
             final_pair=pair,
@@ -343,7 +329,6 @@ def _run_single(spec, alpha, field_, d, cfg, seed, initial_pair=None, terms=None
             status=status,
             restart_seed=seed,
             work=SearchWork(passes, trials, degenerate),
-            _spec=spec,
         )
 
     def record():
@@ -432,7 +417,8 @@ def _result_key(res):
     # smaller merit.  Ties resolve by restart seed, so the outcome is
     # independent of execution order.
     last_merit = res.merit_history[-1] if res.merit_history else np.inf
-    return (_STATUS_RANK[res.status], res.dual_deviation, last_merit, res.restart_seed)
+    return (_STATUS_RANK[res.status], frames.is_dual_pair(res.final_pair)[1], last_merit,
+            res.restart_seed)
 
 
 def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial_pair=None):
@@ -459,7 +445,7 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
     and an alpha of other bytes (a -0.0 imaginary part for 0.0) included,
     is checked and retracted onto S(alpha) first.  No critical
     report is built: ``structure.critical_report(result.final_pair, spec)``
-    is the last iterate's, from one kernel pass on the kept M.
+    is the last iterate's, from one kernel pass on its TU* (the last M).
 
     The inputs are checked here, once: alpha must be nonzero, and real
     over R (MixedFramesError), and ``initial_pair`` must have the field,
@@ -483,7 +469,7 @@ def search(spec: ConstraintSpec, field_: Field, d, cfg: OptimizerConfig, initial
             initial_pair.require_nonzero()
     # min over a generator keeps a running best: a restart's result is dropped
     # as soon as it loses, so at most two are held whatever ``restarts`` is;
-    # a lone run is not ranked, so its verdicts stay unformed until read
+    # a lone run is not ranked, so no verdict on its final pair is formed
     runs = (_run_single(spec, alpha, field_, d, cfg, cfg.seed + k,
                         initial_pair=initial_pair if k == 0 else None,
                         terms=resume if k == 0 else None)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixedframes import frames
-from mixedframes.frames import ConstraintSpec, Field
+from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
 
 
 def retracted_random(field, d, n, seed, alpha=None):
@@ -12,6 +12,31 @@ def retracted_random(field, d, n, seed, alpha=None):
     spec = ConstraintSpec(np.asarray(alpha))
     pair = frames.random_pair(field, d, n, seed)
     return frames.retract_to_constraint(pair, spec), spec
+
+
+def fd_gradient(pair, value, h=1e-6):
+    """Central finite differences of value(FramePair) in real coordinates,
+    in the fp_gradient encoding."""
+
+    def at(fv, gv):
+        return value(FramePair(FrameSequence(pair.field, fv), FrameSequence(pair.field, gv)))
+
+    comps = (1.0,) if pair.field is Field.REAL else (1.0, 1j)
+    out = []
+    for which in range(2):
+        arr = (pair.f.vectors, pair.g.vectors)[which]
+        grad = np.zeros_like(arr)
+        for idx in np.ndindex(arr.shape):
+            for comp in comps:
+                plus, minus = arr.copy(), arr.copy()
+                plus[idx] += comp * h
+                minus[idx] -= comp * h
+                args_p = [pair.f.vectors, pair.g.vectors]
+                args_m = [pair.f.vectors, pair.g.vectors]
+                args_p[which], args_m[which] = plus, minus
+                grad[idx] += (at(*args_p) - at(*args_m)) / (2 * h) * comp
+        out.append(grad)
+    return out
 
 
 @pytest.fixture

@@ -297,8 +297,9 @@ def test_optimize_imaginary_objective(capsys):
 
 def test_optimize_degenerate_start_reports_nulls(capsys, monkeypatch):
     """A start whose retraction meets a degenerate pairing ends the search
-    with no iterate: the report's merit, objective, constraint residual
-    and critical report are null, and the report is strict JSON."""
+    with no iterate: the report's merit, objective and critical report are
+    null (the start, not retracted, is off S(alpha)), its constraint
+    residual is the start's, finite, and the report is strict JSON."""
     def degenerate(fv, gv, alpha, *rest):
         raise DegeneratePairingError("stub", index=0)
 
@@ -308,16 +309,20 @@ def test_optimize_degenerate_start_reports_nulls(capsys, monkeypatch):
     search = json.loads(out)["outputs"]["search"]
     assert search["status"] == "DEGENERATE_RETRACTION"
     assert search["critical_report"] is search["final_merit"] is search["final_objective"] is None
-    assert search["constraint_residual_final"] is None
+    spec = frames.ConstraintSpec(np.ones(3))
+    start = frames.random_pair(frames.Field.COMPLEX, 2, 3, 0)  # seed 0's, not retracted
+    want = float(frames.constraint_residual(start, spec).max())
+    assert search["constraint_residual_final"] == want and np.isfinite(want) and want > 1e-8
     assert search["iterations"] == 0
     assert search["merit_history"] == search["objective_history"] == []
 
 
-def test_optimize_degenerate_trial_reports_null_critical_report(capsys, monkeypatch):
+def test_optimize_degenerate_trial_reports_its_last_iterate(capsys, monkeypatch):
     """A restart that ends DEGENERATE_RETRACTION after accepted iterates
-    prints a null critical report, although critical_report accepts its
-    final pair: the retraction raises from its fifth call on, here after
-    the start and three backtracking blocks."""
+    reports on its last iterate: its critical report is
+    ``critical_report``'s on the final pair and its constraint residual is
+    at most 1e-12.  The retraction raises from its fifth call on, here
+    after the start and three backtracking blocks."""
     retraction, calls = frames._retraction, []
 
     def failing(fv, gv, alpha, *rest):
@@ -330,13 +335,13 @@ def test_optimize_degenerate_trial_reports_null_critical_report(capsys, monkeypa
     code, out = run(capsys, "optimize", "--alpha", "1,1,1", "--field", "C", "--d", "2")
     search = json.loads(out)["outputs"]["search"]
     assert code == 3 and search["status"] == "DEGENERATE_RETRACTION"
-    assert search["critical_report"] is None and search["constraint_residual_final"] is None
+    assert search["constraint_residual_final"] <= 1e-12
     calls.clear()
     spec = frames.ConstraintSpec(np.ones(3))
     res = optimizer.search(spec, frames.Field.COMPLEX, 2, optimizer.OptimizerConfig())
     assert res.status == optimizer.DEGENERATE_RETRACTION
     assert len(res.merit_history) - 1 == search["iterations"] >= 1
-    assert structure.critical_report(res.final_pair, spec).tol > 0  # it raises nothing
+    assert search["critical_report"] == cli._json(structure.critical_report(res.final_pair, spec))
 
 
 def test_optimize_trivial_converges(capsys, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import retracted_random
-from mixedframes import frames
+from mixedframes import fixtures, frames, optimizer
 from mixedframes.errors import (
     ConstraintViolationError,
     DegeneratePairingError,
@@ -105,6 +105,22 @@ def test_pair_validation():
     gc = FrameSequence(Field.COMPLEX, np.eye(2))
     with pytest.raises(DimensionMismatchError):
         FramePair(f, gc)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fixtures.fixture("FX-MB")[0].f,
+    lambda: fixtures.fixture("FX-MB")[0],
+    lambda: fixtures.fixture("FX-MB")[1],
+    lambda: optimizer.search(ConstraintSpec(np.ones(2)), Field.REAL, 1,
+                             optimizer.OptimizerConfig(max_iters=1)),
+], ids=["FrameSequence", "FramePair", "ConstraintSpec", "SearchResult"])
+def test_frame_types_compare_and_hash_by_identity(make):
+    """Two equal-valued objects of a type that holds arrays are distinct: ==,
+    != and hashing raise nothing and go by identity, as the state a pair
+    keeps is its own."""
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_operator_matrices_consistent():

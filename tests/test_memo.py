@@ -93,18 +93,19 @@ def _run(pair, spec, order):
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
 def test_search_result_pair_keeps_the_last_tu(monkeypatch, record, field, mode):
-    """search stores the last iterate's TU* on the pair it returns, beside
-    the one resume entry keyed by alpha's bytes: TU* and the duality
-    deviation of that pair build nothing, its critical report runs the
-    kernel once on the stored TU* and never reads the state kept for
-    resuming the search (so it checks the search's last iterate), and all
-    three equal bit for bit the same calls on a fresh pair of copies of
-    its vectors."""
+    """search keeps the last iterate's M = TU* only in the one resume entry,
+    keyed by alpha's bytes, on the pair it returns.  TU* of that pair is
+    built once, on first request, with the resume entry's bits; its
+    critical report runs the kernel once on that TU* and never reads the
+    resume entry (so it checks the search's last iterate); TU*, the report
+    and the duality deviation equal bit for bit the same calls on a fresh
+    pair of copies of its vectors."""
     spec = ConstraintSpec(np.linspace(0.5, 2.0, 6))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=2, max_iters=5)
     res = optimizer.search(spec, field, 3, cfg)
     resume = ("resume", spec.require_field(field).tobytes())
-    assert set(res.final_pair._memo) == {"TU*", resume}
+    assert set(res.final_pair._memo) == {resume}
+    kept = res.final_pair._memo[resume].tu
     built, read = [], []
     derived = FramePair._derived
 
@@ -134,12 +135,13 @@ def test_search_result_pair_keeps_the_last_tu(monkeypatch, record, field, mode):
                       frames.is_dual_pair(pair)))
 
     got = calls(res.final_pair)
-    assert built == ["terms"] and len(kernels) == 1 and resume not in read
-    assert kernels[0][2] is frames.mixed_operator(res.final_pair)
+    assert built == ["TU*", "terms"] and len(kernels) == 1 and resume not in read
+    tu = frames.mixed_operator(res.final_pair)
+    assert kernels[0][2] is tu and tu.tobytes() == kept.tobytes()
     fresh = FramePair(FrameSequence(field, res.final_pair.f.vectors.copy()),
                       FrameSequence(field, res.final_pair.g.vectors.copy()))
     assert calls(fresh) == got
-    assert built == ["terms", "TU*", "terms"] and len(kernels) == 2
+    assert built == ["TU*", "terms", "TU*", "terms"] and len(kernels) == 2
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

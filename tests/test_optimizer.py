@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import retracted_random
+from conftest import fd_gradient, retracted_random
 from mixedframes import cli, fixtures, frames, optimizer, potential, structure
 from mixedframes.errors import (
     DegeneratePairingError,
@@ -16,31 +16,6 @@ from mixedframes.errors import (
     ZeroVectorError,
 )
 from mixedframes.frames import ConstraintSpec, Field, FramePair, FrameSequence
-
-
-def _fd_gradient(pair, value, h=1e-6):
-    """Central finite differences of value(FramePair) in real coordinates,
-    in the fp_gradient encoding."""
-
-    def at(fv, gv):
-        return value(FramePair(FrameSequence(pair.field, fv), FrameSequence(pair.field, gv)))
-
-    comps = (1.0,) if pair.field is Field.REAL else (1.0, 1j)
-    out = []
-    for which in range(2):
-        arr = (pair.f.vectors, pair.g.vectors)[which]
-        grad = np.zeros_like(arr)
-        for idx in np.ndindex(arr.shape):
-            for comp in comps:
-                plus, minus = arr.copy(), arr.copy()
-                plus[idx] += comp * h
-                minus[idx] -= comp * h
-                args_p = [pair.f.vectors, pair.g.vectors]
-                args_m = [pair.f.vectors, pair.g.vectors]
-                args_p[which], args_m[which] = plus, minus
-                grad[idx] += (at(*args_p) - at(*args_m)) / (2 * h) * comp
-        out.append(grad)
-    return out
 
 
 def _fd_shape(rng, trial):
@@ -71,7 +46,7 @@ def test_gradient_against_finite_differences(field, objective):
         gf, gg = optimizer.fp_gradient(pair, objective)
         if zero:
             assert gf.dtype == gg.dtype == np.float64 and not gf.any() and not gg.any()
-        ef, eg = _fd_gradient(pair, _potential_part(objective))
+        ef, eg = fd_gradient(pair, _potential_part(objective))
         scale = max(1.0, float(np.linalg.norm(ef)), float(np.linalg.norm(eg)))
         assert np.linalg.norm(gf - ef) / scale <= 1e-5
         assert np.linalg.norm(gg - eg) / scale <= 1e-5
@@ -104,7 +79,7 @@ def test_merit_gradient_against_finite_differences(field):
             return optimizer.merit(frames.retract_to_constraint(p, spec))
 
         gf, gg = _loop_gradient(pair, spec.require_field(field))
-        ef, eg = _fd_gradient(pair, value)
+        ef, eg = fd_gradient(pair, value)
         scale = max(1.0, float(np.linalg.norm(ef)), float(np.linalg.norm(eg)))
         assert np.linalg.norm(gf - ef) / scale <= 1e-5
         assert np.linalg.norm(gg - eg) / scale <= 1e-5
@@ -247,7 +222,7 @@ def test_critical_search_converges():
     res = optimizer.search(spec, Field.REAL, 2, cfg)
     assert res.status == optimizer.CONVERGED
     assert res.merit_history[-1] <= 1e-10
-    assert res.constraint_residual_final <= 1e-10
+    assert frames.constraint_residual(res.final_pair, spec).max() <= 1e-10
     assert structure.critical_report(res.final_pair, spec).is_critical
 
 
@@ -362,7 +337,7 @@ def test_search_rejects_nonreal_alpha_over_r():
     with pytest.raises(MixedFramesError, match="must be real"):
         optimizer.search(spec, Field.REAL, 2, cfg)
     res = optimizer.search(spec, Field.COMPLEX, 2, cfg)
-    assert res.constraint_residual_final <= 1e-10
+    assert frames.constraint_residual(res.final_pair, spec).max() <= 1e-10
 
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
@@ -635,7 +610,7 @@ def test_critical_search_meets_no_degenerate_pairing():
 def test_degenerate_trial_ends_restart_at_last_accepted_iterate(monkeypatch, mode):
     """When the retraction of a trial meets a degenerate pairing behind
     only rejected trials, the restart ends DEGENERATE_RETRACTION and
-    returns the last accepted iterate, with no constraint residual.  Here
+    returns the last accepted iterate, which is on S(alpha).  Here
     every trial from the fifth on is degenerate: the four before it are
     priced, and no trial after it.  The first block of 8 is cut to those
     four, one of which is accepted, and the next block's first trial
@@ -663,13 +638,14 @@ def test_degenerate_trial_ends_restart_at_last_accepted_iterate(monkeypatch, mod
 
     monkeypatch.setattr(frames, "_retraction", failing_retraction)
     monkeypatch.setattr(optimizer, "_accepted", recording_accepted)
+    spec = ConstraintSpec(np.ones(3))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=0, max_iters=50)
-    res = optimizer.search(ConstraintSpec(np.ones(3)), Field.COMPLEX, 2, cfg)
+    res = optimizer.search(spec, Field.COMPLEX, 2, cfg)
     assert res.work == (2, 1 + 4, 4 + 8)
     assert res.status == optimizer.DEGENERATE_RETRACTION
     assert res.final_pair.f.vectors.tobytes() == last["f"].tobytes()
     assert res.final_pair.g.vectors.tobytes() == last["g"].tobytes()
-    assert res.constraint_residual_final == float("inf")
+    assert frames.constraint_residual(res.final_pair, spec).max() <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 4, 8])
@@ -743,7 +719,7 @@ def test_restart_ranking_prefers_dual():
     cfg = optimizer.OptimizerConfig(seed=3, restarts=7, max_iters=2000)
     res = optimizer.search(spec, Field.REAL, 2, cfg)
     assert res.status == optimizer.CONVERGED
-    assert res.dual_deviation <= 1e-6
+    assert frames.is_dual_pair(res.final_pair)[1] <= 1e-6
 
 
 def test_critical_search_large_size():
@@ -774,47 +750,18 @@ def test_kernel_memory_is_linear_in_n(field):
         assert peak <= 16 * 2**20
 
 
-def test_potential_descent_diverges_d2():
-    """Over C at d = 2 the real part of the restricted potential is
-    unbounded below, so descent must hit the divergence bound."""
-    spec = ConstraintSpec(np.array([1.0, 1.0]))
-    cfg = optimizer.OptimizerConfig(
-        mode=optimizer.POTENTIAL_DESCENT,
-        objective=optimizer.REAL_PART,
-        seed=1,
-        max_iters=5000,
-        divergence_bound=1e6,
-    )
-    res = optimizer.search(spec, Field.COMPLEX, 2, cfg)
-    assert res.status == optimizer.DIVERGED
-    assert res.objective_history[-1] < -1e5
-
-
-def test_potential_descent_d1_is_constant():
-    """At d = 1 the trace identity pins the single eigenvalue, so the
-    restricted potential is constant on S(alpha) and descent converges
-    immediately instead of diverging."""
-    spec = ConstraintSpec(np.array([1.0, 1.0]))
-    cfg = optimizer.OptimizerConfig(
-        mode=optimizer.POTENTIAL_DESCENT, seed=0, divergence_bound=1e6
-    )
-    res = optimizer.search(spec, Field.COMPLEX, 1, cfg)
-    assert res.status == optimizer.CONVERGED
-    assert res.objective_history[-1] == pytest.approx(4.0, abs=1e-10)
-
-
 def test_degenerate_start_recovers():
     """An orthogonal starting pairing has no rescaling onto S(alpha): it
-    ends its restart as DEGENERATE_RETRACTION, with an infinite
-    constraint residual, and is not redrawn.  With a further
-    restart the search recovers: restart 1's result wins."""
+    ends its restart as DEGENERATE_RETRACTION on the start as given, off
+    S(alpha) by |<f_m, g_m> - alpha_m| = 1, and is not redrawn.  With a
+    further restart the search recovers: restart 1's result wins."""
     f = FrameSequence(Field.REAL, np.array([[1.0, 0.0], [0.0, 1.0]]))
     g = FrameSequence(Field.REAL, np.array([[0.0, 1.0], [1.0, 0.0]]))
     spec = ConstraintSpec(np.ones(2))
     cfg = optimizer.OptimizerConfig(seed=4, max_iters=2000)
     res = optimizer.search(spec, Field.REAL, 2, cfg, initial_pair=FramePair(f, g))
     assert res.status == optimizer.DEGENERATE_RETRACTION
-    assert res.constraint_residual_final == np.inf
+    assert frames.constraint_residual(res.final_pair, spec).tolist() == [1.0, 1.0]
     assert res.work == (0, 0, 1)  # the start, kept from being priced
 
     res = optimizer.search(spec, Field.REAL, 2, dataclasses.replace(cfg, restarts=1),
@@ -822,7 +769,7 @@ def test_degenerate_start_recovers():
     alone = optimizer.search(spec, Field.REAL, 2, dataclasses.replace(cfg, seed=5))
     assert res.restart_seed == 5 and res.merit_history == alone.merit_history
     assert res.status in (optimizer.CONVERGED, optimizer.MAX_ITERS)
-    assert res.constraint_residual_final <= 1e-10
+    assert frames.constraint_residual(res.final_pair, spec).max() <= 1e-10
 
 
 @pytest.mark.parametrize("degenerate", [False, True], ids=["regular-start", "degenerate-start"])
@@ -884,7 +831,7 @@ def _result_bits(res, spec):
             pair.f.vectors.tobytes(), pair.g.vectors.tobytes(),
             rep.c.tobytes(), rep.f_residuals.tobytes(), rep.g_residuals.tobytes(),
             rep.is_critical, rep.tol, rep.mixed_norm,
-            res.constraint_residual_final, res.dual_deviation)
+            float(frames.constraint_residual(pair, spec).max()), frames.is_dual_pair(pair)[1])
 
 
 # (d, N, K): the ladder priced 8, 4 and 1 trials at a time
@@ -914,7 +861,7 @@ def _kept_bits(pair, alpha):
     kernel output as is under alpha's bytes, as bytes and values; each of
     its 7 arrays must be read-only."""
     terms = pair._memo[("resume", alpha.tobytes())]
-    assert isinstance(terms, structure._MeritTerms) and terms.tu is pair._memo["TU*"]
+    assert isinstance(terms, structure._MeritTerms)
     arrays = [x for x in terms if isinstance(x, np.ndarray)]
     assert len(arrays) == 7 and not any(a.flags.writeable for a in arrays)
     scalars = [repr(x) for x in terms if not isinstance(x, np.ndarray)]
@@ -962,7 +909,7 @@ def test_other_starts_are_retracted(record, field, mode):
     cfg = optimizer.OptimizerConfig(mode=mode, seed=3, max_iters=3)
     pair = optimizer.search(spec, field, 2, cfg).final_pair
     swapped = pair.swapped()
-    assert set(pair._memo) == {"TU*", ("resume", spec.require_field(field).tobytes())}
+    assert set(pair._memo) == {("resume", spec.require_field(field).tobytes())}
     assert not swapped._memo
     copies = _stateless(pair)
     retracted = record(frames, "_retraction")
@@ -1013,35 +960,18 @@ def test_degenerate_and_converged_results_resume_as_they_ended(record, field):
 
 @pytest.mark.parametrize("mode", [optimizer.CRITICAL_SEARCH, optimizer.POTENTIAL_DESCENT])
 def test_result_verdicts_are_formed_on_first_read(record, field, mode):
-    """A restarts=0 slice, fresh or resumed, calls neither
-    ``frames.is_dual_pair`` nor ``frames.constraint_residual``.  Read
-    afterwards, each is formed once and equals, bit for bit, its expression
-    on a stateless copy of the final pair.  After DEGENERATE_RETRACTION the
-    constraint residual reads inf and the dual deviation is still that of
-    the final pair."""
+    """A result holds only the loop's record, and a restarts=0 slice,
+    fresh or resumed, calls neither ``frames.is_dual_pair`` nor
+    ``frames.constraint_residual``: its verdicts are formed only when a
+    caller asks those functions for them."""
     dual, residual = record(frames, "is_dual_pair"), record(frames, "constraint_residual")
     spec = ConstraintSpec(np.full(4, 0.5))
     cfg = optimizer.OptimizerConfig(mode=mode, seed=1, max_iters=2)
     res = optimizer.search(spec, field, 2, cfg)
     res = optimizer.search(spec, field, 2, cfg, initial_pair=res.final_pair)
     assert res.status == optimizer.MAX_ITERS and dual == residual == []
-    copy = _stateless(res.final_pair)
-    want = repr((float(frames.constraint_residual(copy, spec).max()), frames.is_dual_pair(copy)[1]))
-    dual.clear()
-    residual.clear()
-    for _ in range(2):
-        assert repr((res.constraint_residual_final, res.dual_deviation)) == want
-    assert (len(dual), len(residual)) == (1, 1)
-
-    f = FrameSequence(field, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    g = FrameSequence(field, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    res = optimizer.search(ConstraintSpec(np.ones(2)), field, 2, cfg, initial_pair=FramePair(f, g))
-    want = frames.is_dual_pair(_stateless(res.final_pair))[1]
-    dual.clear()
-    residual.clear()
-    assert res.status == optimizer.DEGENERATE_RETRACTION
-    assert res.constraint_residual_final == float("inf") and dual == residual == []
-    assert repr(res.dual_deviation) == repr(want) and len(dual) == 1 and residual == []
+    assert [f.name for f in dataclasses.fields(optimizer.SearchResult)] == [
+        "final_pair", "objective_history", "merit_history", "status", "restart_seed", "work"]
 
 
 def test_fp_gradient_is_the_full_gradient_bit_for_bit(field):

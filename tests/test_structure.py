@@ -82,7 +82,7 @@ def _kernel_case(case):
 @pytest.mark.parametrize("case", ["critical", "off-constraint", "zero-f", "zero-g"])
 def test_report_from_kernel_terms_matches_critical_report(case):
     """On a pair seeded, as a search seeds the pair it returns, with the
-    TU* and the resume state of its kernel output, ``critical_report``
+    resume state of its kernel output, ``critical_report``
     checks the pair as on a fresh pair and raises what it raises, with the
     same message, or returns its report bit for bit."""
     pair, spec = _kernel_case(case)
@@ -90,7 +90,6 @@ def test_report_from_kernel_terms_matches_critical_report(case):
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero f_m divides by ||f_m||^2
         terms = structure._merit_terms(fv, gv)
     seeded = FramePair(FrameSequence(pair.field, fv.copy()), FrameSequence(pair.field, gv.copy()))
-    seeded._derived("TU*", lambda: terms.tu)
     seeded._derived(("resume", spec.require_field(pair.field).tobytes()), lambda: terms)
     try:
         want = structure.critical_report(pair, spec)

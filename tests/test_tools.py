@@ -55,4 +55,4 @@ def test_readme_python_example_runs_as_its_comments_say(capsys):
     assert [m + 1 for m in ns["dec"].group] == [2, 3, 4]
     assert abs(ns["dec"].a - 1.5) <= 1e-12
     assert ns["res"].status == optimizer.CONVERGED
-    assert ns["res"].dual_deviation < 1e-6
+    assert ns["mf"].is_dual_pair(ns["res"].final_pair)[1] < 1e-6

@@ -17,8 +17,8 @@ threads (default 1, the count every recorded line is taken at), set before NumPy
 * ``search``: CriticalSearch.PROBLEMS x seeds 0-3 at 300 iterations, Descent.PROBLEMS x seeds
   0-4 at 40: status, histories, final F/G bytes, the c and residual bytes with
   repr((is_critical, tol, mixed_norm)) of the final pair's ``structure.critical_report`` as
-  ``optimize`` prints it (none after a degenerate pairing or a failed check), and
-  repr((constraint_residual_final, dual_deviation)).
+  ``optimize`` prints it (none when the pair fails the report's checks), and the repr of its
+  max ``frames.constraint_residual`` and its ``frames.is_dual_pair`` deviation.
   The same runs are made again as 2-iteration slices, each resumed from the last one's
   ``final_pair``; unless those hash the same (a resumed search continues bit for bit) and their
   summed ``work`` is each whole run's (a resumed slice counts only its own), the script exits 1
@@ -163,7 +163,8 @@ def search():
                 if rep is not None:
                     parts += [rep.c, rep.f_residuals, rep.g_residuals,
                               repr((rep.is_critical, rep.tol, rep.mixed_norm))]
-                parts.append(repr((res.constraint_residual_final, res.dual_deviation)))
+                parts.append(repr((float(frames.constraint_residual(pair, spec).max()),
+                                   frames.is_dual_pair(pair)[1])))
                 for part in parts:
                     h.update(part.encode() if isinstance(part, str) else part.tobytes())
         digests.append(h.hexdigest())
